@@ -33,7 +33,7 @@ fn bench_request() -> CampaignRequest {
     request.config.golden_runs = 4;
     request.config.injections_per_stage = 4;
     request.config.mission_time_budget = 25.0;
-    request.batch_size = 2;
+    request.chunk_jobs = 2;
     request
 }
 
@@ -66,15 +66,14 @@ fn library_once(request: &CampaignRequest) -> f64 {
     let scheme = SchemeConfig::cached(request.training_environment, request.training);
     let begin = Instant::now();
     CampaignExecutor::new(1)
-        .with_batch_size(request.batch_size)
+        .with_chunk_jobs(request.chunk_jobs)
         .run_campaign(&request.config, &scheme)
         .expect("library campaign");
     begin.elapsed().as_secs_f64()
 }
 
 /// Best-of-`reps` wall time: each repetition is bit-identical work, so the
-/// fastest one is the least-perturbed measurement (same de-noiser as
-/// `batch_throughput`).
+/// fastest one is the least-perturbed measurement.
 fn best_secs(reps: usize, mut run: impl FnMut() -> f64) -> f64 {
     (0..reps).map(|_| run()).fold(f64::MAX, f64::min)
 }

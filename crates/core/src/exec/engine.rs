@@ -3,12 +3,12 @@
 //!
 //! [`CampaignExecutor`] builds the complete run list of a campaign — golden
 //! runs plus every planned per-stage injection — and shards it across a
-//! [`WorkerPool`].  Each run's seed is derived from `(base_seed, run_index)`
-//! exactly as in the sequential path, and [`MissionOutcome`]s stream through
-//! the pool's order-restoring aggregator, so the assembled
-//! [`EnvironmentCampaign`] is byte-identical to sequential execution for any
-//! worker count while bulky per-run artifacts (sampled trails) are dropped
-//! as soon as their statistics are folded in.
+//! [`WorkerPool`], one campaign job per pool unit.  Each run's seed is
+//! derived from `(base_seed, run_index)` exactly as in the sequential path,
+//! and [`MissionOutcome`]s stream through the pool's order-restoring
+//! aggregator, so the assembled [`EnvironmentCampaign`] is byte-identical to
+//! sequential execution for any worker count while bulky per-run artifacts
+//! (sampled trails) are dropped as soon as their statistics are folded in.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -23,7 +23,6 @@ use serde::{Deserialize, Serialize};
 use crate::campaign::{CampaignConfig, EnvironmentCampaign, SettingResult};
 use crate::config::{MissionSpec, Protection, TrainingSpec};
 use crate::error::MavfiError;
-use crate::exec::batch::{BatchMission, MissionBatch};
 use crate::exec::cache::TrainedDetectorCache;
 use crate::exec::pool::WorkerPool;
 use crate::qof::{QofMetrics, QofSummary};
@@ -156,8 +155,8 @@ pub(crate) enum JobOutcome {
 /// sum matches the sequential loop bit for bit.
 ///
 /// The state is deliberately *extractable*: it is plain data (serde-
-/// serialisable, no handles into the pool or detectors), campaign chunks
-/// fold into it strictly in chunk order, and chunks are independent — so
+/// serialisable, no handles into the pool or detectors), campaign jobs
+/// fold into it strictly in run order, and jobs are independent — so
 /// folding chunks `[0, k)` into a fresh state, persisting it, and later
 /// folding chunks `[k, n)` into the restored state yields exactly the bytes
 /// of an uninterrupted `[0, n)` fold.  That property is what the campaign
@@ -281,56 +280,47 @@ fn accumulate_recomputations(outcome: &MissionOutcome, totals: &mut [(Stage, u64
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CampaignExecutor {
     pool: WorkerPool,
-    /// Campaign jobs per lockstep [`MissionBatch`] worker job; `0` means
-    /// "auto" (`MAVFI_BATCH`, falling back to
-    /// [`CampaignExecutor::DEFAULT_BATCH`]).
-    batch: usize,
+    /// Campaign jobs per checkpointable chunk; `0` means the default of 8.
+    chunk_jobs: usize,
 }
 
 impl CampaignExecutor {
-    /// Campaign jobs per batched worker job when neither
-    /// [`CampaignExecutor::with_batch_size`] nor `MAVFI_BATCH` pins one.
-    pub const DEFAULT_BATCH: usize = 8;
-
     /// Creates an executor with a fixed worker count; `0` means "auto"
     /// (`MAVFI_WORKERS`, falling back to the available parallelism).
     pub fn new(workers: usize) -> Self {
         if workers == 0 {
             Self::from_env()
         } else {
-            Self { pool: WorkerPool::new(workers), batch: 0 }
+            Self::with_pool(WorkerPool::new(workers))
         }
     }
 
     /// An executor configured from `MAVFI_WORKERS` / the available cores.
     pub fn from_env() -> Self {
-        Self { pool: WorkerPool::from_env(), batch: 0 }
+        Self::with_pool(WorkerPool::from_env())
     }
 
     /// An executor around an existing worker pool.
     pub fn with_pool(pool: WorkerPool) -> Self {
-        Self { pool, batch: 0 }
+        Self { pool, chunk_jobs: 0 }
     }
 
-    /// Pins the number of campaign jobs flown per lockstep batch; `0`
-    /// restores "auto" (`MAVFI_BATCH`, falling back to
-    /// [`CampaignExecutor::DEFAULT_BATCH`]).  Campaign results are
-    /// bit-identical for every batch size.
-    pub fn with_batch_size(mut self, batch: usize) -> Self {
-        self.batch = batch;
+    /// Pins the number of consecutive campaign jobs per chunk, the unit of
+    /// [`run_campaign_chunks`](Self::run_campaign_chunks) ranges and of
+    /// the campaign server's checkpoints; `0` restores the default of 8.
+    /// Campaign results are bit-identical for every chunk size.
+    pub fn with_chunk_jobs(mut self, chunk_jobs: usize) -> Self {
+        self.chunk_jobs = chunk_jobs;
         self
     }
 
-    /// The resolved number of campaign jobs per lockstep batch.
-    pub fn batch_size(&self) -> usize {
-        if self.batch != 0 {
-            return self.batch;
+    /// The resolved number of campaign jobs per chunk.
+    pub fn chunk_jobs(&self) -> usize {
+        if self.chunk_jobs == 0 {
+            8
+        } else {
+            self.chunk_jobs
         }
-        std::env::var("MAVFI_BATCH")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<usize>().ok())
-            .filter(|&batch| batch > 0)
-            .unwrap_or(Self::DEFAULT_BATCH)
     }
 
     /// The underlying worker pool.
@@ -373,13 +363,10 @@ impl CampaignExecutor {
     /// Runs the golden, injection and both D&R settings of one
     /// environment's campaign as a single sharded run list.
     ///
-    /// Each worker job is a lockstep [`MissionBatch`] of
-    /// [`batch_size`](Self::batch_size) consecutive campaign jobs (a fault
-    /// job contributes its injected/Gaussian/autoencoder triple to the same
-    /// batch), stepped tick-by-tick together with one matrix-matrix
-    /// detector pass per stage.  The assembled campaign is bit-identical to
-    /// [`run_campaign_sequential`](Self::run_campaign_sequential) for every
-    /// batch size and worker count.
+    /// Every campaign job is its own pool unit: a golden job flies one
+    /// mission, a fault job flies its injected/Gaussian/autoencoder triple.
+    /// Outcomes fold in run order, so the assembled campaign is
+    /// bit-identical for every worker count and chunk size.
     ///
     /// # Errors
     ///
@@ -397,20 +384,21 @@ impl CampaignExecutor {
         Ok(state.finish(config))
     }
 
-    /// Number of lockstep batches (worker jobs) the campaign's run list
-    /// splits into at this executor's [`batch_size`](Self::batch_size) —
-    /// the unit of [`run_campaign_chunks`](Self::run_campaign_chunks)
-    /// ranges and of the campaign server's checkpoint stride.
+    /// Number of chunks of [`chunk_jobs`](Self::chunk_jobs) consecutive
+    /// campaign jobs the run list splits into — the unit of
+    /// [`run_campaign_chunks`](Self::run_campaign_chunks) ranges and of the
+    /// campaign server's checkpoint stride.
     pub fn campaign_chunk_count(&self, config: &CampaignConfig) -> usize {
         let jobs = config.golden_runs + config.injections_per_stage * Stage::ALL.len();
-        jobs.div_ceil(self.batch_size().max(1))
+        jobs.div_ceil(self.chunk_jobs())
     }
 
     /// Runs the chunks `chunk_range` (clamped to the campaign's chunk
-    /// count) of the campaign's batched run list, folding their outcomes
-    /// into `state` in chunk order.
+    /// count) of the campaign's run list, folding their jobs' outcomes
+    /// into `state` in run order.  The jobs of the whole range fan out
+    /// across the pool together.
     ///
-    /// Chunks are independent and the fold is strictly ordered, so running
+    /// Jobs are independent and the fold is strictly ordered, so running
     /// `0..k` into a fresh state and then `k..n` into that same state —
     /// even across a process restart, with the state serialised in between
     /// — produces exactly the bytes of one uninterrupted `0..n` pass.
@@ -430,93 +418,11 @@ impl CampaignExecutor {
         chunk_range: Range<usize>,
         state: &mut CampaignFoldState,
     ) -> Result<(), MavfiError> {
-        let detectors = scheme.detectors();
         let jobs = Self::campaign_jobs(config);
-        let chunks: Vec<&[CampaignJob]> = jobs.chunks(self.batch_size().max(1)).collect();
-        let end = chunk_range.end.min(chunks.len());
-        let start = chunk_range.start.min(end);
-        self.pool.try_fold_ordered(
-            &chunks[start..end],
-            |_, chunk| Self::run_chunk(config, detectors.as_ref(), chunk),
-            state,
-            |state, _, outcomes| {
-                for outcome in outcomes {
-                    state.fold(outcome);
-                }
-            },
-        )
-    }
-
-    /// Flies one chunk of consecutive campaign jobs as a single lockstep
-    /// [`MissionBatch`] and maps the batch outcomes back onto the jobs.
-    fn run_chunk(
-        config: &CampaignConfig,
-        detectors: &TrainedDetectors,
-        chunk: &[CampaignJob],
-    ) -> Result<Vec<JobOutcome>, MavfiError> {
-        let mut missions = Vec::new();
-        for job in chunk {
-            match job {
-                CampaignJob::Golden(index) => {
-                    missions.push(BatchMission::golden(Self::mission_spec(config, *index)))
-                }
-                CampaignJob::Fault(index, fault) => {
-                    let spec = Self::mission_spec(config, *index as u64);
-                    missions.extend(Protection::ALL.map(|protection| BatchMission {
-                        spec,
-                        fault: Some(*fault),
-                        protection,
-                    }));
-                }
-            }
-        }
-        let outcomes = MissionBatch::new(&missions, Some(detectors))?.run_to_completion();
-        let mut outcomes = outcomes.into_iter();
-        let mut next = || outcomes.next().expect("one outcome per batched mission");
-        Ok(chunk
-            .iter()
-            .map(|job| match job {
-                CampaignJob::Golden(_) => {
-                    let outcome = next();
-                    JobOutcome::Golden {
-                        qof: outcome.qof,
-                        ticks: outcome.pipeline.ticks,
-                        compute_ms: outcome.pipeline.total_compute_ms(),
-                        reports: Vec::new(),
-                    }
-                }
-                CampaignJob::Fault(..) => {
-                    let injected = next();
-                    let gaussian = next();
-                    let autoencoder = next();
-                    JobOutcome::Fault(
-                        Box::new(FaultSettingOutcomes {
-                            injected: injected.qof,
-                            gaussian,
-                            autoencoder,
-                        }),
-                        Vec::new(),
-                    )
-                }
-            })
-            .collect())
-    }
-
-    /// [`run_campaign`](Self::run_campaign) through the original
-    /// one-mission-at-a-time path: every worker job flies a single campaign
-    /// job sequentially through [`MissionRunner`].  The verification
-    /// baseline for the batched engine — results are bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runner errors exactly like
-    /// [`run_campaign`](Self::run_campaign).
-    pub fn run_campaign_sequential(
-        &self,
-        config: &CampaignConfig,
-        scheme: &SchemeConfig,
-    ) -> Result<EnvironmentCampaign, MavfiError> {
-        Ok(self.run_campaign_impl(config, scheme, false)?.0)
+        let chunk_jobs = self.chunk_jobs();
+        let end = chunk_range.end.saturating_mul(chunk_jobs).min(jobs.len());
+        let start = chunk_range.start.saturating_mul(chunk_jobs).min(end);
+        self.fold_jobs(config, scheme, &jobs[start..end], state, None)
     }
 
     /// [`run_campaign`](Self::run_campaign) with mission telemetry: every
@@ -540,18 +446,27 @@ impl CampaignExecutor {
         config: &CampaignConfig,
         scheme: &SchemeConfig,
     ) -> Result<(EnvironmentCampaign, TelemetryReport), MavfiError> {
-        let (campaign, report) = self.run_campaign_impl(config, scheme, true)?;
-        Ok((campaign, report.unwrap_or_default()))
+        let mut state = CampaignFoldState::new(config);
+        let mut telemetry = TelemetryReport::new();
+        let jobs = Self::campaign_jobs(config);
+        self.fold_jobs(config, scheme, &jobs, &mut state, Some(&mut telemetry))?;
+        Ok((state.finish(config), telemetry))
     }
 
-    fn run_campaign_impl(
+    /// Flies `jobs` across the pool, one job per pool unit, and folds their
+    /// outcomes into `state` in run order.  With `telemetry`, every mission
+    /// flies instrumented and its report is merged into the rollup, also in
+    /// run order.
+    fn fold_jobs(
         &self,
         config: &CampaignConfig,
         scheme: &SchemeConfig,
-        instrument: bool,
-    ) -> Result<(EnvironmentCampaign, Option<TelemetryReport>), MavfiError> {
+        jobs: &[CampaignJob],
+        state: &mut CampaignFoldState,
+        telemetry: Option<&mut TelemetryReport>,
+    ) -> Result<(), MavfiError> {
         let detectors = scheme.detectors();
-        let jobs = Self::campaign_jobs(config);
+        let instrument = telemetry.is_some();
 
         // Instrumented missions: a fresh sink per mission (constructing it
         // preallocates the telemetry buffers; the mission itself then runs
@@ -584,11 +499,9 @@ impl CampaignExecutor {
             }
         };
 
-        let mut aggregate = CampaignFoldState::new(config);
-        let mut telemetry = if instrument { Some(TelemetryReport::new()) } else { None };
-        let mut state = (&mut aggregate, &mut telemetry);
+        let mut folded = (state, telemetry);
         let pool_stats = self.pool.try_fold_ordered_with_stats(
-            &jobs,
+            jobs,
             |_, job| -> Result<JobOutcome, MavfiError> {
                 match job {
                     CampaignJob::Golden(index) => {
@@ -624,9 +537,9 @@ impl CampaignExecutor {
                     }
                 }
             },
-            &mut state,
-            |(aggregate, telemetry), _, outcome| {
-                if let Some(rollup) = telemetry.as_mut() {
+            &mut folded,
+            |(state, telemetry), _, outcome| {
+                if let Some(rollup) = telemetry.as_deref_mut() {
                     let reports = match &outcome {
                         JobOutcome::Golden { reports, .. } => reports,
                         JobOutcome::Fault(_, reports) => reports,
@@ -635,14 +548,14 @@ impl CampaignExecutor {
                         rollup.merge_mission(report);
                     }
                 }
-                aggregate.fold(outcome);
+                state.fold(outcome);
             },
         )?;
-        if let Some(rollup) = telemetry.as_mut() {
+        if let Some(rollup) = folded.1 {
             rollup.wall_clock.worker_jobs = pool_stats.worker_jobs;
             rollup.wall_clock.fold_stalls += pool_stats.fold_stalls;
         }
-        Ok((aggregate.finish(config), telemetry))
+        Ok(())
     }
 
     /// Runs an injection-only sweep (golden baseline plus unprotected
@@ -786,28 +699,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_campaign_matches_sequential_baseline() {
-        let detectors = quick_detectors();
-        let config = CampaignConfig {
-            environment: EnvironmentKind::Farm,
-            golden_runs: 2,
-            injections_per_stage: 1,
-            base_seed: 9,
-            mission_time_budget: 60.0,
-        };
-        let scheme = SchemeConfig::trained(detectors);
-        let sequential =
-            CampaignExecutor::new(1).run_campaign_sequential(&config, &scheme).unwrap();
-        for batch in [1, 3] {
-            let batched = CampaignExecutor::new(2)
-                .with_batch_size(batch)
-                .run_campaign(&config, &scheme)
-                .unwrap();
-            assert_eq!(batched, sequential, "batch size {batch}");
-        }
-    }
-
-    #[test]
     fn chunk_ranges_fold_identically_to_the_uninterrupted_pass() {
         let detectors = quick_detectors();
         let config = CampaignConfig {
@@ -818,10 +709,10 @@ mod tests {
             mission_time_budget: 60.0,
         };
         let scheme = SchemeConfig::trained(detectors);
-        let executor = CampaignExecutor::new(2).with_batch_size(2);
+        let executor = CampaignExecutor::new(2).with_chunk_jobs(2);
         let full = executor.run_campaign(&config, &scheme).unwrap();
         let total = executor.campaign_chunk_count(&config);
-        assert_eq!(total, 3); // 5 jobs at batch size 2
+        assert_eq!(total, 3); // 5 jobs at chunk size 2
         for split in 1..total {
             let mut state = CampaignFoldState::new(&config);
             executor.run_campaign_chunks(&config, &scheme, 0..split, &mut state).unwrap();

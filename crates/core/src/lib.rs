@@ -51,8 +51,8 @@ pub use campaign::{CampaignConfig, CampaignRunner, EnvironmentCampaign, SettingR
 pub use config::{MissionSpec, Protection, TrainingSpec};
 pub use error::MavfiError;
 pub use exec::{
-    run_campaign, run_campaign_instrumented, BatchMission, CampaignExecutor, CampaignFoldState,
-    MissionBatch, SchemeConfig, TrainedDetectorCache, WorkerPool,
+    run_campaign, run_campaign_instrumented, CampaignExecutor, CampaignFoldState, SchemeConfig,
+    TrainedDetectorCache, WorkerPool,
 };
 pub use qof::{QofMetrics, QofSummary};
 pub use replay::{ReplayDivergence, ReplayHarness, ReplayReport};
@@ -70,8 +70,8 @@ pub mod prelude {
     pub use crate::config::{MissionSpec, Protection, TrainingSpec};
     pub use crate::error::MavfiError;
     pub use crate::exec::{
-        run_campaign, run_campaign_instrumented, BatchMission, CampaignExecutor, CampaignFoldState,
-        MissionBatch, SchemeConfig, TrainedDetectorCache, WorkerPool,
+        run_campaign, run_campaign_instrumented, CampaignExecutor, CampaignFoldState, SchemeConfig,
+        TrainedDetectorCache, WorkerPool,
     };
     pub use crate::qof::{QofMetrics, QofSummary};
     pub use crate::replay::{ReplayDivergence, ReplayHarness, ReplayReport};

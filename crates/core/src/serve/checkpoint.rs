@@ -3,7 +3,7 @@
 //!
 //! A checkpoint captures everything needed to resume a served campaign
 //! bit-identically after a process restart: the admitted
-//! [`CampaignRequest`] (with its batch size pinned, so chunk boundaries
+//! [`CampaignRequest`] (with its chunk size pinned, so chunk boundaries
 //! stay stable), the number of chunks already folded, and the
 //! [`CampaignFoldState`] those chunks produced.  `f64`s are stored as raw
 //! IEEE-754 bit patterns — a decoded state is the *same bytes*, not a
@@ -42,7 +42,7 @@ pub const CHECKPOINT_VERSION: u16 = 1;
 /// The resumable on-disk state of one campaign job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignCheckpoint {
-    /// The admitted request; `batch_size` is always resolved (non-zero).
+    /// The admitted request; `chunk_jobs` is always resolved (non-zero).
     pub request: CampaignRequest,
     /// Chunks already folded into `state`.
     pub chunks_done: u64,
@@ -215,7 +215,7 @@ fn encode_request(out: &mut Vec<u8>, request: &CampaignRequest) {
     out.extend_from_slice(&request.training.base_seed.to_le_bytes());
     write_f64_bits(out, request.training.mission_time_budget);
     write_varint(out, request.training.epochs as u64);
-    write_varint(out, request.batch_size as u64);
+    write_varint(out, request.chunk_jobs as u64);
 }
 
 fn decode_request(reader: &mut ByteReader<'_>) -> Result<CampaignRequest, TraceError> {
@@ -238,8 +238,8 @@ fn decode_request(reader: &mut ByteReader<'_>) -> Result<CampaignRequest, TraceE
         mission_time_budget: read_f64_bits(reader)?,
         epochs: reader.read_varint()? as usize,
     };
-    let batch_size = reader.read_varint()? as usize;
-    Ok(CampaignRequest { config, training_environment, training, batch_size })
+    let chunk_jobs = reader.read_varint()? as usize;
+    Ok(CampaignRequest { config, training_environment, training, chunk_jobs })
 }
 
 fn encode_runs(out: &mut Vec<u8>, runs: &[QofMetrics]) {
@@ -326,7 +326,7 @@ mod tests {
 
     fn sample_checkpoint() -> CampaignCheckpoint {
         let mut request = CampaignRequest::quick(EnvironmentKind::Sparse, 11);
-        request.batch_size = 4;
+        request.chunk_jobs = 4;
         let mut state = CampaignFoldState::new(&request.config);
         state.golden_runs.push(QofMetrics {
             status: MissionStatus::Succeeded,
@@ -344,6 +344,51 @@ mod tests {
         });
         state.gaussian_recomputations[1].1 = 17;
         CampaignCheckpoint { request, chunks_done: 3, state }
+    }
+
+    /// The job id and framed-checkpoint digest of a fixed request and fold
+    /// state, recorded before `chunk_jobs` got its current name.  Any
+    /// change to the canonical encoding — a reordered, added or dropped
+    /// field — moves these constants, and with them every existing job id
+    /// and `.mvcp` checkpoint.
+    #[test]
+    fn canonical_encoding_is_wire_compatible_with_recorded_checkpoints() {
+        let mut request = CampaignRequest::quick(EnvironmentKind::Farm, 2024);
+        request.chunk_jobs = 8;
+        let mut state = CampaignFoldState::new(&request.config);
+        state.golden_runs.push(QofMetrics {
+            status: MissionStatus::Succeeded,
+            flight_time_s: 41.25,
+            energy_j: 2_048.5,
+            distance_m: 96.75,
+        });
+        state.golden_ticks = 412;
+        state.golden_compute_ms = 18.375;
+        state.injected_runs.push(QofMetrics {
+            status: MissionStatus::TimedOut,
+            flight_time_s: 60.0,
+            energy_j: 3_000.25,
+            distance_m: 12.5,
+        });
+        state.gaussian_runs.push(QofMetrics {
+            status: MissionStatus::Collided,
+            flight_time_s: 7.5,
+            energy_j: 310.0,
+            distance_m: 9.0,
+        });
+        state.autoencoder_runs.push(QofMetrics {
+            status: MissionStatus::Succeeded,
+            flight_time_s: 44.0,
+            energy_j: 2_200.0,
+            distance_m: 97.0,
+        });
+        state.gaussian_recomputations[0].1 = 3;
+        state.autoencoder_recomputations[2].1 = 5;
+        let checkpoint = CampaignCheckpoint { request, chunks_done: 1, state };
+        let bytes = checkpoint.encode();
+        assert_eq!(request_job_id(&checkpoint.request), 0x2a9c_0624_7a2c_d2e4);
+        assert_eq!(bytes.len(), 230);
+        assert_eq!(fold_digest(DIGEST_SEED, &bytes), 0xea68_7db0_0866_772e);
     }
 
     #[test]

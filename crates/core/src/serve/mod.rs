@@ -4,7 +4,8 @@
 //! [`CampaignServer`] promotes [`run_campaign`](crate::exec::run_campaign)
 //! from a library call into a long-running service node: clients submit
 //! [`CampaignRequest`]s over a bus service, the server shards each
-//! campaign across its persistent worker pool in lockstep-batch *chunks*,
+//! campaign across its persistent worker pool in *chunks* of consecutive
+//! jobs,
 //! streams incremental [`CampaignProgress`] aggregates on a per-job topic,
 //! and persists a versioned, digest-checked [`CampaignCheckpoint`] after
 //! every stride.  A server killed at any point — between strides, or

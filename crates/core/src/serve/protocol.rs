@@ -32,7 +32,7 @@ pub fn progress_topic(job_id: u64) -> String {
 }
 
 /// One campaign submission: the campaign itself plus everything the server
-/// needs to reproduce its detector bank and batching deterministically.
+/// needs to reproduce its detector bank and chunking deterministically.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CampaignRequest {
     /// The campaign to fly.
@@ -44,10 +44,10 @@ pub struct CampaignRequest {
     /// through the process-global `TrainedDetectorCache`, so equal specs
     /// train once.
     pub training: TrainingSpec,
-    /// Campaign jobs per lockstep batch, pinned for the job's lifetime so
-    /// checkpoint chunk boundaries stay stable across restarts.  `0` lets
-    /// the server pin its own default at admission.
-    pub batch_size: usize,
+    /// Campaign jobs per checkpoint chunk, pinned for the job's lifetime so
+    /// chunk boundaries stay stable across restarts.  `0` lets the server
+    /// pin its own default at admission.
+    pub chunk_jobs: usize,
 }
 
 impl CampaignRequest {
@@ -63,7 +63,7 @@ impl CampaignRequest {
                 mission_time_budget: 25.0,
                 epochs: 5,
             },
-            batch_size: 0,
+            chunk_jobs: 0,
         }
     }
 }

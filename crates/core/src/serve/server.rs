@@ -65,14 +65,14 @@ impl ServerState {
     }
 
     fn chunk_executor(&self, request: &CampaignRequest) -> CampaignExecutor {
-        self.executor.with_batch_size(request.batch_size)
+        self.executor.with_chunk_jobs(request.chunk_jobs)
     }
 
     fn admit(&mut self, request: CampaignRequest) -> Result<JobTicket, ServerError> {
         validate_config(&request.config)?;
         let mut request = request;
-        if request.batch_size == 0 {
-            request.batch_size = self.executor.batch_size();
+        if request.chunk_jobs == 0 {
+            request.chunk_jobs = self.executor.chunk_jobs();
         }
         let job_id = request_job_id(&request);
         if let Some((chunks_total, chunks_done)) =
@@ -334,7 +334,7 @@ impl CampaignServer {
         let Some(job) = state.jobs.iter_mut().find(|job| job.result.is_none()) else {
             return Ok(false);
         };
-        let executor = state.executor.with_batch_size(job.request.batch_size);
+        let executor = state.executor.with_chunk_jobs(job.request.chunk_jobs);
         let scheme = SchemeConfig::cached(job.request.training_environment, job.request.training);
         let start = job.chunks_done as usize;
         let end = (job.chunks_done + state.stride).min(job.chunks_total) as usize;

@@ -38,7 +38,7 @@ pub mod static_range;
 pub mod training;
 pub mod welford;
 
-pub use aad::{AadBatchScratch, AadConfig, AadDetector, AadScratch};
+pub use aad::{AadConfig, AadDetector, AadScratch};
 pub use calibration::{
     best_by_f1, evaluate_stream, roc_curve, score_stream, sweep_aad_threshold, sweep_ewma_alpha,
     sweep_gad_nsigma, AnomalyScorer, CorruptionProfile, LabeledStream, OperatingPoint,

@@ -36,7 +36,7 @@ pub mod train;
 pub use activation::Activation;
 pub use autoencoder::Autoencoder;
 pub use layer::{Dense, LayerCache, LayerGradients};
-pub use network::{Gradients, Mlp, MlpBatchScratch, MlpBuilder, MlpScratch};
+pub use network::{Gradients, Mlp, MlpBuilder, MlpScratch};
 pub use optimizer::{Adam, Optimizer, Sgd};
 pub use serialize::{from_json, load_json, save_json, to_json, PersistError};
 pub use tensor::Matrix;

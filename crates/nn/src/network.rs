@@ -59,22 +59,6 @@ impl MlpScratch {
     }
 }
 
-/// Reusable scratch for [`Mlp::forward_batch_into`]: the batched counterpart
-/// of [`MlpScratch`].  Buffers grow to `widest layer × batch` on first use
-/// and hold no semantic state.
-#[derive(Debug, Clone, Default)]
-pub struct MlpBatchScratch {
-    current: Vec<f64>,
-    next: Vec<f64>,
-}
-
-impl MlpBatchScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 impl MlpBuilder {
     /// Appends a dense layer with `output_dim` neurons.
     pub fn layer(mut self, output_dim: usize, activation: Activation) -> Self {
@@ -167,33 +151,6 @@ impl Mlp {
         current
     }
 
-    /// Batched forward pass over `batch` feature-major columns: one
-    /// matrix-matrix pass per layer instead of `batch` matvecs.  Column `j`
-    /// of the result (elements `out[k * batch + j]`) is bit-identical to
-    /// [`Mlp::forward_into`] on column `j` of the input.  Returns the output
-    /// activations (feature-major, `output_dim × batch`) as a slice into
-    /// `scratch`, valid until the next use of the scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0` or `input.len() != self.input_dim() * batch`.
-    pub fn forward_batch_into<'scratch>(
-        &self,
-        input: &[f64],
-        batch: usize,
-        scratch: &'scratch mut MlpBatchScratch,
-    ) -> &'scratch [f64] {
-        assert_eq!(input.len(), self.input_dim() * batch, "batched input dimension mismatch");
-        let MlpBatchScratch { current, next } = scratch;
-        current.clear();
-        current.extend_from_slice(input);
-        for layer in &self.layers {
-            layer.forward_batch_into(current, batch, next);
-            std::mem::swap(current, next);
-        }
-        current
-    }
-
     fn forward_cached(&self, input: &[f64]) -> Vec<LayerCache> {
         let mut caches = Vec::with_capacity(self.layers.len());
         let mut current = input.to_vec();
@@ -274,33 +231,5 @@ mod tests {
     #[should_panic(expected = "at least one layer")]
     fn empty_builder_panics() {
         let _ = Mlp::builder(3).build(0);
-    }
-
-    #[test]
-    fn batched_forward_columns_are_bit_identical_to_sequential() {
-        let mlp = Mlp::builder(13)
-            .layer(6, Activation::Tanh)
-            .layer(3, Activation::Tanh)
-            .layer(13, Activation::Identity)
-            .build(9);
-        let batch = 5;
-        let columns: Vec<Vec<f64>> = (0..batch)
-            .map(|j| (0..13).map(|k| (j as f64).mul_add(0.7, -1.3) + 0.11 * k as f64).collect())
-            .collect();
-        let mut input = vec![0.0; 13 * batch];
-        for (j, col) in columns.iter().enumerate() {
-            for (k, &v) in col.iter().enumerate() {
-                input[k * batch + j] = v;
-            }
-        }
-        let mut batch_scratch = MlpBatchScratch::new();
-        let out = mlp.forward_batch_into(&input, batch, &mut batch_scratch).to_vec();
-        let mut scratch = MlpScratch::new();
-        for (j, col) in columns.iter().enumerate() {
-            let single = mlp.forward_into(col, &mut scratch);
-            for (k, &expect) in single.iter().enumerate() {
-                assert_eq!(out[k * batch + j].to_bits(), expect.to_bits(), "column {j} row {k}");
-            }
-        }
     }
 }

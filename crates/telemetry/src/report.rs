@@ -108,7 +108,7 @@ pub struct ServerCounters {
     pub jobs_resumed: u64,
     /// Jobs whose final campaign was assembled.
     pub jobs_completed: u64,
-    /// Campaign chunks (lockstep batches) executed.
+    /// Campaign chunks (runs of consecutive campaign jobs) executed.
     pub chunks_executed: u64,
     /// Checkpoints written successfully.
     pub checkpoints_written: u64,

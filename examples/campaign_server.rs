@@ -25,7 +25,7 @@ fn request_for(environment: EnvironmentKind, seed: u64) -> CampaignRequest {
     request.config.golden_runs = 2;
     request.config.injections_per_stage = 1;
     request.config.mission_time_budget = 90.0;
-    request.batch_size = 2;
+    request.chunk_jobs = 2;
     request
 }
 
@@ -72,7 +72,7 @@ fn smoke() -> i32 {
     let request = request_for(EnvironmentKind::Farm, 91);
     let scheme = SchemeConfig::cached(request.training_environment, request.training);
     let library = CampaignExecutor::new(2)
-        .with_batch_size(request.batch_size)
+        .with_chunk_jobs(request.chunk_jobs)
         .run_campaign(&request.config, &scheme)
         .expect("library campaign");
     let reference = json(&library);

@@ -73,7 +73,7 @@ fn arb_request() -> impl Strategy<Value = CampaignRequest> {
             |(
                 (environment, golden_runs, injections_per_stage, base_seed, mission_time_budget),
                 (training_environment, missions, training_seed, training_budget, epochs),
-                batch_size,
+                chunk_jobs,
             )| CampaignRequest {
                 config: CampaignConfig {
                     environment,
@@ -89,7 +89,7 @@ fn arb_request() -> impl Strategy<Value = CampaignRequest> {
                     mission_time_budget: training_budget,
                     epochs,
                 },
-                batch_size,
+                chunk_jobs,
             },
         )
 }

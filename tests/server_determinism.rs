@@ -1,6 +1,6 @@
 //! The campaign service must be invisible in the results: a served campaign
 //! is bit-identical to the library [`run_campaign`] call across the full
-//! matrix of worker counts {1, 2, 8} x batch sizes {1, 8, 32} x concurrent
+//! matrix of worker counts {1, 2, 8} x chunk sizes {1, 8, 32} x concurrent
 //! client counts {1, 3}.  Worker count, chunking and submission concurrency
 //! may change wall-clock behaviour, never bytes.
 
@@ -10,22 +10,23 @@ use mavfi_suite::mavfi_middleware::prelude::*;
 use mavfi_suite::prelude::*;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
-const BATCH_SIZES: [usize; 3] = [1, 8, 32];
+const CHUNK_SIZES: [usize; 3] = [1, 8, 32];
 
 /// A five-job campaign: 2 golden + 3 injections, shared by every cell.
-fn quick_request(seed: u64, batch_size: usize) -> CampaignRequest {
+fn quick_request(seed: u64, chunk_jobs: usize) -> CampaignRequest {
     let mut request = CampaignRequest::quick(EnvironmentKind::Farm, seed);
     request.config.golden_runs = 2;
     request.config.injections_per_stage = 1;
     request.config.mission_time_budget = 45.0;
-    request.batch_size = batch_size;
+    request.chunk_jobs = chunk_jobs;
     request
 }
 
-/// The library reference for `seed`, serialized once: batch size and worker
-/// count are already proven result-neutral for the library path
-/// (`tests/batch_equivalence.rs`, `tests/parallel_determinism.rs`), so one
-/// reference per seed covers the whole matrix.
+/// The library reference for `seed`, serialized once: the library path
+/// folds the whole run list in one pass, so the chunk size never reaches
+/// it, and worker count is already proven result-neutral
+/// (`tests/parallel_determinism.rs`), so one reference per seed covers the
+/// whole matrix.
 fn reference_json(seed: u64) -> &'static str {
     static REFERENCES: OnceLock<[(u64, String); 3]> = OnceLock::new();
     let references = REFERENCES.get_or_init(|| {
@@ -59,17 +60,17 @@ fn drive_until_idle(server: &CampaignServer, bus: &Bus) {
 }
 
 #[test]
-fn served_campaigns_are_bit_identical_across_the_worker_batch_client_matrix() {
+fn served_campaigns_are_bit_identical_across_the_worker_chunk_client_matrix() {
     for workers in WORKER_COUNTS {
-        for batch_size in BATCH_SIZES {
+        for chunk_jobs in CHUNK_SIZES {
             for clients in [1usize, 3] {
-                let label = format!("workers {workers}, batch {batch_size}, clients {clients}");
-                let dir = fresh_dir(&format!("w{workers}_b{batch_size}_c{clients}"));
+                let label = format!("workers {workers}, chunk {chunk_jobs}, clients {clients}");
+                let dir = fresh_dir(&format!("w{workers}_k{chunk_jobs}_c{clients}"));
                 let bus = Bus::new();
                 let server = CampaignServer::new(CampaignExecutor::new(workers), dir)
                     .expect("create server");
                 server.attach(&bus);
-                let request = quick_request(700, batch_size);
+                let request = quick_request(700, chunk_jobs);
 
                 // All clients race their submissions from real threads;
                 // exactly one wins admission, the rest get duplicate

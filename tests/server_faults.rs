@@ -15,14 +15,14 @@ use std::time::Duration;
 use mavfi_suite::mavfi_middleware::prelude::*;
 use mavfi_suite::prelude::*;
 
-/// A tiny five-job campaign (2 golden + 3 injections) with a pinned batch
+/// A tiny five-job campaign (2 golden + 3 injections) with a pinned chunk
 /// size of 2, i.e. exactly 3 checkpointable chunks.
 fn quick_request(seed: u64) -> CampaignRequest {
     let mut request = CampaignRequest::quick(EnvironmentKind::Farm, seed);
     request.config.golden_runs = 2;
     request.config.injections_per_stage = 1;
     request.config.mission_time_budget = 60.0;
-    request.batch_size = 2;
+    request.chunk_jobs = 2;
     request
 }
 
@@ -38,7 +38,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 fn library_reference(request: &CampaignRequest, workers: usize) -> EnvironmentCampaign {
     let scheme = SchemeConfig::cached(request.training_environment, request.training);
     CampaignExecutor::new(workers)
-        .with_batch_size(request.batch_size)
+        .with_chunk_jobs(request.chunk_jobs)
         .run_campaign(&request.config, &scheme)
         .expect("library campaign")
 }

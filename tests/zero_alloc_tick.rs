@@ -12,29 +12,18 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use mavfi::{
-    BatchMission, MissionBatch, MissionSpec, Protection, TrainedDetectorCache, TrainedDetectors,
-    TrainingSpec,
-};
 use mavfi_detect::detector_node::{DetectionScheme, DetectorTap};
 use mavfi_detect::prelude::*;
-use mavfi_fault::injector::{FaultInjector, FaultSpec};
-use mavfi_fault::target::InjectionTarget;
 use mavfi_nn::train::TrainConfig;
 use mavfi_ppc::kernel::KernelId;
-use mavfi_ppc::perception::occupancy::OccupancyGrid;
 use mavfi_ppc::pipeline::{PpcConfig, PpcPipeline};
 use mavfi_ppc::planning::PlannerAlgorithm;
-use mavfi_ppc::states::{
-    CollisionEstimate, MonitoredStates, PointCloud, Stage, StateField, Trajectory,
-};
+use mavfi_ppc::states::{MonitoredStates, StateField, Trajectory};
 use mavfi_ppc::tap::{NoopTap, StageTap, TapAction};
-use mavfi_sim::energy::PowerModel;
-use mavfi_sim::env::{Environment, EnvironmentKind, Obstacle};
+use mavfi_sim::env::{Environment, Obstacle};
 use mavfi_sim::geometry::{Aabb, Pose, Vec3};
 use mavfi_sim::sensors::{CaptureScratch, DepthCamera, DepthFrame};
-use mavfi_sim::vehicle::{FlightCommand, QuadrotorState};
-use mavfi_sim::world::{MissionStatus, World};
+use mavfi_sim::vehicle::QuadrotorState;
 use mavfi_telemetry::MissionTelemetry;
 
 /// System allocator wrapper counting allocations and reallocations — but
@@ -555,202 +544,6 @@ fn aad_score_iteration_with_scratch_allocates_nothing() {
     std::hint::black_box(sink);
     assert_eq!(allocated, 0, "scored 1000 vectors with {allocated} allocations");
     assert_eq!(detector.score(&deltas), warm_score, "scratch path must match allocating path");
-}
-
-// ---------------------------------------------------------------------------
-// Batched lockstep execution
-// ---------------------------------------------------------------------------
-
-fn quick_detectors() -> TrainedDetectors {
-    // The same quick-training convention the integration suites use; the
-    // process-wide cache shares the trained bank across tests.
-    let training =
-        TrainingSpec { missions: 2, base_seed: 640, mission_time_budget: 30.0, epochs: 10 };
-    (*TrainedDetectorCache::global().get_or_train(EnvironmentKind::Randomized, &training)).clone()
-}
-
-/// Mirror of the runner's composite injector→detector tap (`MissionTap` is
-/// crate-private to `mavfi`), so the sequential twins below run the exact
-/// per-tick loop `MissionRunner` executes.
-struct SequentialTap {
-    injector: Option<FaultInjector>,
-    detector: Option<DetectorTap>,
-}
-
-impl StageTap for SequentialTap {
-    fn after_point_cloud(&mut self, cloud: &mut PointCloud) {
-        if let Some(injector) = &mut self.injector {
-            injector.after_point_cloud(cloud);
-        }
-        if let Some(detector) = &mut self.detector {
-            detector.after_point_cloud(cloud);
-        }
-    }
-
-    fn after_occupancy(&mut self, grid: &mut OccupancyGrid) {
-        if let Some(injector) = &mut self.injector {
-            injector.after_occupancy(grid);
-        }
-        if let Some(detector) = &mut self.detector {
-            detector.after_occupancy(grid);
-        }
-    }
-
-    fn after_perception(&mut self, estimate: &mut CollisionEstimate) -> TapAction {
-        let mut action = TapAction::Continue;
-        if let Some(injector) = &mut self.injector {
-            action = action.merge(injector.after_perception(estimate));
-        }
-        if let Some(detector) = &mut self.detector {
-            action = action.merge(detector.after_perception(estimate));
-        }
-        action
-    }
-
-    fn after_planning(&mut self, trajectory: &mut Trajectory, active_index: usize) -> TapAction {
-        let mut action = TapAction::Continue;
-        if let Some(injector) = &mut self.injector {
-            action = action.merge(injector.after_planning(trajectory, active_index));
-        }
-        if let Some(detector) = &mut self.detector {
-            action = action.merge(detector.after_planning(trajectory, active_index));
-        }
-        action
-    }
-
-    fn after_control(&mut self, command: &mut FlightCommand) -> TapAction {
-        let mut action = TapAction::Continue;
-        if let Some(injector) = &mut self.injector {
-            action = action.merge(injector.after_control(command));
-        }
-        if let Some(detector) = &mut self.detector {
-            action = action.merge(detector.after_control(command));
-        }
-        action
-    }
-}
-
-/// One mission flown the sequential way — the capture + tick + step loop of
-/// `MissionRunner`, owned by the test so its per-tick allocations can be
-/// measured against the lockstep driver's.
-struct SequentialMission {
-    world: World,
-    pipeline: PpcPipeline,
-    tap: SequentialTap,
-    scratch: CaptureScratch,
-    frame: DepthFrame,
-}
-
-impl SequentialMission {
-    fn new(spec: MissionSpec, fault: Option<FaultSpec>, detector: Option<DetectorTap>) -> Self {
-        let environment = spec.environment.build(spec.seed);
-        let config = PpcConfig::new(spec.planner, environment.bounds(), spec.seed);
-        let pipeline = PpcPipeline::new(config, environment.start(), environment.goal());
-        let world = World::new(environment, spec.vehicle, PowerModel::default(), spec.mission);
-        Self {
-            world,
-            pipeline,
-            tap: SequentialTap { injector: fault.map(FaultInjector::new), detector },
-            scratch: CaptureScratch::new(),
-            frame: DepthFrame::default(),
-        }
-    }
-
-    fn tick(&mut self, camera: &DepthCamera, dt: f64) {
-        if self.world.status() != MissionStatus::InProgress {
-            return;
-        }
-        let pose = self.world.vehicle().pose();
-        let state = self.world.vehicle().state();
-        camera.capture_into(self.world.environment(), &pose, &mut self.scratch, &mut self.frame);
-        let tick = self.pipeline.tick(&self.frame, &state, dt, &mut self.tap);
-        self.world.step(&tick.command, dt);
-    }
-}
-
-/// The batched-execution property at the allocator level: once warm, a
-/// lockstep `tick_batch` allocates **exactly as much as its missions do when
-/// flown alone** — the structure-of-arrays driver, the one-pass matrix-matrix
-/// detector scoring and the shared-cull depth capture add zero steady-state
-/// allocations of their own — and the overwhelming majority of steady-state
-/// batch ticks allocate nothing at all.  (The rare nonzero ticks are the
-/// missions' own amortised growth — trail samples, newly observed voxels,
-/// planner pools crossing a high-water mark — which the sequential twins pay
-/// identically, tick for tick; flying missions are never *strictly*
-/// allocation-free, which is why the stationary-pose tests above exist.)
-#[test]
-fn warm_batched_lockstep_tick_allocates_like_its_missions() {
-    let detectors = quick_detectors();
-    let spec = MissionSpec::new(EnvironmentKind::Sparse, 3).with_time_budget(200.0);
-    let fault = FaultSpec::new(InjectionTarget::Stage(Stage::Planning), 25, 11);
-    let missions = [
-        BatchMission::golden(spec),
-        BatchMission { spec, fault: Some(fault), protection: Protection::Gaussian },
-        BatchMission { spec, fault: Some(fault), protection: Protection::Autoencoder },
-    ];
-    let mut batch = MissionBatch::new(&missions, Some(&detectors)).unwrap();
-    let mut twins = vec![
-        SequentialMission::new(spec, None, None),
-        SequentialMission::new(
-            spec,
-            Some(fault),
-            Some(DetectorTap::new(DetectionScheme::Gaussian(detectors.gad.clone()))),
-        ),
-        SequentialMission::new(
-            spec,
-            Some(fault),
-            Some(DetectorTap::new(DetectionScheme::Autoencoder(detectors.aad.clone()))),
-        ),
-    ];
-    let camera = DepthCamera::default();
-    let dt = spec.control_period;
-
-    let _measuring = start_measuring();
-    // Warm-up: both sides grow capture scratches, voxel stores, planner
-    // pools and the batched detector scratch to capacity.
-    let before = allocation_count();
-    for _ in 0..40 {
-        batch.tick_batch();
-        for twin in &mut twins {
-            twin.tick(&camera, dt);
-        }
-    }
-    let warmup = allocation_count() - before;
-    assert!(warmup > 0, "warm-up is expected to allocate while buffers grow");
-
-    let mut measured = 0_u64;
-    let mut zero_ticks = 0_u64;
-    for tick_index in 40..240 {
-        let before = allocation_count();
-        batch.tick_batch();
-        let batched = allocation_count() - before;
-        let before = allocation_count();
-        for twin in &mut twins {
-            twin.tick(&camera, dt);
-        }
-        let sequential = allocation_count() - before;
-        if batch.alive() < twins.len() {
-            // The tick that retires a mission assembles its outcome (trail
-            // copy, stats clones) — allocations the twins' loop doesn't
-            // perform.  The steady-state window ends here.
-            break;
-        }
-        assert_eq!(
-            batched, sequential,
-            "tick {tick_index}: the lockstep driver allocated {batched} times, \
-             the sequential twins {sequential}"
-        );
-        measured += 1;
-        if batched == 0 {
-            zero_ticks += 1;
-        }
-    }
-    assert!(measured >= 120, "missions ended too early for a steady state ({measured} ticks)");
-    assert!(
-        zero_ticks * 10 >= measured * 9,
-        "steady-state lockstep ticks must be allocation-free almost everywhere \
-         ({zero_ticks} of {measured} ticks were)"
-    );
 }
 
 #[test]
