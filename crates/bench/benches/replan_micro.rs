@@ -6,7 +6,7 @@
 //! of the paper's §VI-C.
 //!
 //! Records `ns/replan` and `ticks/s` entries to the bench log
-//! (`BENCH_8.json` by default).
+//! (`BENCH_10.json` by default).
 
 use std::time::Instant;
 

@@ -4,7 +4,7 @@
 //! the loop, and the compressed size of the trace itself.
 //!
 //! Records `ticks/s`, `ns/tick` and `bytes/tick` entries to the bench log
-//! (`BENCH_9.json` by default).  `record_overhead_ns_per_tick` is a *signed*
+//! (`BENCH_10.json` by default).  `record_overhead_ns_per_tick` is a *signed*
 //! difference of two noisy means: a small negative value is ordinary jitter
 //! evidence that recording is free, and clamping it to zero would hide
 //! exactly the regime the metric exists to document.

@@ -1,4 +1,4 @@
-//! Pooled voxel-bucketed spatial index over RRT-family tree nodes.
+//! Pooled flat-grid spatial index over RRT-family tree nodes.
 //!
 //! The three sampling-based planners ask two questions per iteration:
 //! *which tree node is nearest to this sample?* (every planner) and *which
@@ -8,52 +8,66 @@
 //! ~856 ms it spent per replan on a mission-observed Dense grid
 //! (`BENCH_5.json`; `BENCH_7.json` has the indexed-vs-linear numbers).
 //!
-//! [`NnIndex`] replaces the scans with a uniform voxel grid over node
-//! positions, keyed by the same deterministic [`VoxelHasher`] convention as
-//! the occupancy grid and sized so one cell edge is the planner's
-//! `step_size` (new nodes land at most one step from an existing node, so
-//! the nearest node is almost always within the first shell searched).  Its
-//! contract is **bit-identical results** to the linear scans it replaces:
+//! [`NnIndex`] replaces the scans with a uniform grid of cells over the
+//! planner's sampling box: cell `floor(p / cell_size)` per axis, the same
+//! keying convention as the occupancy grid.  Each cell's bucket head lives
+//! in a flat `Vec<u32>` addressed by the cell's offset inside the box, so a
+//! cell probe is one array load rather than a hash lookup.  Nodes whose
+//! cell lies outside the box — the start or the goal can, since they come
+//! from the vehicle state and the mission plan, and so can nodes steered
+//! from them — go on one **overflow chain** that both queries scan in full.
+//! The caller picks the cell edge: RRT* uses its `rewire_radius` (a
+//! neighbourhood query then touches 3 × 3 × 3 cells), RRT and RRT-Connect
+//! their `step_size`.  The index's contract is **bit-identical results** to
+//! the linear scans it replaces:
 //!
 //! * [`NnIndex::nearest`] returns the node index that minimises the exact
 //!   same `Vec3::distance` the linear scan computes, breaking exact
 //!   distance ties towards the **lowest node index** — precisely the
 //!   "first minimum wins" semantics of `Iterator::min_by` over an
-//!   index-ordered scan.  Cells are searched spiralling outward in
-//!   Chebyshev shells and the search only stops once no unsearched shell
-//!   can contain a strictly closer *or equal-distance lower-index* node.
+//!   index-ordered scan.  The overflow chain is scanned first; grid cells
+//!   are then searched spiralling outward in Chebyshev shells and the
+//!   search only stops once no unsearched shell can contain a strictly
+//!   closer *or equal-distance lower-index* node.
 //! * [`NnIndex::within_radius`] returns exactly the indices whose positions
 //!   satisfy `position.distance(query) <= radius` (same inclusive
-//!   comparison), sorted ascending — the order an index-ordered linear
-//!   filter produces.
+//!   comparison), from the grid and the overflow chain alike, sorted
+//!   ascending — the order an index-ordered linear filter produces.
 //!
 //! Storage is pooled per the workspace scratch convention
 //! (`docs/PERFORMANCE.md`): the planner owns one `NnIndex` for the lifetime
 //! of the planner, [`NnIndex::reset`] clears it while keeping every
-//! allocation, and inserts are incremental (no rebuilds, no rebalancing),
-//! so a warm planner's replans touch the allocator only when a tree grows
-//! past all previous high-water marks.  Buckets are intrusive singly-linked
-//! lists (`head` per cell, `next` per node) rather than per-cell `Vec`s, so
-//! clearing the index never drops bucket storage.
+//! allocation (refilling the head array reuses its capacity), and inserts
+//! are incremental (no rebuilds, no rebalancing), so a warm planner's
+//! replans touch the allocator only when a tree grows past all previous
+//! high-water marks.  Buckets are intrusive singly-linked lists (`head` per
+//! cell, `next` per node) rather than per-cell `Vec`s, so clearing the
+//! index never drops bucket storage.
 
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use mavfi_sim::geometry::{Aabb, Vec3};
 
-use mavfi_sim::geometry::Vec3;
-
-use crate::perception::occupancy::{VoxelHasher, VoxelKey};
+use crate::perception::occupancy::VoxelKey;
 
 /// Sentinel for "no node" in the intrusive bucket lists.
 const NONE: u32 = u32::MAX;
 
 /// Trees smaller than this are scanned linearly inside [`NnIndex::nearest`]:
 /// a linear scan is a branch-predictable ~1 ns/node sweep while a shell walk
-/// costs a few microseconds of cell probing, so the walk only wins once the
-/// tree outgrows the crossover (measured on the `replan_micro` Dense-grid
-/// workload; planners that connect quickly, like RRT-Connect on open grids,
-/// never leave the linear regime).  The result is bit-identical either way —
-/// this is a latency knob, not a behaviour knob.
-const LINEAR_NEAREST_CUTOFF: usize = 2048;
+/// costs some tens of flat-array cell probes, so the walk only wins once the
+/// tree outgrows the crossover.  On the `replan_micro` Dense-grid workload
+/// (medians of nine interleaved runs on a 2-core x86-64 host) an RRT*
+/// replan took 22.5 ms at 256 against 26.1 ms at the 2048 that suited the
+/// old hashed cell heads; 128 (20.4 ms) and 512 (20.9 ms) were within
+/// run-to-run noise of 256.  Planners that connect quickly, like
+/// RRT-Connect, rarely leave the linear regime.  The result is
+/// bit-identical either way — this is a latency constant, not a behaviour
+/// knob.
+const LINEAR_NEAREST_CUTOFF: usize = 256;
+
+/// Most cells the flat head array may span (4 MiB of heads).  A box that
+/// would need more at the requested cell size gets a coarser cell instead:
+/// the cell size only decides how much work a query does, never its result.
+const MAX_CELLS: usize = 1 << 20;
 
 /// A pooled, incrementally built uniform-grid index over points, returning
 /// nearest-neighbour and radius queries bit-identical to linear scans.
@@ -65,11 +79,12 @@ const LINEAR_NEAREST_CUTOFF: usize = 2048;
 ///
 /// ```
 /// use mavfi_ppc::planning::NnIndex;
-/// use mavfi_sim::geometry::Vec3;
+/// use mavfi_sim::geometry::{Aabb, Vec3};
 ///
 /// let mut index = NnIndex::new();
-/// index.reset(2.5);
+/// index.reset(2.5, Aabb::new(Vec3::splat(-5.0), Vec3::splat(5.0)));
 /// index.insert(Vec3::ZERO);
+/// // Outside the box: kept on the overflow chain, found all the same.
 /// index.insert(Vec3::new(10.0, 0.0, 0.0));
 /// assert_eq!(index.nearest(Vec3::new(8.0, 0.0, 0.0)), 1);
 /// let mut out = Vec::new();
@@ -78,16 +93,26 @@ const LINEAR_NEAREST_CUTOFF: usize = 2048;
 /// ```
 #[derive(Debug)]
 pub struct NnIndex {
-    /// Cell edge length (m); planners use their `step_size`.
+    /// Cell edge length (m).
     cell_size: f64,
-    /// Cell → index of the most recently inserted node in that cell.
-    heads: HashMap<VoxelKey, u32, BuildHasherDefault<VoxelHasher>>,
-    /// Intrusive per-cell chain: `next[i]` is the node inserted into `i`'s
-    /// cell just before `i` (or [`NONE`]).
+    /// First and last cell of the box the head array covers.
+    box_min: VoxelKey,
+    box_max: VoxelKey,
+    /// Box extent in cells along y and z (the flat-offset strides).
+    ny: i64,
+    nz: i64,
+    /// Cell (flat offset inside the box) → index of the most recently
+    /// inserted node in that cell.
+    heads: Vec<u32>,
+    /// Most recently inserted node whose cell lies outside the box.
+    overflow: u32,
+    /// Intrusive chains: `next[i]` is the node inserted into `i`'s cell (or
+    /// onto the overflow chain) just before `i`, or [`NONE`].
     next: Vec<u32>,
     /// Node positions in insertion order (the planners' node indices).
     positions: Vec<Vec3>,
-    /// Bounding box of occupied cells, for clamping shell walks.
+    /// Bounding box of occupied in-box cells, for clamping cell walks
+    /// (`min_cell > max_cell` while no node has landed inside the box).
     min_cell: VoxelKey,
     max_cell: VoxelKey,
 }
@@ -99,12 +124,17 @@ impl Default for NnIndex {
 }
 
 impl NnIndex {
-    /// Creates an empty index with a 1 m cell (call [`NnIndex::reset`] with
-    /// the real cell size before inserting).
+    /// Creates an empty index with a 1 m cell and an empty box (call
+    /// [`NnIndex::reset`] with the real cell size and box before inserting).
     pub fn new() -> Self {
         Self {
             cell_size: 1.0,
-            heads: HashMap::default(),
+            box_min: VoxelKey { x: 0, y: 0, z: 0 },
+            box_max: VoxelKey { x: -1, y: -1, z: -1 },
+            ny: 0,
+            nz: 0,
+            heads: Vec::new(),
+            overflow: NONE,
             next: Vec::new(),
             positions: Vec::new(),
             min_cell: VoxelKey { x: i64::MAX, y: i64::MAX, z: i64::MAX },
@@ -112,16 +142,51 @@ impl NnIndex {
         }
     }
 
-    /// Clears the index for a new tree, keeping every allocation, and sets
-    /// the cell edge length.
+    /// Clears the index for a new tree, keeping every allocation, and lays
+    /// a grid of `cell_size` cells over `bounds` (the planner's sampling
+    /// box).  Points outside `bounds` may still be inserted; they go on the
+    /// overflow chain.
+    ///
+    /// A box that would span more than 2^20 cells, or lie more than 2^40
+    /// cells from the origin, doubles the cell edge until it fits, and a
+    /// non-finite box is treated as empty (every node overflows).  Neither
+    /// changes any query result.
     ///
     /// # Panics
     ///
     /// Panics if `cell_size` is not positive and finite.
-    pub fn reset(&mut self, cell_size: f64) {
+    pub fn reset(&mut self, cell_size: f64, bounds: Aabb) {
         assert!(cell_size > 0.0 && cell_size.is_finite(), "cell size must be positive");
         self.cell_size = cell_size;
+        let mut cells = 0;
+        if bounds.min.is_finite() && bounds.max.is_finite() {
+            loop {
+                self.box_min = self.key_for(bounds.min);
+                self.box_max = self.key_for(bounds.max);
+                let (lo, hi) = (self.box_min, self.box_max);
+                // Cell keys within ±2^40 leave cell and shell arithmetic far
+                // from overflow.
+                if [lo.x, lo.y, lo.z, hi.x, hi.y, hi.z].iter().all(|k| k.unsigned_abs() <= 1 << 40)
+                {
+                    let nx = (hi.x - lo.x + 1).max(0);
+                    self.ny = (hi.y - lo.y + 1).max(0);
+                    self.nz = (hi.z - lo.z + 1).max(0);
+                    let total = (nx as u128) * (self.ny as u128) * (self.nz as u128);
+                    if total <= MAX_CELLS as u128 {
+                        cells = total as usize;
+                        break;
+                    }
+                }
+                self.cell_size *= 2.0;
+            }
+        }
+        if cells == 0 {
+            self.box_min = VoxelKey { x: 0, y: 0, z: 0 };
+            self.box_max = VoxelKey { x: -1, y: -1, z: -1 };
+        }
         self.heads.clear();
+        self.heads.resize(cells, NONE);
+        self.overflow = NONE;
         self.next.clear();
         self.positions.clear();
         self.min_cell = VoxelKey { x: i64::MAX, y: i64::MAX, z: i64::MAX };
@@ -138,7 +203,8 @@ impl NnIndex {
         self.positions.is_empty()
     }
 
-    /// The current cell edge length (m).
+    /// The current cell edge length (m): the size last passed to
+    /// [`NnIndex::reset`], unless that coarsened it.
     pub fn cell_size(&self) -> f64 {
         self.cell_size
     }
@@ -151,6 +217,21 @@ impl NnIndex {
         }
     }
 
+    /// Flat head-array offset of an in-box cell.
+    fn slot(&self, x: i64, y: i64, z: i64) -> usize {
+        debug_assert!(x >= self.box_min.x && x <= self.box_max.x);
+        debug_assert!(y >= self.box_min.y && y <= self.box_max.y);
+        debug_assert!(z >= self.box_min.z && z <= self.box_max.z);
+        (((x - self.box_min.x) * self.ny + (y - self.box_min.y)) * self.nz + (z - self.box_min.z))
+            as usize
+    }
+
+    fn in_box(&self, key: VoxelKey) -> bool {
+        (self.box_min.x..=self.box_max.x).contains(&key.x)
+            && (self.box_min.y..=self.box_max.y).contains(&key.y)
+            && (self.box_min.z..=self.box_max.z).contains(&key.z)
+    }
+
     /// Inserts a point and returns its index (insertion order, matching the
     /// caller's tree indices).
     pub fn insert(&mut self, position: Vec3) -> usize {
@@ -158,36 +239,33 @@ impl NnIndex {
         let index = self.positions.len();
         assert!(index < NONE as usize, "index capacity exceeded");
         let key = self.key_for(position);
-        let previous_head = self.heads.insert(key, index as u32).unwrap_or(NONE);
-        self.next.push(previous_head);
+        let head = if self.in_box(key) {
+            self.min_cell.x = self.min_cell.x.min(key.x);
+            self.min_cell.y = self.min_cell.y.min(key.y);
+            self.min_cell.z = self.min_cell.z.min(key.z);
+            self.max_cell.x = self.max_cell.x.max(key.x);
+            self.max_cell.y = self.max_cell.y.max(key.y);
+            self.max_cell.z = self.max_cell.z.max(key.z);
+            let slot = self.slot(key.x, key.y, key.z);
+            &mut self.heads[slot]
+        } else {
+            &mut self.overflow
+        };
+        self.next.push(*head);
+        *head = index as u32;
         self.positions.push(position);
-        self.min_cell.x = self.min_cell.x.min(key.x);
-        self.min_cell.y = self.min_cell.y.min(key.y);
-        self.min_cell.z = self.min_cell.z.min(key.z);
-        self.max_cell.x = self.max_cell.x.max(key.x);
-        self.max_cell.y = self.max_cell.y.max(key.y);
-        self.max_cell.z = self.max_cell.z.max(key.z);
         index
     }
 
-    /// Considers every node bucketed under `key` as a nearest candidate.
-    fn scan_cell(&self, key: VoxelKey, query: Vec3, best_distance: &mut f64, best: &mut usize) {
-        if key.x < self.min_cell.x
-            || key.x > self.max_cell.x
-            || key.y < self.min_cell.y
-            || key.y > self.max_cell.y
-            || key.z < self.min_cell.z
-            || key.z > self.max_cell.z
-        {
-            return;
-        }
-        let Some(&head) = self.heads.get(&key) else { return };
+    /// Considers every node on the chain starting at `head` as a nearest
+    /// candidate.
+    fn scan_chain(&self, head: u32, query: Vec3, best_distance: &mut f64, best: &mut usize) {
         let mut node = head;
         while node != NONE {
             let candidate = node as usize;
             let distance = self.positions[candidate].distance(query);
             // Lowest-index tie-break: exactly `min_by`'s first-minimum-wins
-            // over an index-ordered scan, independent of bucket chain order.
+            // over an index-ordered scan, independent of chain order.
             if distance < *best_distance || (distance == *best_distance && candidate < *best) {
                 *best_distance = distance;
                 *best = candidate;
@@ -196,8 +274,8 @@ impl NnIndex {
         }
     }
 
-    /// Visits every cell whose Chebyshev distance (in cells) from `center`
-    /// is exactly `ring`.
+    /// Visits every occupied-box cell whose Chebyshev distance (in cells)
+    /// from `center` is exactly `ring`.
     fn scan_ring(
         &self,
         center: VoxelKey,
@@ -206,35 +284,50 @@ impl NnIndex {
         best_distance: &mut f64,
         best: &mut usize,
     ) {
+        let (lo, hi) = (self.min_cell, self.max_cell);
+        let mut scan = |x: i64, y: i64, z: i64| {
+            self.scan_chain(self.heads[self.slot(x, y, z)], query, best_distance, best);
+        };
         if ring == 0 {
-            self.scan_cell(center, query, best_distance, best);
+            scan(center.x, center.y, center.z);
             return;
         }
+        // The shell's extent on each axis, clipped to the occupied box
+        // (`outer`), and its interior (`inner`).
+        let outer = |c: i64, lo: i64, hi: i64| ((c - ring).max(lo), (c + ring).min(hi));
+        let inner = |c: i64, lo: i64, hi: i64| ((c - ring + 1).max(lo), (c + ring - 1).min(hi));
+        let (x0, x1) = outer(center.x, lo.x, hi.x);
+        let (y0, y1) = outer(center.y, lo.y, hi.y);
+        let (xi0, xi1) = inner(center.x, lo.x, hi.x);
+        let (zi0, zi1) = inner(center.z, lo.z, hi.z);
         // Two full z faces, then the x and y side bands between them; every
         // shell cell is visited exactly once, in a fixed deterministic order
-        // (the order is irrelevant to the result — `scan_cell` compares
+        // (the order is irrelevant to the result — `scan_chain` compares
         // `(distance, index)` explicitly).
-        for dz in [-ring, ring] {
-            for dx in -ring..=ring {
-                for dy in -ring..=ring {
-                    let key = VoxelKey { x: center.x + dx, y: center.y + dy, z: center.z + dz };
-                    self.scan_cell(key, query, best_distance, best);
+        for z in [center.z - ring, center.z + ring] {
+            if (lo.z..=hi.z).contains(&z) {
+                for x in x0..=x1 {
+                    for y in y0..=y1 {
+                        scan(x, y, z);
+                    }
                 }
             }
         }
-        for dx in [-ring, ring] {
-            for dy in -ring..=ring {
-                for dz in (-ring + 1)..=(ring - 1) {
-                    let key = VoxelKey { x: center.x + dx, y: center.y + dy, z: center.z + dz };
-                    self.scan_cell(key, query, best_distance, best);
+        for x in [center.x - ring, center.x + ring] {
+            if (lo.x..=hi.x).contains(&x) {
+                for y in y0..=y1 {
+                    for z in zi0..=zi1 {
+                        scan(x, y, z);
+                    }
                 }
             }
         }
-        for dy in [-ring, ring] {
-            for dx in (-ring + 1)..=(ring - 1) {
-                for dz in (-ring + 1)..=(ring - 1) {
-                    let key = VoxelKey { x: center.x + dx, y: center.y + dy, z: center.z + dz };
-                    self.scan_cell(key, query, best_distance, best);
+        for y in [center.y - ring, center.y + ring] {
+            if (lo.y..=hi.y).contains(&y) {
+                for x in xi0..=xi1 {
+                    for z in zi0..=zi1 {
+                        scan(x, y, z);
+                    }
                 }
             }
         }
@@ -262,39 +355,38 @@ impl NnIndex {
             return best;
         }
 
-        let center = self.key_for(query);
-        // Furthest shell that can still contain an occupied cell.
-        let max_ring = [
-            (center.x - self.min_cell.x).max(self.max_cell.x - center.x),
-            (center.y - self.min_cell.y).max(self.max_cell.y - center.y),
-            (center.z - self.min_cell.z).max(self.max_cell.z - center.z),
-        ]
-        .into_iter()
-        .max()
-        .expect("three axes")
-        .max(0);
+        self.scan_chain(self.overflow, query, &mut best_distance, &mut best);
+        let (lo, hi) = (self.min_cell, self.max_cell);
+        if lo.x > hi.x {
+            // Every node is on the overflow chain.
+            return best;
+        }
+        // Walk shells around the query's cell, clamped into the occupied box.
+        // Clamping keeps the shell distance bound below valid: on a clamped
+        // axis the query lies beyond the center cell, so a node `d` cells
+        // from it on that axis is more than `d` cells of distance away.  It
+        // also keeps shells small for far queries and the arithmetic far from
+        // overflow.
+        let query_cell = self.key_for(query);
+        let center = VoxelKey {
+            x: query_cell.x.clamp(lo.x, hi.x),
+            y: query_cell.y.clamp(lo.y, hi.y),
+            z: query_cell.z.clamp(lo.z, hi.z),
+        };
+        // The furthest shell that can contain an occupied cell.
+        let max_ring = [center.x - lo.x, hi.x - center.x, center.y - lo.y]
+            .into_iter()
+            .chain([hi.y - center.y, center.z - lo.z, hi.z - center.z])
+            .max()
+            .expect("six faces");
 
-        // Nearest shell that contains any occupied cell: rings below the
-        // query cell's Chebyshev distance to the occupied bounding box are
-        // entirely out of bounds, so the walk can start there instead of
-        // enumerating O(ring²) empty cells per skipped ring (samples land
-        // far outside the tree early in a plan).
-        let start_ring = [
-            (self.min_cell.x - center.x).max(center.x - self.max_cell.x),
-            (self.min_cell.y - center.y).max(center.y - self.max_cell.y),
-            (self.min_cell.z - center.z).max(center.z - self.max_cell.z),
-        ]
-        .into_iter()
-        .max()
-        .expect("three axes")
-        .max(0);
-
-        for ring in start_ring..=max_ring {
+        for ring in 0..=max_ring {
             // A point in a cell `ring` shells away is at least
             // `(ring - 1) * cell_size` from the query (which lies inside the
-            // center cell).  Stop only when that lower bound *strictly*
-            // exceeds the best distance: an equal-distance node in a farther
-            // shell could still win the lowest-index tie-break.
+            // center cell, or beyond it on a clamped axis).  Stop only when
+            // that lower bound *strictly* exceeds the best distance: an
+            // equal-distance node in a farther shell could still win the
+            // lowest-index tie-break.
             if best != usize::MAX && ((ring - 1) as f64) * self.cell_size > best_distance {
                 break;
             }
@@ -310,9 +402,17 @@ impl NnIndex {
     /// linear filter produces.  `out` is cleared first (clear-then-fill).
     pub fn within_radius(&self, query: Vec3, radius: f64, out: &mut Vec<usize>) {
         out.clear();
-        if self.positions.is_empty() {
-            return;
-        }
+        let mut collect_chain = |head: u32| {
+            let mut node = head;
+            while node != NONE {
+                let candidate = node as usize;
+                if self.positions[candidate].distance(query) <= radius {
+                    out.push(candidate);
+                }
+                node = self.next[candidate];
+            }
+        };
+        collect_chain(self.overflow);
         let lo = self.key_for(query - Vec3::splat(radius));
         let hi = self.key_for(query + Vec3::splat(radius));
         let x_range = lo.x.max(self.min_cell.x)..=hi.x.min(self.max_cell.x);
@@ -322,8 +422,7 @@ impl NnIndex {
         // the query cannot hold a point passing the inclusive distance test
         // below, so skipping them is result-preserving.  The bound gets a
         // relative slack so float rounding in the bound itself can never
-        // out-prune the exact comparison (corner cells of the search box are
-        // most of its volume at this cell-to-radius ratio).
+        // out-prune the exact comparison.
         let prune_sq = (radius * radius) * (1.0 + 1e-9);
         let axis_gap_sq = |cell: i64, coordinate: f64| -> f64 {
             let low = cell as f64 * self.cell_size;
@@ -341,15 +440,7 @@ impl NnIndex {
                     if xy_gap_sq + axis_gap_sq(z, query.z) > prune_sq {
                         continue;
                     }
-                    let Some(&head) = self.heads.get(&VoxelKey { x, y, z }) else { continue };
-                    let mut node = head;
-                    while node != NONE {
-                        let candidate = node as usize;
-                        if self.positions[candidate].distance(query) <= radius {
-                            out.push(candidate);
-                        }
-                        node = self.next[candidate];
-                    }
+                    collect_chain(self.heads[self.slot(x, y, z)]);
                 }
             }
         }
@@ -360,6 +451,11 @@ impl NnIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A box around the test points' cluster (a few of them fall outside).
+    fn test_box() -> Aabb {
+        Aabb::new(Vec3::new(-18.0, -14.0, -2.0), Vec3::new(18.0, 14.0, 8.0))
+    }
 
     /// The linear references the index must agree with bit-for-bit.
     fn linear_nearest(points: &[Vec3], query: Vec3) -> usize {
@@ -404,7 +500,7 @@ mod tests {
     fn nearest_matches_linear_scan_with_ties() {
         let points = test_points();
         let mut index = NnIndex::new();
-        index.reset(2.5);
+        index.reset(2.5, test_box());
         for &point in &points {
             index.insert(point);
         }
@@ -424,7 +520,7 @@ mod tests {
     fn within_radius_matches_linear_filter_order_and_content() {
         let points = test_points();
         let mut index = NnIndex::new();
-        index.reset(2.5);
+        index.reset(2.5, test_box());
         for &point in &points {
             index.insert(point);
         }
@@ -444,7 +540,7 @@ mod tests {
     fn incremental_inserts_keep_agreeing() {
         let points = test_points();
         let mut index = NnIndex::new();
-        index.reset(1.5);
+        index.reset(1.5, test_box());
         let mut inserted = Vec::new();
         let mut out = Vec::new();
         for &point in &points {
@@ -460,15 +556,75 @@ mod tests {
     #[test]
     fn reset_reuses_storage_and_changes_cell_size() {
         let mut index = NnIndex::new();
-        index.reset(2.0);
-        index.insert(Vec3::ZERO);
-        index.insert(Vec3::new(9.0, 0.0, 0.0));
-        assert_eq!(index.len(), 2);
-        index.reset(0.5);
+        index.reset(0.5, test_box());
+        for &point in &test_points() {
+            index.insert(point);
+        }
+        let heads = (index.heads.as_ptr(), index.heads.capacity());
+        let chains = (index.next.as_ptr(), index.positions.as_ptr());
+        // A different cell size and a different (smaller) box: the head
+        // array is refilled in place, the chains keep their storage.
+        let small_box = Aabb::new(Vec3::splat(-4.0), Vec3::new(6.0, 2.0, 3.0));
+        index.reset(2.0, small_box);
         assert!(index.is_empty());
-        assert_eq!(index.cell_size(), 0.5);
+        assert_eq!(index.cell_size(), 2.0);
+        assert_eq!(index.heads.len(), 6 * 4 * 4, "cells -2..=3, -2..=1, -2..=1");
+        assert!(index.heads.iter().all(|&head| head == NONE));
+        assert_eq!((index.heads.as_ptr(), index.heads.capacity()), heads);
+        assert_eq!((index.next.as_ptr(), index.positions.as_ptr()), chains);
         assert_eq!(index.insert(Vec3::new(1.0, 1.0, 1.0)), 0);
+        assert_eq!(index.insert(Vec3::new(9.0, 1.0, 1.0)), 1, "outside the new box");
         assert_eq!(index.nearest(Vec3::ZERO), 0);
+        assert_eq!(index.nearest(Vec3::new(20.0, 0.0, 0.0)), 1);
+    }
+
+    #[test]
+    fn nodes_outside_the_box_overflow_and_are_still_found() {
+        let points = test_points();
+        // A box far from every point: the whole tree lives on the overflow
+        // chain, past the linear cutoff too.
+        let far_box = Aabb::new(Vec3::splat(100.0), Vec3::splat(110.0));
+        let mut index = NnIndex::new();
+        index.reset(2.5, far_box);
+        let mut inserted = Vec::new();
+        let mut out = Vec::new();
+        for _ in 0..3 {
+            for &point in &points {
+                index.insert(point);
+                inserted.push(point);
+            }
+        }
+        assert!(inserted.len() > LINEAR_NEAREST_CUTOFF);
+        assert_eq!(index.min_cell.x, i64::MAX, "no node landed inside the box");
+        for query in [Vec3::ZERO, Vec3::new(105.0, 105.0, 105.0), points[7]] {
+            assert_eq!(index.nearest(query), linear_nearest(&inserted, query));
+            index.within_radius(query, 6.0, &mut out);
+            assert_eq!(out, linear_within(&inserted, query, 6.0));
+        }
+    }
+
+    #[test]
+    fn oversized_remote_and_non_finite_boxes_keep_queries_exact() {
+        let points = test_points();
+        let huge = Aabb::new(Vec3::splat(-1e6), Vec3::splat(1e6));
+        let remote = Aabb::new(Vec3::splat(1e15), Vec3::splat(1e15 + 10.0));
+        let infinite = Aabb::new(Vec3::splat(f64::NEG_INFINITY), Vec3::ZERO);
+        let mut out = Vec::new();
+        for bounds in [huge, remote, infinite] {
+            let mut index = NnIndex::new();
+            index.reset(0.1, bounds);
+            assert!(index.heads.len() <= MAX_CELLS);
+            for &point in points.iter().chain(&points).chain(&points) {
+                index.insert(point);
+            }
+            let inserted: Vec<Vec3> =
+                points.iter().chain(&points).chain(&points).copied().collect();
+            for query in [Vec3::ZERO, Vec3::new(3.0, -2.0, 1.0), Vec3::splat(500.0)] {
+                assert_eq!(index.nearest(query), linear_nearest(&inserted, query));
+                index.within_radius(query, 5.0, &mut out);
+                assert_eq!(out, linear_within(&inserted, query, 5.0));
+            }
+        }
     }
 
     #[test]

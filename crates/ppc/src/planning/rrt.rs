@@ -170,7 +170,7 @@ impl MotionPlanner for Rrt {
         self.nodes.clear();
         self.nodes.push(TreeNode { position: start, parent: None });
         if self.use_index {
-            self.index.reset(self.config.step_size);
+            self.index.reset(self.config.step_size, self.config.bounds);
             self.index.insert(start);
         }
         for _ in 0..self.config.max_iterations {

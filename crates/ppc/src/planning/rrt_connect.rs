@@ -147,9 +147,9 @@ impl MotionPlanner for RrtConnect {
         self.goal_tree.clear();
         self.goal_tree.push(TreeNode { position: goal, parent: None });
         if self.use_index {
-            self.start_index.reset(config.step_size);
+            self.start_index.reset(config.step_size, config.bounds);
             self.start_index.insert(start);
-            self.goal_index.reset(config.step_size);
+            self.goal_index.reset(config.step_size, config.bounds);
             self.goal_index.insert(goal);
         }
         let start_tree = &mut self.start_tree;

@@ -141,6 +141,34 @@ fn select_best_goal(nodes: &[StarNode], candidates: &[usize], goal: Vec3) -> Opt
     best
 }
 
+/// Picks RRT*'s parent among `candidates` (`(prospective cost, sequence
+/// position)` pairs): the free candidate minimising `(cost, sequence)`, where
+/// `is_free(sequence)` marches the candidate's `segment_free`.
+///
+/// This is exactly the candidate a full scan keeping the strict-`<` minimum
+/// over the free candidates returns, but the march — the dominant cost of
+/// the search, with ~50 candidates per accepted node on dense grids — runs
+/// only until the winner is found: the cheapest remaining candidate is
+/// marched, and if it is blocked it is `swap_remove`d and the next cheapest
+/// tried.  About one march per accepted node suffices in practice, so no
+/// sort of the whole set is paid for.  Blocked candidates are removed from
+/// `candidates`; `None` when every candidate is blocked.
+fn pick_parent(
+    candidates: &mut Vec<(f64, u32)>,
+    mut is_free: impl FnMut(u32) -> bool,
+) -> Option<(f64, u32)> {
+    loop {
+        let (position, &(cost, sequence)) = candidates
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))?;
+        if is_free(sequence) {
+            return Some((cost, sequence));
+        }
+        candidates.swap_remove(position);
+    }
+}
+
 /// RRT*: the default motion planner of the paper's PPC pipeline.
 ///
 /// Compared to plain RRT it selects the lowest-cost parent within a
@@ -176,8 +204,8 @@ pub struct RrtStar {
     worklist: Vec<u32>,
     // Nodes with a verified collision-free hop to the goal.
     goal_candidates: Vec<usize>,
-    // Parent candidates sorted by prospective cost, so the best-parent scan
-    // can stop at the first collision-free one.
+    // Parent candidates as `(prospective cost, sequence position)`, consumed
+    // cheapest-first by `pick_parent`.
     parent_candidates: Vec<(f64, u32)>,
     // `neighbours[i].position.distance(new_position)`, filled alongside
     // `parent_candidates` and reused by the rewire pass (positions never
@@ -248,7 +276,11 @@ impl MotionPlanner for RrtStar {
         self.children.push_node();
         self.goal_candidates.clear();
         if self.use_index {
-            self.index.reset(self.config.step_size);
+            // Cells as wide as the rewiring radius: the neighbourhood query
+            // then spans 3 × 3 × 3 cells instead of 5 × 5 × 5 at `step_size`
+            // (a radius below the step, down to zero, keeps step-sized cells).
+            let cell_size = self.config.rewire_radius.max(self.config.step_size);
+            self.index.reset(cell_size, self.config.bounds);
             self.index.insert(start);
         }
         let nodes = &mut self.nodes;
@@ -297,16 +329,7 @@ impl MotionPlanner for RrtStar {
             // steering node is chained in only when it lies *outside* the
             // radius (when inside it is already in `neighbours`, and
             // re-marching `segment_free` for it would double the most
-            // expensive query of the loop for no behavioural difference —
-            // the strict `<` keeps the first evaluation's result).
-            // Sort candidates by prospective cost (ties by sequence
-            // position) and take the first with a collision-free segment:
-            // that candidate minimises `(cost, sequence position)` over the
-            // free candidates, which is exactly what a full scan keeping the
-            // strict-`<` minimum returns — but the expensive `segment_free`
-            // march runs only until the winner is found instead of once per
-            // candidate (the dominant cost of the whole search, ~50
-            // candidates per accepted node on dense grids).
+            // expensive query of the loop for no behavioural difference).
             let nearest_unlisted = neighbours.binary_search(&nearest_index).is_err();
             self.parent_candidates.clear();
             self.neighbour_distances.clear();
@@ -324,18 +347,17 @@ impl MotionPlanner for RrtStar {
                         (parent.cost + distance, sequence as u32)
                     }),
             );
-            self.parent_candidates.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let mut best_parent = None;
-            let mut best_cost = f64::INFINITY;
-            for &(cost, sequence) in &self.parent_candidates {
-                let candidate = neighbours.get(sequence as usize).copied().unwrap_or(nearest_index);
-                if model.segment_free(nodes[candidate].position, new_position, self.config.margin) {
-                    best_parent = Some(candidate);
-                    best_cost = cost;
-                    break;
-                }
-            }
-            let Some(parent_index) = best_parent else { continue };
+            let candidate_at =
+                |sequence: u32| neighbours.get(sequence as usize).copied().unwrap_or(nearest_index);
+            let picked = pick_parent(&mut self.parent_candidates, |sequence| {
+                model.segment_free(
+                    nodes[candidate_at(sequence)].position,
+                    new_position,
+                    self.config.margin,
+                )
+            });
+            let Some((best_cost, sequence)) = picked else { continue };
+            let parent_index = candidate_at(sequence);
             nodes.push(StarNode {
                 position: new_position,
                 parent: Some(parent_index),
@@ -402,6 +424,7 @@ mod tests {
     use super::*;
     use crate::planning::rrt::Rrt;
     use mavfi_sim::env::EnvironmentKind;
+    use mavfi_sim::geometry::Aabb;
 
     #[test]
     fn plans_collision_free_paths() {
@@ -422,8 +445,22 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Sampling bounds that leave `start` and `goal` outside along x by more
+    /// than one spatial-index cell, so the index keeps them — and the nodes
+    /// steered from them — on its overflow chain.
+    fn bounds_excluding(bounds: Aabb, start: Vec3, goal: Vec3) -> Aabb {
+        let inset = 1.2 * PlannerConfig::for_bounds(bounds).rewire_radius;
+        let sampled = Aabb::new(
+            Vec3::new(start.x.min(goal.x) + inset, bounds.min.y, bounds.min.z),
+            Vec3::new(start.x.max(goal.x) - inset, bounds.max.y, bounds.max.z),
+        );
+        assert!(!sampled.contains(start) && !sampled.contains(goal), "start and goal lie outside");
+        sampled
+    }
+
     #[test]
     fn indexed_and_linear_queries_plan_identical_paths() {
+        let mut solved = 0;
         for (kind, env_seed) in [
             (EnvironmentKind::Sparse, 13_u64),
             (EnvironmentKind::Farm, 2),
@@ -431,20 +468,87 @@ mod tests {
         ] {
             let env = kind.build(env_seed);
             let config = PlannerConfig::for_bounds(env.bounds()).with_seed(6);
-            let mut indexed = RrtStar::new(config);
-            let mut linear = RrtStar::new(config);
-            linear.set_spatial_index_enabled(false);
-            // Two plans per instance: the second runs over warm pooled
-            // buffers and a stepped RNG.
-            for (start, goal) in [(env.start(), env.goal()), (env.goal(), env.start())] {
-                assert_eq!(
-                    indexed.plan(&env, start, goal),
-                    linear.plan(&env, start, goal),
-                    "{} seed {env_seed} diverged",
-                    env.name()
-                );
+            // Start and goal inside the sampling bounds, then outside them
+            // (the index keeps those nodes on its overflow chain).
+            let outside = PlannerConfig {
+                bounds: bounds_excluding(env.bounds(), env.start(), env.goal()),
+                ..config
+            };
+            for config in [config, outside] {
+                let mut indexed = RrtStar::new(config);
+                let mut linear = RrtStar::new(config);
+                linear.set_spatial_index_enabled(false);
+                // Two plans per instance: the second runs over warm pooled
+                // buffers and a stepped RNG.
+                for (start, goal) in [(env.start(), env.goal()), (env.goal(), env.start())] {
+                    let path = indexed.plan(&env, start, goal);
+                    assert_eq!(
+                        path,
+                        linear.plan(&env, start, goal),
+                        "{} seed {env_seed} diverged",
+                        env.name()
+                    );
+                    solved += usize::from(path.is_some());
+                }
             }
         }
+        assert!(solved >= 6, "most problems must be solved, not fail alike ({solved}/12)");
+    }
+
+    /// The reference `pick_parent` replaced: sort every candidate by
+    /// `(cost, sequence)` and take the first free one.
+    fn sorted_first_free(candidates: &[(f64, u32)], blocked: &[bool]) -> Option<(f64, u32)> {
+        let mut sorted = candidates.to_vec();
+        sorted.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        sorted.into_iter().find(|&(_, sequence)| !blocked[sequence as usize])
+    }
+
+    #[test]
+    fn lazy_parent_pick_matches_sorted_first_free() {
+        use rand::Rng;
+
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut candidates = Vec::new();
+        let mut outcomes = [0_usize; 3];
+        for case in 0..4_000 {
+            let count = rng.gen_range(0..60_usize);
+            // Costs from a small set, so equal costs are common and must
+            // break by sequence position.
+            let original: Vec<(f64, u32)> = (0..count)
+                .map(|sequence| (f64::from(rng.gen_range(0..8_u32)) * 0.5, sequence as u32))
+                .collect();
+            let blocked_share = [0.0, 0.5, 0.9, 1.0][case % 4];
+            let blocked: Vec<bool> = (0..count).map(|_| rng.gen_bool(blocked_share)).collect();
+            candidates.clear();
+            candidates.extend_from_slice(&original);
+            let mut marched = 0;
+            let picked = pick_parent(&mut candidates, |sequence| {
+                marched += 1;
+                !blocked[sequence as usize]
+            });
+            assert_eq!(picked, sorted_first_free(&original, &blocked), "case {case}");
+            // Only blocked candidates are marched before the winner.
+            let cheaper_blocked = match picked {
+                Some(winner) => original
+                    .iter()
+                    .filter(|c| {
+                        blocked[c.1 as usize]
+                            && c.0.total_cmp(&winner.0).then(c.1.cmp(&winner.1)).is_lt()
+                    })
+                    .count(),
+                None => count,
+            };
+            assert_eq!(marched, cheaper_blocked + usize::from(picked.is_some()), "case {case}");
+            outcomes[match picked {
+                None => 0,
+                Some(_) if marched > 1 => 1,
+                Some(_) => 2,
+            }] += 1;
+        }
+        assert!(
+            outcomes.iter().all(|&n| n > 100),
+            "all-blocked, blocked-cheapest and first-free cases: {outcomes:?}"
+        );
     }
 
     /// Regression for the stale-cost rewiring bug: a hand-built tree where

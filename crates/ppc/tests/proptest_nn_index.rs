@@ -1,13 +1,14 @@
-//! Property tests for the pooled voxel-bucketed spatial index
+//! Property tests for the pooled flat-grid spatial index
 //! ([`NnIndex`]): random insert sequences and queries must agree **exactly**
 //! — on index *and* tie-break — with the O(n) linear scans the RRT-family
-//! planners used before, across bounds scales and cell (step-size) configs;
-//! and the three planners themselves must produce bit-identical paths with
-//! the index on and off.
+//! planners used before, across bounds scales, cell (step-size) configs and
+//! boxes that leave points outside (the overflow chain); and the three
+//! planners themselves must produce bit-identical paths with the index on
+//! and off.
 
 use mavfi_ppc::planning::{NnIndex, PlannerAlgorithm, PlannerConfig};
 use mavfi_sim::env::EnvironmentKind;
-use mavfi_sim::geometry::Vec3;
+use mavfi_sim::geometry::{Aabb, Vec3};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,27 +50,49 @@ fn random_point(rng: &mut StdRng, scale: f64, existing: &[Vec3]) -> Vec3 {
     )
 }
 
+/// Queries `index` at `query` and checks both answers against the linear
+/// references over `points`.
+fn check_queries(
+    index: &NnIndex,
+    points: &[Vec3],
+    query: Vec3,
+    radius: f64,
+    out: &mut Vec<usize>,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(index.nearest(query), linear_nearest(points, query), "nearest diverged");
+    index.within_radius(query, radius, out);
+    prop_assert_eq!(&*out, &linear_within(points, query, radius), "radius query diverged");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random insert sequences interleaved with nearest/radius queries: the
     /// index agrees with the linear references after every insert, across
-    /// bounds scales and cell sizes — including the pooled-reuse path (the
-    /// same `NnIndex` instance is reset and refilled for a second round).
+    /// bounds scales, cell sizes and boxes that leave some points (and
+    /// queries) outside — the overflow chain — or cover them all.  Trees
+    /// grow past the linear-scan cutoff, so the shell walk is exercised.
+    /// The same `NnIndex` instance is then reset with a different cell size
+    /// and box and refilled for a second round (the pooled-reuse path).
     #[test]
     fn index_queries_match_linear_scans(
         point_seed in 0u64..10_000,
         cell_size in 0.4f64..6.0,
         scale in 4.0f64..60.0,
-        count in 1usize..180,
+        box_share in 0.3f64..1.3,
+        count in 1usize..600,
     ) {
         let mut rng = StdRng::seed_from_u64(point_seed);
         let mut index = NnIndex::new();
         let mut out = Vec::new();
         for round in 0..2 {
-            index.reset(cell_size);
+            let half = Vec3::splat(scale * box_share);
+            let shift = random_point(&mut rng, scale * 0.3, &[]);
+            let cell = if round == 0 { cell_size } else { cell_size * 1.7 };
+            index.reset(cell, Aabb::new(shift - half, shift + half));
             let mut points: Vec<Vec3> = Vec::new();
-            for step in 0..count {
+            for _ in 0..count {
                 let point = random_point(&mut rng, scale, &points);
                 prop_assert_eq!(index.insert(point), points.len());
                 points.push(point);
@@ -78,25 +101,48 @@ proptest! {
                 let near = point + Vec3::new(0.3, -0.6, 0.2);
                 let far = random_point(&mut rng, scale * 1.5, &[]);
                 for query in [near, far] {
-                    prop_assert_eq!(
-                        index.nearest(query),
-                        linear_nearest(&points, query),
-                        "nearest diverged (round {}, step {})",
-                        round,
-                        step
-                    );
                     let radius = rng.gen_range(0.0..scale * 0.4);
-                    index.within_radius(query, radius, &mut out);
-                    prop_assert_eq!(
-                        &out,
-                        &linear_within(&points, query, radius),
-                        "radius query diverged (round {}, step {}, r {})",
-                        round,
-                        step,
-                        radius
-                    );
+                    check_queries(&index, &points, query, radius, &mut out)?;
                 }
             }
+        }
+    }
+
+    /// Exact distance ties across the box edge: points and queries on the
+    /// integer lattice (every distance computation is exact, so equal
+    /// distances abound) straddle a box whose grid ends at x = -8 and
+    /// x = 10, so equidistant nodes sit both in edge cells and on the
+    /// overflow chain.  The lowest index must win `nearest` whichever side
+    /// it is on, and inclusive radius ties must be kept on both sides.
+    #[test]
+    fn lattice_ties_across_the_box_edge_match_linear_scans(
+        point_seed in 0u64..10_000,
+        count in 200usize..500,
+    ) {
+        let mut rng = StdRng::seed_from_u64(point_seed);
+        let lattice = |rng: &mut StdRng, x: std::ops::Range<i32>| {
+            Vec3::new(
+                f64::from(rng.gen_range(x)),
+                f64::from(rng.gen_range(-4..5)),
+                f64::from(rng.gen_range(-4..5)),
+            )
+        };
+        let mut index = NnIndex::new();
+        // Cell 2 m over [-8, 8]³: cells -4..=4, so the grid spans
+        // x ∈ [-8, 10) and everything from x = 10 (or below -8) overflows.
+        index.reset(2.0, Aabb::new(Vec3::splat(-8.0), Vec3::splat(8.0)));
+        let mut points = Vec::new();
+        let mut out = Vec::new();
+        for _ in 0..count {
+            let point = lattice(&mut rng, -13..16);
+            index.insert(point);
+            points.push(point);
+        }
+        for _ in 0..64 {
+            let edge = if rng.gen_bool(0.5) { -8 } else { 10 };
+            let query = lattice(&mut rng, edge - 2..edge + 3);
+            let radius = f64::from(rng.gen_range(0..5));
+            check_queries(&index, &points, query, radius, &mut out)?;
         }
     }
 }
@@ -114,7 +160,10 @@ proptest! {
     /// bit-identical paths with the index enabled and disabled, including
     /// on the second plan from the same instance (warm pooled index, stepped
     /// RNG) — independent of the RRT* cost-propagation fix, which is active
-    /// on both sides.
+    /// on both sides.  Each problem is planned twice: with the start and
+    /// goal inside `PlannerConfig::bounds`, and with sampling bounds that
+    /// leave both more than one index cell outside along x, so the index
+    /// keeps them, and the nodes steered from them, on its overflow chain.
     #[test]
     fn indexed_planners_match_linear_planners(
         kind_index in 0usize..KINDS.len(),
@@ -122,20 +171,33 @@ proptest! {
         planner_seed in 0u64..1000,
     ) {
         let env = KINDS[kind_index].build(env_seed);
-        let config = PlannerConfig::for_bounds(env.bounds()).with_seed(planner_seed);
-        for algorithm in PlannerAlgorithm::ALL {
-            let mut indexed = algorithm.instantiate(config);
-            let mut linear = algorithm.instantiate(config);
-            linear.set_spatial_index_enabled(false);
-            for (start, goal) in [(env.start(), env.goal()), (env.goal(), env.start())] {
-                prop_assert_eq!(
-                    indexed.plan(&env, start, goal),
-                    linear.plan(&env, start, goal),
-                    "{:?} diverged on {}/{}",
-                    algorithm,
-                    env.name(),
-                    planner_seed
-                );
+        let inside = PlannerConfig::for_bounds(env.bounds()).with_seed(planner_seed);
+        let (bounds, start, goal) = (env.bounds(), env.start(), env.goal());
+        let inset = 1.2 * inside.rewire_radius;
+        let outside = PlannerConfig {
+            bounds: Aabb::new(
+                Vec3::new(start.x.min(goal.x) + inset, bounds.min.y, bounds.min.z),
+                Vec3::new(start.x.max(goal.x) - inset, bounds.max.y, bounds.max.z),
+            ),
+            ..inside
+        };
+        prop_assert!(!outside.bounds.contains(start) && !outside.bounds.contains(goal));
+        for config in [inside, outside] {
+            for algorithm in PlannerAlgorithm::ALL {
+                let mut indexed = algorithm.instantiate(config);
+                let mut linear = algorithm.instantiate(config);
+                linear.set_spatial_index_enabled(false);
+                for (start, goal) in [(start, goal), (goal, start)] {
+                    prop_assert_eq!(
+                        indexed.plan(&env, start, goal),
+                        linear.plan(&env, start, goal),
+                        "{:?} diverged on {}/{} (bounds {:?})",
+                        algorithm,
+                        env.name(),
+                        planner_seed,
+                        config.bounds
+                    );
+                }
             }
         }
     }

@@ -2,9 +2,11 @@
 # The full local lint gate: formatting, clippy (warnings are errors),
 # rustdoc (warnings are errors, including broken intra-doc links — the
 # `docs/` markdown pages are included into the `mavfi-suite` crate docs, so
-# the same gate covers them), a smoke run of the instrumented-telemetry
-# example, and a relative-link existence check over the repository's
-# markdown documentation.
+# the same gate covers them), a release build of the benchmark package
+# (`perfbench/` calls the crates' public API, so an API change that breaks
+# it fails here), a smoke run of the instrumented-telemetry example, and a
+# relative-link existence check over the repository's markdown
+# documentation.
 #
 # Usage: ./scripts/check.sh
 #
@@ -22,6 +24,9 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps (includes docs/*.md)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --quiet
+
+echo "==> benchmark package builds (cargo build --manifest-path perfbench/Cargo.toml)"
+cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
 
 echo "==> telemetry_report example smoke run"
 cargo run --release --offline -q --example telemetry_report >/dev/null

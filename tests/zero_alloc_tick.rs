@@ -452,7 +452,7 @@ fn steady_state_tick_with_aad_detector_allocates_nothing() {
 }
 
 /// The spatial-index pooling property: once one reset → insert → query
-/// cycle has grown the bucket map, chain table and position store to
+/// cycle has grown the head array, chain table and position store to
 /// capacity, an identical cycle on the same [`NnIndex`] instance performs
 /// **zero heap allocations** — the lifecycle every warm `plan_into` call
 /// runs.
@@ -468,7 +468,9 @@ fn warm_nn_index_cycle_allocates_nothing() {
     }
 
     fn run_cycle(index: &mut NnIndex, out: &mut Vec<usize>) -> usize {
-        index.reset(1.5);
+        // The box covers most of the walk; points outside it go on the
+        // overflow chain, which must not allocate either.
+        index.reset(1.5, Aabb::new(Vec3::new(-18.0, -18.0, -5.0), Vec3::new(18.0, 18.0, 5.0)));
         let mut sink = 0;
         for step in 0..400 {
             index.insert(point(step));
@@ -498,7 +500,7 @@ fn warm_nn_index_cycle_allocates_nothing() {
 /// propagation, goal selection — perform **zero heap allocations**.  The
 /// vendored RNG makes the whole replan sequence deterministic per seed, so
 /// the warm-up provably grows every pooled buffer (including the index's
-/// bucket map and chain table) past the measured window's high-water mark.
+/// head array and chain table) past the measured window's high-water mark.
 #[test]
 fn warm_rrt_star_replans_allocate_nothing() {
     use mavfi_ppc::planning::{PlannedPath, PlannerAlgorithm, PlannerConfig};
