@@ -17,7 +17,7 @@ use mavfi_fault::campaign::CampaignPlan;
 use mavfi_fault::injector::FaultSpec;
 use mavfi_ppc::states::Stage;
 use mavfi_sim::env::EnvironmentKind;
-use mavfi_telemetry::{MissionReport, MissionTelemetry, TelemetryReport};
+use mavfi_telemetry::{MissionReport, MissionTelemetry, TelemetryReport, TrunkCounters};
 use serde::{Deserialize, Serialize};
 
 use crate::campaign::{CampaignConfig, EnvironmentCampaign, SettingResult};
@@ -26,7 +26,7 @@ use crate::error::MavfiError;
 use crate::exec::cache::TrainedDetectorCache;
 use crate::exec::pool::WorkerPool;
 use crate::qof::{QofMetrics, QofSummary};
-use crate::runner::{MissionOutcome, MissionRunner, TrainedDetectors};
+use crate::runner::{Landing, MissionOutcome, MissionRunner, TrainedDetectors};
 
 /// Where a campaign's trained detectors come from.
 #[derive(Debug, Clone)]
@@ -135,6 +135,31 @@ pub(crate) struct FaultSettingOutcomes {
     pub(crate) injected: QofMetrics,
     pub(crate) gaussian: MissionOutcome,
     pub(crate) autoencoder: MissionOutcome,
+    /// How the job's trunk was flown (reported by instrumented campaigns).
+    pub(crate) trunks: TrunkCounters,
+}
+
+impl FaultSettingOutcomes {
+    fn new(landings: [Landing; 3]) -> Self {
+        let [injected, gaussian, autoencoder] = landings;
+        let mut trunks = TrunkCounters {
+            ticks_flown: injected.outcome.pipeline.ticks,
+            gaussian_branches: u64::from(gaussian.branched()),
+            autoencoder_branches: u64::from(autoencoder.branched()),
+            faults_never_fired: u64::from(injected.outcome.fault.is_none()),
+            ..TrunkCounters::default()
+        };
+        for shadow in [&gaussian, &autoencoder] {
+            trunks.ticks_flown += shadow.outcome.pipeline.ticks - shadow.shared_ticks;
+            trunks.ticks_shared += shadow.shared_ticks;
+        }
+        Self {
+            injected: injected.outcome.qof,
+            gaussian: gaussian.outcome,
+            autoencoder: autoencoder.outcome,
+            trunks,
+        }
+    }
 }
 
 /// One entry of a campaign's unified run list.
@@ -364,9 +389,12 @@ impl CampaignExecutor {
     /// environment's campaign as a single sharded run list.
     ///
     /// Every campaign job is its own pool unit: a golden job flies one
-    /// mission, a fault job flies its injected/Gaussian/autoencoder triple.
-    /// Outcomes fold in run order, so the assembled campaign is
-    /// bit-identical for every worker count and chunk size.
+    /// mission; a fault job flies its injected/Gaussian/autoencoder triple
+    /// as one trunk that forks a protected flight only where its detector
+    /// first acts (see [`Flight`](crate::runner::Flight)), bit-identical to
+    /// flying the three settings apart.  Outcomes fold in run order, so the
+    /// assembled campaign is bit-identical for every worker count and chunk
+    /// size.
     ///
     /// # Errors
     ///
@@ -456,7 +484,7 @@ impl CampaignExecutor {
     /// Flies `jobs` across the pool, one job per pool unit, and folds their
     /// outcomes into `state` in run order.  With `telemetry`, every mission
     /// flies instrumented and its report is merged into the rollup, also in
-    /// run order.
+    /// run order, together with each job's [`TrunkCounters`].
     fn fold_jobs(
         &self,
         config: &CampaignConfig,
@@ -482,22 +510,6 @@ impl CampaignExecutor {
                 (runner.run_golden(), None)
             }
         };
-        let run_setting = |runner: &MissionRunner,
-                           fault: FaultSpec,
-                           protection: Protection|
-         -> Result<(MissionOutcome, Option<MissionReport>), MavfiError> {
-            let trained =
-                if protection == Protection::None { None } else { Some(detectors.as_ref()) };
-            if instrument {
-                let mut sink = MissionTelemetry::new();
-                let outcome =
-                    runner.run_instrumented(Some(fault), protection, trained, &mut sink)?;
-                let report = sink.into_report(&outcome.pipeline);
-                Ok((outcome, Some(report)))
-            } else {
-                Ok((runner.run(Some(fault), protection, trained)?, None))
-            }
-        };
 
         let mut folded = (state, telemetry);
         let pool_stats = self.pool.try_fold_ordered_with_stats(
@@ -516,24 +528,17 @@ impl CampaignExecutor {
                     }
                     CampaignJob::Fault(index, fault) => {
                         let spec = Self::mission_spec(config, *index as u64);
-                        let runner = MissionRunner::new(spec);
-                        let (injected, injected_report) =
-                            run_setting(&runner, *fault, Protection::None)?;
-                        let (gaussian, gaussian_report) =
-                            run_setting(&runner, *fault, Protection::Gaussian)?;
-                        let (autoencoder, autoencoder_report) =
-                            run_setting(&runner, *fault, Protection::Autoencoder)?;
-                        Ok(JobOutcome::Fault(
-                            Box::new(FaultSettingOutcomes {
-                                injected: injected.qof,
-                                gaussian,
-                                autoencoder,
-                            }),
-                            [injected_report, gaussian_report, autoencoder_report]
-                                .into_iter()
-                                .flatten()
-                                .collect(),
-                        ))
+                        let mut landings = MissionRunner::new(spec)
+                            .fly_fault_settings(*fault, &detectors, instrument);
+                        let reports = landings
+                            .iter_mut()
+                            .filter_map(|landing| {
+                                let sink = landing.sink.take()?;
+                                Some(sink.into_report(&landing.outcome.pipeline))
+                            })
+                            .collect();
+                        let outcomes = FaultSettingOutcomes::new(landings);
+                        Ok(JobOutcome::Fault(Box::new(outcomes), reports))
                     }
                 }
             },
@@ -541,8 +546,14 @@ impl CampaignExecutor {
             |(state, telemetry), _, outcome| {
                 if let Some(rollup) = telemetry.as_deref_mut() {
                     let reports = match &outcome {
-                        JobOutcome::Golden { reports, .. } => reports,
-                        JobOutcome::Fault(_, reports) => reports,
+                        JobOutcome::Golden { ticks, reports, .. } => {
+                            rollup.trunks.ticks_flown += ticks;
+                            reports
+                        }
+                        JobOutcome::Fault(outcomes, reports) => {
+                            rollup.trunks.merge(&outcomes.trunks);
+                            reports
+                        }
                     };
                     for report in reports {
                         rollup.merge_mission(report);
@@ -728,6 +739,166 @@ mod tests {
         executor.run_campaign_chunks(&config, &scheme, 0..usize::MAX, &mut state).unwrap();
         assert_eq!(state.jobs_folded(), 5);
         assert_eq!(state.finish(&config), full);
+    }
+
+    /// How a shadow's trip relates to its job's fault.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum TripCase {
+        NeverTrips,
+        TripsBeforeTheFault,
+        TripsAfterTheFault,
+    }
+
+    /// Flies every setting of `config`'s campaign on its own through
+    /// `MissionRunner::run`, checks each fault job's trunk against those
+    /// flights outcome for outcome, and returns the independent fold and the
+    /// trip cases the trunks covered.
+    fn independent_fold(
+        config: &CampaignConfig,
+        detectors: &TrainedDetectors,
+    ) -> (EnvironmentCampaign, Vec<TripCase>) {
+        let mut state = CampaignFoldState::new(config);
+        let mut cases = Vec::new();
+        for job in CampaignExecutor::campaign_jobs(config) {
+            let outcome = match job {
+                CampaignJob::Golden(index) => {
+                    let run = MissionRunner::new(CampaignExecutor::mission_spec(config, index))
+                        .run_golden();
+                    JobOutcome::Golden {
+                        qof: run.qof,
+                        ticks: run.pipeline.ticks,
+                        compute_ms: run.pipeline.total_compute_ms(),
+                        reports: Vec::new(),
+                    }
+                }
+                CampaignJob::Fault(index, fault) => {
+                    let spec = CampaignExecutor::mission_spec(config, index as u64);
+                    let runner = MissionRunner::new(spec);
+                    let flights = [Protection::None, Protection::Gaussian, Protection::Autoencoder]
+                        .map(|protection| {
+                            runner.run(Some(fault), protection, Some(detectors)).unwrap()
+                        });
+                    let landings = runner.fly_fault_settings(fault, detectors, false);
+                    for (landing, flight) in landings.iter().zip(&flights) {
+                        assert_eq!(&landing.outcome, flight, "seed {} fault {fault:?}", spec.seed);
+                    }
+                    let [injected, gaussian, autoencoder] = &landings;
+                    let fired = injected.outcome.fault.as_ref().map(|record| record.tick);
+                    for shadow in [gaussian, autoencoder] {
+                        cases.push(match (shadow.branched(), fired) {
+                            (false, _) => TripCase::NeverTrips,
+                            (true, Some(tick)) if shadow.shared_ticks >= tick => {
+                                TripCase::TripsAfterTheFault
+                            }
+                            (true, _) => TripCase::TripsBeforeTheFault,
+                        });
+                    }
+                    let [injected, gaussian, autoencoder] = flights;
+                    JobOutcome::Fault(
+                        Box::new(FaultSettingOutcomes {
+                            injected: injected.qof,
+                            gaussian,
+                            autoencoder,
+                            trunks: TrunkCounters::default(),
+                        }),
+                        Vec::new(),
+                    )
+                }
+            };
+            state.fold(outcome);
+        }
+        (state.finish(config), cases)
+    }
+
+    /// The reference equivalence: every campaign job's settings flown on
+    /// their own and folded give exactly `run_campaign`'s result, at 1 and 2
+    /// workers and chunks of 1 and 8 jobs, and every trunk lands each
+    /// setting's full outcome.
+    ///
+    /// Trip cases covered (with `quick_detectors`, one injection per stage,
+    /// jobs numbered in plan order):
+    /// - a shadow that never trips: the autoencoder's in Dense base seed 9
+    ///   jobs 0–1 and in every Farm base seed 9 and Sparse base seed 4 job;
+    /// - one that trips before the fault fires: the Gaussian's in every
+    ///   Dense base seed 9 and Farm base seed 9 job and in Sparse base seed
+    ///   4 job 1, and the autoencoder's in Dense base seed 9 job 2;
+    /// - one that trips after the fault fires: the Gaussian's in Sparse base
+    ///   seed 4 jobs 0 and 2.
+    ///
+    /// No seed tried makes both shadows trip in one tick (Farm and Sparse
+    /// base seeds 1–11, two injections per stage; closest: Sparse base seed
+    /// 10, job 4, Gaussian at tick 92 and autoencoder at 93).
+    /// `runner::tests::shadows_tripping_in_one_tick_fork_from_one_checkpoint`
+    /// covers that path with two copies of one detector.
+    #[test]
+    fn trunks_fold_exactly_what_independent_flights_fold() {
+        let detectors = quick_detectors();
+        let scheme = SchemeConfig::trained(detectors.clone());
+        let mut covered = Vec::new();
+        for (environment, base_seed, mission_time_budget) in [
+            (EnvironmentKind::Dense, 9, 15.0),
+            (EnvironmentKind::Farm, 9, 40.0),
+            (EnvironmentKind::Sparse, 4, 30.0),
+        ] {
+            let config = CampaignConfig {
+                environment,
+                golden_runs: 1,
+                injections_per_stage: 1,
+                base_seed,
+                mission_time_budget,
+            };
+            let (reference, cases) = independent_fold(&config, &detectors);
+            covered.extend(cases);
+            for workers in [1, 2] {
+                for chunk_jobs in [1, 8] {
+                    let executor = CampaignExecutor::new(workers).with_chunk_jobs(chunk_jobs);
+                    assert_eq!(
+                        executor.run_campaign(&config, &scheme).unwrap(),
+                        reference,
+                        "{environment:?}: {workers} workers, chunks of {chunk_jobs}"
+                    );
+                }
+            }
+        }
+        covered.sort();
+        covered.dedup();
+        assert_eq!(
+            covered,
+            [TripCase::NeverTrips, TripCase::TripsBeforeTheFault, TripCase::TripsAfterTheFault]
+        );
+    }
+
+    #[test]
+    fn instrumented_campaign_reports_how_its_trunks_flew() {
+        let scheme = SchemeConfig::trained(quick_detectors());
+        let config = CampaignConfig {
+            environment: EnvironmentKind::Sparse,
+            golden_runs: 1,
+            injections_per_stage: 1,
+            base_seed: 4,
+            mission_time_budget: 30.0,
+        };
+        let (_, report) =
+            CampaignExecutor::new(2).run_campaign_instrumented(&config, &scheme).unwrap();
+        let trunks = report.trunks;
+        assert_eq!(trunks.ticks_flown + trunks.ticks_shared, report.counters.ticks);
+        // The trip cases of `trunks_fold_exactly_what_independent_flights_fold`:
+        // the Gaussian detector acts in every job, the autoencoder in none.
+        assert_eq!((trunks.gaussian_branches, trunks.autoencoder_branches), (3, 0));
+        assert!(trunks.ticks_shared > trunks.ticks_flown / 2, "{trunks:?}");
+        let never_fired = CampaignExecutor::plan_faults(&config)
+            .into_iter()
+            .enumerate()
+            .filter(|(index, fault)| {
+                let spec = CampaignExecutor::mission_spec(&config, *index as u64);
+                let run = MissionRunner::new(spec).run(Some(*fault), Protection::None, None);
+                run.unwrap().fault.is_none()
+            })
+            .count();
+        assert_eq!(trunks.faults_never_fired, never_fired as u64);
+        let (_, serial) =
+            CampaignExecutor::new(1).run_campaign_instrumented(&config, &scheme).unwrap();
+        assert_eq!(serial.trunks, trunks);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use exec::{
 };
 pub use qof::{QofMetrics, QofSummary};
 pub use replay::{ReplayDivergence, ReplayHarness, ReplayReport};
-pub use runner::{MissionOutcome, MissionRunner, TrainedDetectors};
+pub use runner::{Flight, MissionOutcome, MissionRunner, TrainedDetectors};
 pub use serve::{
     CampaignClient, CampaignProgress, CampaignRequest, CampaignServer, JobStatus, JobTicket,
     ServerError,
@@ -76,7 +76,7 @@ pub mod prelude {
     pub use crate::qof::{QofMetrics, QofSummary};
     pub use crate::replay::{ReplayDivergence, ReplayHarness, ReplayReport};
     pub use crate::report::TextTable;
-    pub use crate::runner::{MissionOutcome, MissionRunner, TrainedDetectors};
+    pub use crate::runner::{Flight, MissionOutcome, MissionRunner, TrainedDetectors};
     pub use crate::serve::{
         CampaignClient, CampaignProgress, CampaignRequest, CampaignServer, JobStatus, JobTicket,
         ServerError,

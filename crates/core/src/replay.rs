@@ -131,7 +131,11 @@ impl<'a> ReplayHarness<'a> {
         let environment = spec.environment.build(spec.seed);
         let ppc_config = PpcConfig::new(spec.planner, environment.bounds(), spec.seed);
         let mut pipeline = PpcPipeline::new(ppc_config, environment.start(), environment.goal());
-        let mut tap = MissionTap { injector: meta.fault.map(FaultInjector::new), detector };
+        let mut tap = MissionTap {
+            injector: meta.fault.map(FaultInjector::new),
+            detector,
+            shadows: Vec::new(),
+        };
         let camera = meta.camera;
         let dt = spec.control_period;
 

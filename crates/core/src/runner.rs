@@ -1,13 +1,15 @@
 //! The mission runner: one closed-loop flight of the PPC pipeline in the
 //! simulated world, optionally with a fault injected and a detection and
-//! recovery scheme supervising the inter-kernel states.
+//! recovery scheme supervising the inter-kernel states — and the fault-job
+//! trunk, which flies a fault's unprotected and protected settings as one
+//! flight until a detector first acts.
 
-use mavfi_detect::detector_node::{DetectionScheme, DetectorStats, DetectorTap};
+use mavfi_detect::detector_node::{DetectionScheme, DetectorStats, DetectorTap, ShadowDetector};
 use mavfi_detect::training::TelemetrySet;
 use mavfi_detect::{AadDetector, GadBank};
 use mavfi_fault::injector::{FaultInjector, FaultRecord, FaultSpec};
 use mavfi_ppc::perception::occupancy::OccupancyGrid;
-use mavfi_ppc::pipeline::{PipelineStats, PpcConfig, PpcPipeline};
+use mavfi_ppc::pipeline::{PipelineStats, PpcConfig, PpcPipeline, PpcTick};
 use mavfi_ppc::states::{CollisionEstimate, PointCloud, Trajectory};
 use mavfi_ppc::tap::{StageTap, TapAction};
 use mavfi_sim::energy::PowerModel;
@@ -55,36 +57,73 @@ impl MissionOutcome {
 }
 
 /// Composite tap: fault injector first (corrupting states in flight), then
-/// the detector (observing exactly what the downstream kernels would see).
+/// the detector (observing exactly what the downstream kernels would see),
+/// then any shadow detectors (seeing the same values, changing nothing).
 /// Shared with the replay harness, which rebuilds the identical tap from a
 /// trace's metadata.
 pub(crate) struct MissionTap {
     pub(crate) injector: Option<FaultInjector>,
     pub(crate) detector: Option<DetectorTap>,
+    pub(crate) shadows: Vec<ShadowDetector>,
 }
 
-/// Builds the detector tap for a protection scheme — the one place the
-/// scheme→detector wiring lives, shared by the runner and the replay
-/// harness so both construct identical taps.
+/// `clone_from` reuses the target's storage (see [`Flight`]).
+impl Clone for MissionTap {
+    fn clone(&self) -> Self {
+        Self {
+            injector: self.injector.clone(),
+            detector: self.detector.clone(),
+            shadows: self.shadows.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.injector.clone_from(&source.injector);
+        self.detector.clone_from(&source.detector);
+        self.shadows.clone_from(&source.shadows);
+    }
+}
+
+impl std::fmt::Debug for MissionTap {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MissionTap")
+            .field("injector", &self.injector.as_ref().map(FaultInjector::spec))
+            .field("detector", &self.detector.as_ref().map(|detector| detector.scheme().label()))
+            .field("shadows", &self.shadows.len())
+            .finish()
+    }
+}
+
+impl TrainedDetectors {
+    /// The detector tap of a protection scheme (none for
+    /// [`Protection::None`]) — the one place the scheme→detector wiring
+    /// lives, shared by the runner, the fault-job trunk and the replay
+    /// harness so all construct identical taps.
+    fn tap(&self, protection: Protection) -> Option<DetectorTap> {
+        match protection {
+            Protection::None => None,
+            Protection::Gaussian => {
+                Some(DetectorTap::new(DetectionScheme::Gaussian(self.gad.clone())))
+            }
+            Protection::Autoencoder => {
+                Some(DetectorTap::new(DetectionScheme::Autoencoder(self.aad.clone())))
+            }
+        }
+    }
+}
+
+/// Builds the detector tap for a protection scheme (see
+/// `TrainedDetectors::tap`), failing when a scheme lacks its detectors.
 pub(crate) fn detector_tap(
     protection: Protection,
     detectors: Option<&TrainedDetectors>,
 ) -> Result<Option<DetectorTap>, MavfiError> {
-    match protection {
-        Protection::None => Ok(None),
-        Protection::Gaussian => {
-            let detectors = detectors.ok_or_else(|| MavfiError::MissingDetectors {
-                scheme: protection.label().to_owned(),
-            })?;
-            Ok(Some(DetectorTap::new(DetectionScheme::Gaussian(detectors.gad.clone()))))
-        }
-        Protection::Autoencoder => {
-            let detectors = detectors.ok_or_else(|| MavfiError::MissingDetectors {
-                scheme: protection.label().to_owned(),
-            })?;
-            Ok(Some(DetectorTap::new(DetectionScheme::Autoencoder(detectors.aad.clone()))))
-        }
+    if protection == Protection::None {
+        return Ok(None);
     }
+    let detectors = detectors
+        .ok_or_else(|| MavfiError::MissingDetectors { scheme: protection.label().to_owned() })?;
+    Ok(detectors.tap(protection))
 }
 
 impl StageTap for MissionTap {
@@ -94,6 +133,9 @@ impl StageTap for MissionTap {
         }
         if let Some(detector) = &mut self.detector {
             detector.after_point_cloud(cloud);
+        }
+        for shadow in &mut self.shadows {
+            shadow.after_point_cloud(cloud);
         }
     }
 
@@ -114,6 +156,9 @@ impl StageTap for MissionTap {
         if let Some(detector) = &mut self.detector {
             action = action.merge(detector.after_perception(estimate));
         }
+        for shadow in &mut self.shadows {
+            shadow.after_perception(estimate);
+        }
         action
     }
 
@@ -124,6 +169,9 @@ impl StageTap for MissionTap {
         }
         if let Some(detector) = &mut self.detector {
             action = action.merge(detector.after_planning(trajectory, active_index));
+        }
+        for shadow in &mut self.shadows {
+            shadow.after_planning(trajectory, active_index);
         }
         action
     }
@@ -136,7 +184,309 @@ impl StageTap for MissionTap {
         if let Some(detector) = &mut self.detector {
             action = action.merge(detector.after_control(command));
         }
+        for shadow in &mut self.shadows {
+            shadow.after_control(command);
+        }
         action
+    }
+}
+
+/// One closed-loop flight in progress: the simulated world, the PPC
+/// pipeline, the stage tap (fault injector, detector and shadow detectors)
+/// and, on instrumented flights, a telemetry sink per setting.
+///
+/// A clone carries the flight's whole semantic state — the planner's random
+/// stream included — so it flies on exactly as the original would.
+/// `clone_from` into a reused checkpoint allocates nothing once warm (the
+/// per-tick capture scratch is not copied: each tick overwrites it).
+///
+/// A *trunk* ([`MissionRunner::trunk`]) is the unprotected flight of a fault
+/// carrying the D&R(G) and D&R(A) detectors as [`ShadowDetector`]s: up to
+/// the first tick where a detector would act, each protected flight is
+/// bit-identical to the unprotected one, so the campaign engine flies the
+/// three settings of a fault job as one trunk and forks a protected flight
+/// only from there (see `docs/ARCHITECTURE.md`).  [`Flight::step`] flies
+/// single ticks; shadows observe them but never fork.
+#[derive(Debug)]
+pub struct Flight {
+    world: World,
+    pipeline: PpcPipeline,
+    tap: MissionTap,
+    /// The live setting's telemetry sink, when instrumented.
+    sink: Option<MissionTelemetry>,
+    /// One telemetry sink per shadow, in shadow order, when instrumented.
+    shadow_sinks: Vec<MissionTelemetry>,
+    tick_index: u64,
+    dt: f64,
+    camera: DepthCamera,
+    // Per-tick capture scratch, reused for the whole mission: the closed
+    // loop performs zero steady-state heap allocations (see
+    // docs/PERFORMANCE.md) — telemetry included, its buffers are
+    // preallocated at sink construction.
+    frame: DepthFrame,
+    capture_scratch: CaptureScratch,
+    ray_hits: RayHits,
+}
+
+impl Clone for Flight {
+    fn clone(&self) -> Self {
+        Self {
+            world: self.world.clone(),
+            pipeline: self.pipeline.clone(),
+            tap: self.tap.clone(),
+            sink: self.sink.clone(),
+            shadow_sinks: self.shadow_sinks.clone(),
+            tick_index: self.tick_index,
+            dt: self.dt,
+            camera: self.camera,
+            frame: DepthFrame::default(),
+            capture_scratch: CaptureScratch::new(),
+            ray_hits: RayHits::default(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        // Destructured, so a new field cannot silently miss checkpoints.
+        let Self {
+            world,
+            pipeline,
+            tap,
+            sink,
+            shadow_sinks,
+            tick_index,
+            dt,
+            camera,
+            frame: _,
+            capture_scratch: _,
+            ray_hits: _,
+        } = source;
+        self.world.clone_from(world);
+        self.pipeline.clone_from(pipeline);
+        self.tap.clone_from(tap);
+        self.sink.clone_from(sink);
+        self.shadow_sinks.clone_from(shadow_sinks);
+        self.tick_index = *tick_index;
+        self.dt = *dt;
+        self.camera = *camera;
+    }
+}
+
+/// One setting's finished flight.
+pub(crate) struct Landing {
+    pub(crate) outcome: MissionOutcome,
+    /// The setting's telemetry sink, when the flight was instrumented.
+    pub(crate) sink: Option<MissionTelemetry>,
+    /// Ticks taken from a trunk instead of flown: all of them for a shadow
+    /// that never tripped, the ticks before the fork for a branch, none for
+    /// a flight of its own.
+    pub(crate) shared_ticks: u64,
+}
+
+impl Landing {
+    /// For a shadow's landing: whether its setting forked off the trunk (a
+    /// branch flies at least its fork tick).
+    pub(crate) fn branched(&self) -> bool {
+        self.shared_ticks < self.outcome.pipeline.ticks
+    }
+}
+
+impl Flight {
+    /// A flight of `spec` at tick 0.  With `sink`, every setting it carries
+    /// is instrumented: the live one feeds `sink`, each shadow a fresh sink
+    /// of its own.
+    fn new(spec: MissionSpec, tap: MissionTap, sink: Option<MissionTelemetry>) -> Self {
+        let environment = spec.environment.build(spec.seed);
+        let ppc_config = PpcConfig::new(spec.planner, environment.bounds(), spec.seed);
+        let mut pipeline = PpcPipeline::new(ppc_config, environment.start(), environment.goal());
+        pipeline.set_timing_enabled(sink.is_some());
+        let shadow_sinks = match sink {
+            Some(_) => tap.shadows.iter().map(|_| MissionTelemetry::new()).collect(),
+            None => Vec::new(),
+        };
+        Self {
+            world: World::new(environment, spec.vehicle, PowerModel::default(), spec.mission),
+            pipeline,
+            tap,
+            sink,
+            shadow_sinks,
+            tick_index: 0,
+            dt: spec.control_period,
+            camera: DepthCamera::default(),
+            frame: DepthFrame::default(),
+            capture_scratch: CaptureScratch::new(),
+            ray_hits: RayHits::default(),
+        }
+    }
+
+    /// Whether the mission is still flying.
+    pub fn is_in_progress(&self) -> bool {
+        self.world.status() == MissionStatus::InProgress
+    }
+
+    /// Flies one closed-loop tick: depth capture, pipeline tick (with every
+    /// tap), world step.  Shadows observe the tick; a shadow that trips
+    /// stops observing, but the flight does not fork.
+    pub fn step(&mut self) -> PpcTick {
+        self.step_recorded(None)
+    }
+
+    /// [`Flight::step`], recording the tick's topic traffic into `capture`
+    /// when given, and feeding the instrumented settings' sinks.
+    fn step_recorded(&mut self, mut capture: Option<&mut TraceCapture>) -> PpcTick {
+        let sim_time = self.world.elapsed();
+        let pose = self.world.vehicle().pose();
+        let state = self.world.vehicle().state();
+        match capture.as_deref_mut() {
+            Some(capture) => {
+                // Record the frame in (ray, t) form and resolve it back: the
+                // pipeline consumes exactly the point cloud a replay will
+                // reconstruct from the trace, so both sides are
+                // bit-identical by construction (`resolve_rays` is itself
+                // bit-identical to `capture_into`).
+                self.camera.capture_rays_into(
+                    self.world.environment(),
+                    &pose,
+                    &mut self.capture_scratch,
+                    &mut self.ray_hits,
+                );
+                self.camera.resolve_rays(&pose, &self.ray_hits, &mut self.frame);
+                capture.record_inputs(self.tick_index, sim_time, &state, &self.ray_hits);
+            }
+            None => self.camera.capture_into(
+                self.world.environment(),
+                &pose,
+                &mut self.capture_scratch,
+                &mut self.frame,
+            ),
+        }
+        let tick = self.pipeline.tick(&self.frame, &state, self.dt, &mut self.tap);
+        if let Some(capture) = capture {
+            capture.record_outputs(
+                self.tick_index,
+                sim_time,
+                &tick,
+                self.pipeline.trajectory(),
+                self.pipeline.trajectory_revision(),
+                self.tap.detector.as_ref().map(|detector| detector.stats()),
+                self.tap.injector.as_ref().and_then(|injector| injector.record()),
+            );
+        }
+        self.world.step(&tick.command, self.dt);
+
+        let fault = self.tap.injector.as_ref().and_then(|injector| injector.record());
+        if let Some(sink) = &mut self.sink {
+            let detector = self.tap.detector.as_ref().map(|detector| detector.stats());
+            sink.observe_tick(
+                self.tick_index,
+                self.world.elapsed(),
+                &tick,
+                &self.pipeline,
+                detector,
+                fault,
+            );
+        }
+        for (shadow, sink) in self.tap.shadows.iter().zip(&mut self.shadow_sinks) {
+            if !shadow.is_tripped() {
+                sink.observe_tick(
+                    self.tick_index,
+                    self.world.elapsed(),
+                    &tick,
+                    &self.pipeline,
+                    Some(shadow.tap().stats()),
+                    fault,
+                );
+            }
+        }
+        self.tick_index += 1;
+        tick
+    }
+
+    /// The flight's outcome so far (its final outcome once landed).
+    pub fn outcome(&self) -> MissionOutcome {
+        MissionOutcome {
+            qof: QofMetrics {
+                status: self.world.status(),
+                flight_time_s: self.world.elapsed(),
+                energy_j: self.world.energy_joules(),
+                distance_m: self.world.distance_travelled(),
+            },
+            trail: self.world.trail().to_vec(),
+            fault: self.tap.injector.as_ref().and_then(|injector| injector.record().cloned()),
+            detector: self.tap.detector.as_ref().map(|detector| detector.stats().clone()),
+            pipeline: self.pipeline.stats().clone(),
+        }
+    }
+
+    /// Flies to the end of the mission — the one mission loop, for single
+    /// flights and trunks alike.  Returns the flight's own landing and one
+    /// per shadow, in shadow order.
+    ///
+    /// While a shadow is pending, the flight copies itself into a reused
+    /// checkpoint before each tick.  A shadow that trips in a tick forks a
+    /// branch: the checkpoint taken before that tick, with the shadow made
+    /// live, flies to the end through this same loop.  A shadow that never
+    /// trips takes the flight's outcome with its own detector statistics.
+    fn fly(
+        mut self,
+        mut capture: Option<&mut TraceCapture>,
+        mut telemetry: Option<&mut TelemetrySet>,
+    ) -> (Landing, Vec<Landing>) {
+        let mut branches: Vec<Option<Landing>> = self.tap.shadows.iter().map(|_| None).collect();
+        let mut checkpoint: Option<Flight> = None;
+        while self.is_in_progress() {
+            let pending = self.tap.shadows.iter().any(|shadow| !shadow.is_tripped());
+            if pending {
+                match &mut checkpoint {
+                    Some(checkpoint) => checkpoint.clone_from(&self),
+                    None => checkpoint = Some(self.clone()),
+                }
+            }
+            let tick = self.step_recorded(capture.as_deref_mut());
+            if let Some(telemetry) = telemetry.as_deref_mut() {
+                telemetry.record(&tick.monitored);
+            }
+            if pending {
+                for (index, shadow) in self.tap.shadows.iter().enumerate() {
+                    if shadow.is_tripped() && branches[index].is_none() {
+                        let start = checkpoint.as_ref().expect("checkpointed while pending");
+                        branches[index] = Some(start.branch(index));
+                    }
+                }
+            }
+        }
+
+        let trunk_ticks = self.tick_index;
+        let shadows = std::mem::take(&mut self.tap.shadows);
+        let mut shadow_sinks = std::mem::take(&mut self.shadow_sinks).into_iter();
+        let landing = Landing { outcome: self.outcome(), sink: self.sink.take(), shared_ticks: 0 };
+        let shadows = shadows
+            .into_iter()
+            .zip(branches)
+            .map(|(shadow, branch)| {
+                let sink = shadow_sinks.next();
+                branch.unwrap_or_else(|| Landing {
+                    outcome: MissionOutcome {
+                        detector: Some(shadow.tap().stats().clone()),
+                        ..landing.outcome.clone()
+                    },
+                    sink,
+                    shared_ticks: trunk_ticks,
+                })
+            })
+            .collect();
+        (landing, shadows)
+    }
+
+    /// Forks shadow `index` off this checkpoint: a copy with that shadow
+    /// made live (and its sink made the live one) flies to the end.
+    fn branch(&self, index: usize) -> Landing {
+        let mut branch = self.clone();
+        let shadow = std::mem::take(&mut branch.tap.shadows).swap_remove(index);
+        branch.tap.detector = Some(shadow.into_live());
+        let mut sinks = std::mem::take(&mut branch.shadow_sinks);
+        branch.sink = (index < sinks.len()).then(|| sinks.swap_remove(index));
+        let (landing, _) = branch.fly(None, None);
+        Landing { shared_ticks: self.tick_index, ..landing }
     }
 }
 
@@ -232,6 +582,44 @@ impl MissionRunner {
         Ok(self.run_internal(fault.map(FaultInjector::new), detector, None, sink, None))
     }
 
+    /// The trunk of a fault job at tick 0: the unprotected flight of
+    /// `fault`, carrying the D&R(G) and D&R(A) detectors as shadows (see
+    /// [`Flight`]).
+    pub fn trunk(&self, fault: FaultSpec, detectors: &TrainedDetectors) -> Flight {
+        Flight::new(self.spec, Self::trunk_tap(fault, detectors), None)
+    }
+
+    fn trunk_tap(fault: FaultSpec, detectors: &TrainedDetectors) -> MissionTap {
+        MissionTap {
+            injector: Some(FaultInjector::new(fault)),
+            detector: None,
+            shadows: [Protection::Gaussian, Protection::Autoencoder]
+                .into_iter()
+                .filter_map(|protection| detectors.tap(protection))
+                .map(ShadowDetector::new)
+                .collect(),
+        }
+    }
+
+    /// Flies one planned fault in the three settings of Table I —
+    /// unprotected, D&R(G) and D&R(A), in that order — as one trunk that
+    /// forks a protected flight only where its detector first acts.  Each
+    /// outcome is bit-identical to [`Self::run`]'s for that setting, and so
+    /// is each sink's content when `instrument` gives every setting one.
+    pub(crate) fn fly_fault_settings(
+        &self,
+        fault: FaultSpec,
+        detectors: &TrainedDetectors,
+        instrument: bool,
+    ) -> [Landing; 3] {
+        let sink = instrument.then(MissionTelemetry::new);
+        let trunk = Flight::new(self.spec, Self::trunk_tap(fault, detectors), sink);
+        let (injected, shadows) = trunk.fly(None, None);
+        let mut shadows = shadows.into_iter();
+        let mut next = || shadows.next().expect("a trunk carries two shadows");
+        [injected, next(), next()]
+    }
+
     /// Runs an error-free, unprotected mission while recording its full
     /// closed-loop topic traffic into a [`MissionTrace`].
     ///
@@ -289,94 +677,21 @@ impl MissionRunner {
         &self,
         injector: Option<FaultInjector>,
         detector: Option<DetectorTap>,
-        mut telemetry: Option<&mut TelemetrySet>,
+        telemetry: Option<&mut TelemetrySet>,
         mut sink: Option<&mut MissionTelemetry>,
-        mut capture: Option<&mut TraceCapture>,
+        capture: Option<&mut TraceCapture>,
     ) -> MissionOutcome {
-        let spec = self.spec;
-        let environment = spec.environment.build(spec.seed);
-        let ppc_config = PpcConfig::new(spec.planner, environment.bounds(), spec.seed);
-        let mut pipeline = PpcPipeline::new(ppc_config, environment.start(), environment.goal());
-        let camera = DepthCamera::default();
-        let mut world = World::new(environment, spec.vehicle, PowerModel::default(), spec.mission);
-        let mut tap = MissionTap { injector, detector };
-        if sink.is_some() {
-            pipeline.set_timing_enabled(true);
+        // The flight owns its sink (checkpoints copy it); the caller's comes
+        // back once the mission lands.
+        let flight_sink = sink
+            .as_deref_mut()
+            .map(|sink| std::mem::replace(sink, MissionTelemetry::with_timeline_capacity(0)));
+        let tap = MissionTap { injector, detector, shadows: Vec::new() };
+        let (landing, _) = Flight::new(self.spec, tap, flight_sink).fly(capture, telemetry);
+        if let (Some(sink), Some(flown)) = (sink, landing.sink) {
+            *sink = flown;
         }
-
-        let dt = spec.control_period;
-        // One frame and one cull scratch reused for the whole mission: the
-        // closed loop performs zero steady-state heap allocations (see
-        // docs/PERFORMANCE.md) — telemetry included, its buffers are
-        // preallocated at sink construction.
-        let mut frame = DepthFrame::default();
-        let mut capture_scratch = CaptureScratch::new();
-        let mut ray_hits = RayHits::default();
-        let mut tick_index: u64 = 0;
-        while world.status() == MissionStatus::InProgress {
-            let sim_time = world.elapsed();
-            let pose = world.vehicle().pose();
-            let state = world.vehicle().state();
-            if capture.is_some() {
-                // Record the frame in (ray, t) form and resolve it back:
-                // the pipeline consumes exactly the point cloud a replay
-                // will reconstruct from the trace, so both sides are
-                // bit-identical by construction (`resolve_rays` is itself
-                // bit-identical to `capture_into`).
-                camera.capture_rays_into(
-                    world.environment(),
-                    &pose,
-                    &mut capture_scratch,
-                    &mut ray_hits,
-                );
-                camera.resolve_rays(&pose, &ray_hits, &mut frame);
-            } else {
-                camera.capture_into(world.environment(), &pose, &mut capture_scratch, &mut frame);
-            }
-            if let Some(capture) = capture.as_deref_mut() {
-                capture.record_inputs(tick_index, sim_time, &state, &ray_hits);
-            }
-            let tick = pipeline.tick(&frame, &state, dt, &mut tap);
-            if let Some(telemetry) = telemetry.as_deref_mut() {
-                telemetry.record(&tick.monitored);
-            }
-            if let Some(capture) = capture.as_deref_mut() {
-                capture.record_outputs(
-                    tick_index,
-                    sim_time,
-                    &tick,
-                    pipeline.trajectory(),
-                    pipeline.trajectory_revision(),
-                    tap.detector.as_ref().map(|detector| detector.stats()),
-                    tap.injector.as_ref().and_then(|injector| injector.record()),
-                );
-            }
-            world.step(&tick.command, dt);
-            if let Some(sink) = sink.as_deref_mut() {
-                sink.observe_tick(
-                    tick_index,
-                    world.elapsed(),
-                    &tick,
-                    &pipeline,
-                    tap.detector.as_ref().map(|detector| detector.stats()),
-                    tap.injector.as_ref().and_then(|injector| injector.record()),
-                );
-            }
-            tick_index += 1;
-        }
-
-        MissionOutcome {
-            qof: QofMetrics {
-                status: world.status(),
-                flight_time_s: world.elapsed(),
-                energy_j: world.energy_joules(),
-                distance_m: world.distance_travelled(),
-            },
-            trail: world.trail().to_vec(),
-            fault: tap.injector.as_ref().and_then(|injector| injector.record().cloned()),
-            detector: tap.detector.as_ref().map(|detector| detector.stats().clone()),
-            pipeline: pipeline.stats().clone(),
-        }
+        landing.outcome
     }
 }
 
@@ -447,6 +762,78 @@ mod tests {
         let outcome = MissionRunner::new(spec).run(Some(fault), Protection::None, None).unwrap();
         let record = outcome.fault.expect("fault should have fired");
         assert_eq!(record.field.unwrap().stage(), Stage::Planning);
+    }
+
+    fn quick_detectors() -> TrainedDetectors {
+        let training = crate::config::TrainingSpec {
+            missions: 1,
+            base_seed: 77,
+            mission_time_budget: 25.0,
+            epochs: 5,
+        };
+        crate::training::train_detectors(&training).0
+    }
+
+    #[test]
+    fn shadows_tripping_in_one_tick_fork_from_one_checkpoint() {
+        // Two shadows of one detector trip in the same tick by construction.
+        let detectors = quick_detectors();
+        let spec = quick_spec(EnvironmentKind::Sparse, 5).with_time_budget(40.0);
+        let fault = FaultSpec::new(InjectionTarget::Stage(Stage::Planning), 20, 123);
+        let runner = MissionRunner::new(spec);
+        let gaussian = detectors.tap(Protection::Gaussian).unwrap();
+        let tap = MissionTap {
+            injector: Some(FaultInjector::new(fault)),
+            detector: None,
+            shadows: vec![ShadowDetector::new(gaussian.clone()), ShadowDetector::new(gaussian)],
+        };
+        let (injected, shadows) = Flight::new(spec, tap, None).fly(None, None);
+
+        assert_eq!(injected.outcome, runner.run(Some(fault), Protection::None, None).unwrap());
+        let protected = runner.run(Some(fault), Protection::Gaussian, Some(&detectors)).unwrap();
+        assert!(shadows[0].branched(), "the Gaussian detector must act in this mission");
+        assert_eq!(shadows[0].shared_ticks, shadows[1].shared_ticks);
+        for shadow in &shadows {
+            assert_eq!(shadow.outcome, protected);
+        }
+    }
+
+    #[test]
+    fn instrumented_trunk_feeds_each_setting_its_own_telemetry() {
+        // The first job of the Sparse base seed 4 campaign: the Gaussian
+        // detector acts after the fault fires, the autoencoder never does.
+        let detectors = quick_detectors();
+        let config = crate::campaign::CampaignConfig {
+            environment: EnvironmentKind::Sparse,
+            golden_runs: 1,
+            injections_per_stage: 1,
+            base_seed: 4,
+            mission_time_budget: 30.0,
+        };
+        let fault = crate::exec::CampaignExecutor::plan_faults(&config).specs()[0];
+        let spec = MissionSpec::new(EnvironmentKind::Sparse, 5).with_time_budget(30.0);
+        let runner = MissionRunner::new(spec);
+        let landings = runner.fly_fault_settings(fault, &detectors, true);
+        assert!(landings[1].branched() && !landings[2].branched());
+        let protections = [Protection::None, Protection::Gaussian, Protection::Autoencoder];
+        for (landing, protection) in landings.into_iter().zip(protections) {
+            let mut sink = MissionTelemetry::new();
+            let expected = runner
+                .run_instrumented(Some(fault), protection, Some(&detectors), &mut sink)
+                .unwrap();
+            assert_eq!(landing.outcome, expected, "{protection:?}");
+            // The deterministic half of the sink: everything but wall-clock
+            // kernel latencies.
+            let flown = landing.sink.expect("instrumented").into_report(&expected.pipeline);
+            let alone = sink.into_report(&expected.pipeline);
+            assert_eq!(flown.counters, alone.counters, "{protection:?}");
+            assert_eq!(flown.events, alone.events, "{protection:?}");
+            assert_eq!(flown.events_dropped, alone.events_dropped, "{protection:?}");
+            assert_eq!(flown.kernel_invocations, alone.kernel_invocations, "{protection:?}");
+            assert_eq!(flown.fault_stage, alone.fault_stage, "{protection:?}");
+            assert_eq!(flown.detection_latency_ticks, alone.detection_latency_ticks);
+            assert_eq!(flown.recovery_latency_ticks, alone.recovery_latency_ticks);
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl Default for AadConfig {
 /// switching between "clear" and "obstacle ahead") dominate the training
 /// reconstruction error and mask corruption of the narrow dimensions the
 /// paper cares about (way-point coordinates, command velocities).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct AadDetector {
     autoencoder: Autoencoder,
     threshold: f64,
@@ -69,6 +69,29 @@ pub struct AadDetector {
     norm_std: Vec<f64>,
     alarms: u64,
     observations: u64,
+}
+
+/// `clone_from` reuses the target's storage, so refreshing a flight
+/// checkpoint that carries the detector allocates nothing.
+impl Clone for AadDetector {
+    fn clone(&self) -> Self {
+        Self {
+            autoencoder: self.autoencoder.clone(),
+            norm_mean: self.norm_mean.clone(),
+            norm_std: self.norm_std.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.autoencoder.clone_from(&source.autoencoder);
+        self.norm_mean.clone_from(&source.norm_mean);
+        self.norm_std.clone_from(&source.norm_std);
+        self.threshold = source.threshold;
+        self.config = source.config;
+        self.alarms = source.alarms;
+        self.observations = source.observations;
+    }
 }
 
 impl AadDetector {
@@ -210,7 +233,7 @@ impl AadDetector {
 
     /// Records an already computed anomaly score against this detector's
     /// counters and threshold; returns `true` on alarm.
-    fn record_score(&mut self, score: f64) -> bool {
+    pub(crate) fn record_score(&mut self, score: f64) -> bool {
         self.observations += 1;
         let alarm = score > self.threshold;
         if alarm {

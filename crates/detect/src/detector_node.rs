@@ -15,7 +15,7 @@ use crate::gad::GadBank;
 use crate::preprocess::magnitude_code;
 
 /// Which detection technique the node runs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum DetectionScheme {
     /// Gaussian-based detection: per-state range detectors, per-stage
     /// recomputation on alarm (§IV-C).
@@ -24,6 +24,25 @@ pub enum DetectionScheme {
     /// states abandoned in favour of the last good value, control-stage
     /// recomputation on alarm (§IV-D).
     Autoencoder(AadDetector),
+}
+
+/// `clone_from` reuses the target's storage when both sides run the same
+/// technique, so refreshing a flight checkpoint allocates nothing.
+impl Clone for DetectionScheme {
+    fn clone(&self) -> Self {
+        match self {
+            Self::Gaussian(bank) => Self::Gaussian(bank.clone()),
+            Self::Autoencoder(detector) => Self::Autoencoder(detector.clone()),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Self::Gaussian(to), Self::Gaussian(from)) => to.clone_from(from),
+            (Self::Autoencoder(to), Self::Autoencoder(from)) => to.clone_from(from),
+            (to, from) => *to = from.clone(),
+        }
+    }
 }
 
 impl DetectionScheme {
@@ -90,7 +109,7 @@ impl DetectorStats {
 /// states are *abandoned* (replaced by the last good value, emulating the
 /// paper's "the corrupted way-point will be abandoned"), and an anomaly at
 /// the control stage requests the cheap control recomputation.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DetectorTap {
     scheme: DetectionScheme,
     previous_codes: [Option<i16>; MonitoredStates::DIM],
@@ -100,6 +119,42 @@ pub struct DetectorTap {
     // Reusable buffers for the per-tick AAD score (no semantic state, so
     // excluded from the manual PartialEq below).
     scratch: AadScratch,
+}
+
+/// A clone starts with fresh scoring scratch; `clone_from` keeps the
+/// target's, and reuses its storage everywhere else too.
+impl Clone for DetectorTap {
+    fn clone(&self) -> Self {
+        Self {
+            scheme: self.scheme.clone(),
+            stats: self.stats.clone(),
+            scratch: AadScratch::new(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.scheme.clone_from(&source.scheme);
+        self.previous_codes = source.previous_codes;
+        self.current = source.current;
+        self.last_good = source.last_good;
+        self.stats.clone_from(&source.stats);
+    }
+}
+
+/// One stage's detection decision, taken before anything is committed.
+#[derive(Debug, Clone, Copy)]
+struct Verdict {
+    /// Preprocessed deltas against the previous codes (Gaussian scheme: the
+    /// stage's fields only).
+    deltas: [f64; MonitoredStates::DIM],
+    /// Gaussian scheme: which of the stage's fields are outliers.
+    outliers: [bool; MonitoredStates::DIM],
+    /// Autoencoder scheme: the reconstruction error of `deltas`.
+    score: f64,
+    /// Whether the tap acts — requests a recomputation or abandons the
+    /// value: an alarm once the stage has a baseline.
+    acts: bool,
 }
 
 impl PartialEq for DetectorTap {
@@ -165,72 +220,112 @@ impl DetectorTap {
             .all(|field| self.previous_codes[field.index()].is_some())
     }
 
-    /// Handles one stage's worth of freshly observed states.  Returns the
-    /// tap action and whether the corrupted value should be abandoned.
+    fn delta_of(&self, current: &MonitoredStates, field: StateField) -> f64 {
+        match self.previous_codes[field.index()] {
+            Some(previous) => {
+                f64::from(magnitude_code(Self::squash(current.field(field)))) - f64::from(previous)
+            }
+            None => 0.0,
+        }
+    }
+
+    /// Decides what the tap does with `stage`'s states in `current` without
+    /// committing anything: only the AAD scoring scratch is written.
     ///
     /// Runs every pipeline tick for every stage, so it is allocation-free:
     /// fields are iterated in place and the AAD score goes through the tap's
     /// reusable scratch buffers.
-    fn evaluate_stage(&mut self, stage: Stage) -> (TapAction, bool) {
+    fn verdict(&mut self, stage: Stage, current: &MonitoredStates) -> Verdict {
         let warmed = self.stage_has_baseline(stage);
-        match &mut self.scheme {
+        let mut verdict = Verdict {
+            deltas: [0.0; MonitoredStates::DIM],
+            outliers: [false; MonitoredStates::DIM],
+            score: 0.0,
+            acts: false,
+        };
+        match &self.scheme {
             DetectionScheme::Gaussian(bank) => {
-                let mut alarmed = false;
                 for field in StateField::ALL {
-                    if field.stage() != stage {
-                        continue;
-                    }
-                    let delta = match self.previous_codes[field.index()] {
-                        Some(previous) => {
-                            f64::from(magnitude_code(Self::squash(self.current.field(field))))
-                                - f64::from(previous)
-                        }
-                        None => 0.0,
-                    };
-                    if bank.observe_field(field, delta) && warmed {
-                        alarmed = true;
+                    if field.stage() == stage {
+                        let delta = self.delta_of(current, field);
+                        verdict.deltas[field.index()] = delta;
+                        verdict.outliers[field.index()] = bank.is_outlier(field, delta);
                     }
                 }
-                if alarmed {
+                verdict.acts = warmed && verdict.outliers.contains(&true);
+            }
+            DetectionScheme::Autoencoder(detector) => {
+                verdict.deltas =
+                    std::array::from_fn(|i| self.delta_of(current, StateField::ALL[i]));
+                verdict.score = detector.score_with(&verdict.deltas, &mut self.scratch);
+                verdict.acts = warmed && verdict.score > detector.threshold();
+            }
+        }
+        verdict
+    }
+
+    /// Commits a [`Verdict`] on `stage`'s states, which `self.current`
+    /// already holds.  Returns the tap action and whether the corrupted
+    /// value should be abandoned.
+    fn commit(&mut self, stage: Stage, verdict: &Verdict) -> (TapAction, bool) {
+        match &mut self.scheme {
+            DetectionScheme::Gaussian(bank) => {
+                for field in StateField::ALL {
+                    if field.stage() == stage {
+                        let index = field.index();
+                        bank.record_field(field, verdict.deltas[index], verdict.outliers[index]);
+                    }
+                }
+                if verdict.acts {
                     self.stats.count_alarm(stage);
                     self.stats.count_recompute(stage);
                     // Do not absorb the corrupted value into the baseline.
-                    (TapAction::Recompute, false)
-                } else {
-                    self.commit_fields(stage);
-                    (TapAction::Continue, false)
+                    return (TapAction::Recompute, false);
                 }
             }
             DetectionScheme::Autoencoder(detector) => {
-                let deltas = {
-                    let previous = &self.previous_codes;
-                    let current = &self.current;
-                    std::array::from_fn(|i| {
-                        let field = StateField::ALL[i];
-                        match previous[field.index()] {
-                            Some(previous) => {
-                                f64::from(magnitude_code(Self::squash(current.field(field))))
-                                    - f64::from(previous)
-                            }
-                            None => 0.0,
-                        }
-                    })
-                };
-                if detector.observe_with(&deltas, &mut self.scratch) && warmed {
+                detector.record_score(verdict.score);
+                if verdict.acts {
                     self.stats.count_alarm(stage);
                     if stage == Stage::Control {
                         self.stats.count_recompute(Stage::Control);
-                        (TapAction::Recompute, false)
-                    } else {
-                        self.stats.abandonments += 1;
-                        (TapAction::Continue, true)
+                        return (TapAction::Recompute, false);
                     }
-                } else {
-                    self.commit_fields(stage);
-                    (TapAction::Continue, false)
+                    self.stats.abandonments += 1;
+                    return (TapAction::Continue, true);
                 }
             }
         }
+        self.commit_fields(stage);
+        (TapAction::Continue, false)
+    }
+
+    /// Handles one stage's worth of freshly observed states (already in
+    /// `self.current`).  Returns the tap action and whether the corrupted
+    /// value should be abandoned.
+    fn evaluate_stage(&mut self, stage: Stage) -> (TapAction, bool) {
+        let current = self.current;
+        let verdict = self.verdict(stage, &current);
+        self.commit(stage, &verdict)
+    }
+
+    /// The shadow form of a stage hook: `current` is the tap's states with
+    /// `stage`'s fresh values.  Returns `true`, committing nothing, when the
+    /// live tap would act on them; otherwise commits exactly what the live
+    /// tap commits when it lets a value through, and returns `false`.
+    fn shadow_stage(&mut self, stage: Stage, current: MonitoredStates) -> bool {
+        let verdict = self.verdict(stage, &current);
+        if verdict.acts {
+            return true;
+        }
+        self.current = current;
+        self.commit(stage, &verdict);
+        match stage {
+            Stage::Perception => self.last_good.collision = current.collision,
+            Stage::Planning => self.last_good.waypoint = current.waypoint,
+            Stage::Control => self.last_good.command = current.command,
+        }
+        false
     }
 }
 
@@ -279,6 +374,92 @@ impl StageTap for DetectorTap {
             self.last_good.command = *command;
         }
         action
+    }
+}
+
+/// A detector riding a flight it does not protect.
+///
+/// The shadow observes every stage output exactly as its live
+/// [`DetectorTap`] would — placed after the fault injector, it sees the same
+/// post-injection values — but it never writes one and always returns
+/// [`TapAction::Continue`].  While the live tap would let every value
+/// through, the two taps take identical states and statistics, so the flight
+/// is also exactly the one the live tap would protect.  At the first output
+/// the live tap would act on (request a recomputation or abandon the value)
+/// the shadow *trips*: it commits nothing for that output and stops
+/// observing.  From that tick on the protected flight differs, and must be
+/// flown from a copy taken before the tick with the tap made live
+/// ([`ShadowDetector::into_live`]).
+#[derive(Debug)]
+pub struct ShadowDetector {
+    tap: DetectorTap,
+    tripped: bool,
+}
+
+/// `clone_from` reuses the target's storage (see [`DetectorTap`]).
+impl Clone for ShadowDetector {
+    fn clone(&self) -> Self {
+        Self { tap: self.tap.clone(), tripped: self.tripped }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.tap.clone_from(&source.tap);
+        self.tripped = source.tripped;
+    }
+}
+
+impl ShadowDetector {
+    /// Rides `tap` as a shadow.
+    pub fn new(tap: DetectorTap) -> Self {
+        Self { tap, tripped: false }
+    }
+
+    /// Whether the live tap would have acted on an output seen so far.
+    pub fn is_tripped(&self) -> bool {
+        self.tripped
+    }
+
+    /// The shadowed tap: its state after the last output it let through.
+    pub fn tap(&self) -> &DetectorTap {
+        &self.tap
+    }
+
+    /// The shadowed tap, to be made live.
+    pub fn into_live(self) -> DetectorTap {
+        self.tap
+    }
+}
+
+impl StageTap for ShadowDetector {
+    fn after_point_cloud(&mut self, _cloud: &mut PointCloud) {
+        if !self.tripped {
+            self.tap.stats.ticks += 1;
+        }
+    }
+
+    fn after_perception(&mut self, estimate: &mut CollisionEstimate) -> TapAction {
+        if !self.tripped {
+            let current = MonitoredStates { collision: *estimate, ..self.tap.current };
+            self.tripped = self.tap.shadow_stage(Stage::Perception, current);
+        }
+        TapAction::Continue
+    }
+
+    fn after_planning(&mut self, trajectory: &mut Trajectory, active_index: usize) -> TapAction {
+        if !self.tripped && !trajectory.is_empty() {
+            let waypoint = trajectory.waypoints[active_index.min(trajectory.len() - 1)];
+            let current = MonitoredStates { waypoint, ..self.tap.current };
+            self.tripped = self.tap.shadow_stage(Stage::Planning, current);
+        }
+        TapAction::Continue
+    }
+
+    fn after_control(&mut self, command: &mut FlightCommand) -> TapAction {
+        if !self.tripped {
+            let current = MonitoredStates { command: *command, ..self.tap.current };
+            self.tripped = self.tap.shadow_stage(Stage::Control, current);
+        }
+        TapAction::Continue
     }
 }
 
@@ -398,6 +579,116 @@ mod tests {
         assert_eq!(action, TapAction::Recompute);
         assert_eq!(tap.stats().recomputations_of(Stage::Control), 1);
         assert!(tap.stats().total_alarms() >= 1);
+    }
+
+    /// One synthetic tick's stage outputs: estimate, trajectory, command.
+    type TickOutputs = (CollisionEstimate, Trajectory, FlightCommand);
+
+    fn normal_outputs(step: usize) -> TickOutputs {
+        let states = smooth_states(step);
+        (states.collision, Trajectory::new(vec![states.waypoint]), states.command)
+    }
+
+    /// Drives the live tap through one tick; returns whether it acted —
+    /// requested a recomputation or abandoned a value.
+    fn live_tick(tap: &mut DetectorTap, outputs: &TickOutputs) -> bool {
+        let (mut estimate, mut trajectory, mut command) = outputs.clone();
+        let abandonments = tap.stats().abandonments;
+        tap.after_point_cloud(&mut PointCloud::default());
+        let action = tap
+            .after_perception(&mut estimate)
+            .merge(tap.after_planning(&mut trajectory, 0))
+            .merge(tap.after_control(&mut command));
+        action == TapAction::Recompute || tap.stats().abandonments > abandonments
+    }
+
+    /// Flies a live tap and a shadow of it over `ticks` in lockstep.  The
+    /// shadow must never write a value or request anything, must hold the
+    /// live tap's exact state while the live tap lets everything through,
+    /// and must trip on exactly the tick the live tap first acts.  Returns
+    /// that tick.
+    fn shadow_trips_with_live_tap(scheme: DetectionScheme, ticks: &[TickOutputs]) -> usize {
+        let mut live = DetectorTap::new(scheme.clone());
+        let mut shadow = ShadowDetector::new(DetectorTap::new(scheme));
+        for (index, outputs) in ticks.iter().enumerate() {
+            let (mut estimate, mut trajectory, mut command) = outputs.clone();
+            shadow.after_point_cloud(&mut PointCloud::default());
+            assert_eq!(shadow.after_perception(&mut estimate), TapAction::Continue);
+            assert_eq!(shadow.after_planning(&mut trajectory, 0), TapAction::Continue);
+            assert_eq!(shadow.after_control(&mut command), TapAction::Continue);
+            assert_eq!((estimate, trajectory, command), *outputs, "tick {index}: shadow wrote");
+
+            let acted = live_tick(&mut live, outputs);
+            assert_eq!(shadow.is_tripped(), acted, "tick {index}");
+            if acted {
+                return index;
+            }
+            assert_eq!(shadow.tap(), &live, "tick {index}: shadow state diverged");
+        }
+        panic!("the live tap never acted");
+    }
+
+    fn trained_aad() -> AadDetector {
+        telemetry()
+            .train_aad(AadConfig::default(), &TrainConfig { epochs: 15, ..TrainConfig::default() })
+            .0
+    }
+
+    #[test]
+    fn shadow_trips_on_the_gaussian_planning_recompute() {
+        let bank = telemetry().build_gad(CgadConfig::default());
+        let mut ticks: Vec<TickOutputs> = (0..51).map(normal_outputs).collect();
+        ticks[50].1.waypoints[0].position.x = 4.0e155;
+        assert_eq!(shadow_trips_with_live_tap(DetectionScheme::Gaussian(bank), &ticks), 50);
+    }
+
+    #[test]
+    fn shadow_trips_on_the_autoencoder_abandonment() {
+        let aad = trained_aad();
+        let mut ticks: Vec<TickOutputs> = (0..51).map(normal_outputs).collect();
+        ticks[50].1.waypoints[0].position.x = 4.0e155;
+        let tick = shadow_trips_with_live_tap(DetectionScheme::Autoencoder(aad.clone()), &ticks);
+        assert_eq!(tick, 50);
+        // The live tap acted by abandoning the way-point, not by replanning.
+        let mut live = DetectorTap::new(DetectionScheme::Autoencoder(aad));
+        for outputs in &ticks {
+            live_tick(&mut live, outputs);
+        }
+        assert_eq!(live.stats().abandonments, 1);
+        assert_eq!(live.stats().total_recomputations(), 0);
+    }
+
+    #[test]
+    fn shadow_trips_on_the_autoencoder_control_recompute() {
+        let aad = trained_aad();
+        let mut ticks: Vec<TickOutputs> = (0..51).map(normal_outputs).collect();
+        ticks[50].2.velocity.x = -3.0e200;
+        let tick = shadow_trips_with_live_tap(DetectionScheme::Autoencoder(aad.clone()), &ticks);
+        assert_eq!(tick, 50);
+        let mut live = DetectorTap::new(DetectionScheme::Autoencoder(aad));
+        for outputs in &ticks {
+            live_tick(&mut live, outputs);
+        }
+        assert_eq!(live.stats().recomputations_of(Stage::Control), 1);
+    }
+
+    #[test]
+    fn clone_from_reproduces_the_tap() {
+        let bank = telemetry().build_gad(CgadConfig::default());
+        let mut gaussian = DetectorTap::new(DetectionScheme::Gaussian(bank));
+        let mut autoencoder = DetectorTap::new(DetectionScheme::Autoencoder(trained_aad()));
+        for step in 0..30 {
+            drive_normal_tick(&mut gaussian, step);
+            drive_normal_tick(&mut autoencoder, step);
+        }
+        let mut copy = gaussian.clone();
+        assert_eq!(copy, gaussian);
+        // Across schemes and within one.
+        copy.clone_from(&autoencoder);
+        assert_eq!(copy, autoencoder);
+        drive_normal_tick(&mut autoencoder, 30);
+        copy.clone_from(&autoencoder);
+        assert_eq!(copy, autoencoder);
     }
 
     #[test]

@@ -72,26 +72,48 @@ impl Cgad {
     /// outlier; outliers are *not* absorbed into the baseline so that a
     /// corrupted sample cannot widen the detector's notion of normal.
     pub fn observe(&mut self, delta: f64) -> bool {
+        let is_outlier = self.is_outlier(delta);
+        self.record(delta, is_outlier);
+        is_outlier
+    }
+
+    /// Whether [`Cgad::observe`] would flag `delta`, without observing it.
+    pub(crate) fn is_outlier(&self, delta: f64) -> bool {
         let warmed_up = self.stats.count() >= self.config.warmup_samples;
         let deviation = (delta - self.stats.mean()).abs();
-        let is_outlier = warmed_up
+        warmed_up
             && deviation > self.config.min_deviation
             && (self.stats.std_dev() <= f64::EPSILON
-                || self.stats.z_score(delta).abs() > self.config.n_sigma);
+                || self.stats.z_score(delta).abs() > self.config.n_sigma)
+    }
+
+    /// Commits an observation of `delta` whose verdict is `is_outlier`.
+    pub(crate) fn record(&mut self, delta: f64, is_outlier: bool) {
         if is_outlier {
             self.alarms += 1;
         } else {
             self.stats.push(delta);
         }
-        is_outlier
     }
 }
 
 /// The per-stage Gaussian detector bank: one cGAD per monitored state,
 /// grouped by the stage whose recomputation an alarm triggers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct GadBank {
     detectors: Vec<Cgad>,
+}
+
+/// `clone_from` reuses the target's storage, so refreshing a flight
+/// checkpoint that carries the bank allocates nothing.
+impl Clone for GadBank {
+    fn clone(&self) -> Self {
+        Self { detectors: self.detectors.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.detectors.clone_from(&source.detectors);
+    }
 }
 
 impl Default for GadBank {
@@ -115,6 +137,17 @@ impl GadBank {
     /// Observes the delta of a single field, returning `true` on alarm.
     pub fn observe_field(&mut self, field: StateField, delta: f64) -> bool {
         self.detectors[field.index()].observe(delta)
+    }
+
+    /// Whether [`GadBank::observe_field`] would flag `delta`, without
+    /// observing it.
+    pub(crate) fn is_outlier(&self, field: StateField, delta: f64) -> bool {
+        self.detectors[field.index()].is_outlier(delta)
+    }
+
+    /// Commits an observation of `field` whose verdict is `is_outlier`.
+    pub(crate) fn record_field(&mut self, field: StateField, delta: f64, is_outlier: bool) {
+        self.detectors[field.index()].record(delta, is_outlier);
     }
 
     /// Observes every field of a full preprocessed vector, returning the

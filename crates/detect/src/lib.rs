@@ -44,7 +44,7 @@ pub use calibration::{
     sweep_gad_nsigma, AnomalyScorer, CorruptionProfile, LabeledStream, OperatingPoint,
     SyntheticAnomalyConfig,
 };
-pub use detector_node::{DetectionScheme, DetectorStats, DetectorTap};
+pub use detector_node::{DetectionScheme, DetectorStats, DetectorTap, ShadowDetector};
 pub use ewma::{EwmaBank, EwmaConfig, EwmaDetector};
 pub use gad::{Cgad, CgadConfig, GadBank};
 pub use mahalanobis::{MahalanobisConfig, MahalanobisDetector};
@@ -62,7 +62,7 @@ pub mod prelude {
         sweep_ewma_alpha, sweep_gad_nsigma, AnomalyScorer, CorruptionProfile, LabeledStream,
         OperatingPoint, SyntheticAnomalyConfig,
     };
-    pub use crate::detector_node::{DetectionScheme, DetectorStats, DetectorTap};
+    pub use crate::detector_node::{DetectionScheme, DetectorStats, DetectorTap, ShadowDetector};
     pub use crate::ewma::{EwmaBank, EwmaConfig, EwmaDetector};
     pub use crate::gad::{Cgad, CgadConfig, GadBank};
     pub use crate::mahalanobis::{MahalanobisConfig, MahalanobisDetector};

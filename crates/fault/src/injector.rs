@@ -37,7 +37,7 @@ impl FaultSpec {
 }
 
 /// Record of the fault that actually fired.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct FaultRecord {
     /// Tick at which the corruption happened.
     pub tick: u64,
@@ -47,6 +47,21 @@ pub struct FaultRecord {
     pub field: Option<StateField>,
     /// Details of the value corruption.
     pub detail: CorruptionDetail,
+}
+
+/// `clone_from` reuses the target's label storage, so refreshing a flight
+/// checkpoint after the fault fired allocates nothing.
+impl Clone for FaultRecord {
+    fn clone(&self) -> Self {
+        Self { target: self.target.clone(), ..*self }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.target.clone_from(&source.target);
+        self.tick = source.tick;
+        self.field = source.field;
+        self.detail = source.detail;
+    }
 }
 
 /// One-shot fault injector attached to the pipeline as a [`StageTap`].
@@ -71,13 +86,28 @@ pub struct FaultRecord {
 /// injector.after_control(&mut command);
 /// assert!(injector.record().is_some());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FaultInjector {
     spec: FaultSpec,
     rng: StdRng,
     current_tick: u64,
     ticks_seen: u64,
     record: Option<FaultRecord>,
+}
+
+/// `clone_from` reuses the target's storage (see [`FaultRecord`]).
+impl Clone for FaultInjector {
+    fn clone(&self) -> Self {
+        Self { rng: self.rng.clone(), record: self.record.clone(), ..*self }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.spec = source.spec;
+        self.rng.clone_from(&source.rng);
+        self.current_tick = source.current_tick;
+        self.ticks_seen = source.ticks_seen;
+        self.record.clone_from(&source.record);
+    }
 }
 
 impl FaultInjector {

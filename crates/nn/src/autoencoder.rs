@@ -25,10 +25,23 @@ use crate::network::{Gradients, Mlp, MlpScratch};
 /// assert_eq!(model.reconstruct(&input).len(), 13);
 /// assert!(model.reconstruction_error(&input) >= 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Autoencoder {
     network: Mlp,
     latent_dim: usize,
+}
+
+/// `clone_from` reuses the target's storage (see
+/// [`Matrix`](crate::tensor::Matrix)).
+impl Clone for Autoencoder {
+    fn clone(&self) -> Self {
+        Self { network: self.network.clone(), ..*self }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.network.clone_from(&source.network);
+        self.latent_dim = source.latent_dim;
+    }
 }
 
 /// Number of monitored inter-kernel state inputs in the paper's autoencoder.

@@ -6,11 +6,24 @@ use crate::activation::Activation;
 use crate::tensor::Matrix;
 
 /// A dense layer computing `activation(W * x + b)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Dense {
     weights: Matrix,
     biases: Vec<f64>,
     activation: Activation,
+}
+
+/// `clone_from` reuses the target's storage (see [`Matrix`]).
+impl Clone for Dense {
+    fn clone(&self) -> Self {
+        Self { weights: self.weights.clone(), biases: self.biases.clone(), ..*self }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.weights.clone_from(&source.weights);
+        self.biases.clone_from(&source.biases);
+        self.activation = source.activation;
+    }
 }
 
 /// Cached intermediate values of one layer's forward pass, required for

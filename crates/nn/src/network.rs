@@ -20,9 +20,21 @@ use crate::loss::{mse, mse_gradient};
 ///     .build(42);
 /// assert_eq!(mlp.forward(&[0.1, 0.2, 0.3, 0.4]).len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Mlp {
     layers: Vec<Dense>,
+}
+
+/// `clone_from` reuses the target's storage (see
+/// [`Matrix`](crate::tensor::Matrix)).
+impl Clone for Mlp {
+    fn clone(&self) -> Self {
+        Self { layers: self.layers.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.layers.clone_from(&source.layers);
+    }
 }
 
 /// Gradients for every layer of an [`Mlp`], in layer order.

@@ -14,11 +14,26 @@ use serde::{Deserialize, Serialize};
 /// let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
 /// assert_eq!(m.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+/// `clone_from` reuses the target's storage: refreshing a copy of a model
+/// (a mid-mission flight checkpoint carries its detectors) allocates
+/// nothing once the shapes match.
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Self { data: self.data.clone(), ..*self }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.data.clone_from(&source.data);
+        self.rows = source.rows;
+        self.cols = source.cols;
+    }
 }
 
 impl Matrix {

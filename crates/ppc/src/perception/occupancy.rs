@@ -97,7 +97,7 @@ const NEAR_MASK_STEPS: i64 = 2;
 /// assert!(grid.is_occupied(Vec3::new(1.1, 2.1, 3.1)));
 /// assert!(!grid.is_occupied(Vec3::new(5.0, 5.0, 5.0)));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct OccupancyGrid {
     resolution: f64,
     voxels: VoxelSet,
@@ -117,6 +117,22 @@ pub struct OccupancyGrid {
     /// on it: an unchanged revision guarantees every occupancy query would
     /// return exactly what it returned before.
     revision: u64,
+}
+
+/// `clone_from` reuses the target's hash tables whenever their bucket counts
+/// match the source's, so refreshing a mid-mission checkpoint of the map
+/// allocates only when the map has outgrown the copy.
+impl Clone for OccupancyGrid {
+    fn clone(&self) -> Self {
+        Self { voxels: self.voxels.clone(), near_mask: self.near_mask.clone(), ..*self }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.voxels.clone_from(&source.voxels);
+        self.near_mask.clone_from(&source.near_mask);
+        self.resolution = source.resolution;
+        self.revision = source.revision;
+    }
 }
 
 /// Equality is *logical* — same resolution and same occupied voxel set.  The

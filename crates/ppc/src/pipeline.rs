@@ -15,7 +15,8 @@ use crate::perception::{
     CollisionChecker, CollisionCheckerConfig, OccupancyGrid, PointCloudGenerator,
 };
 use crate::planning::{
-    MissionPlan, MotionPlanner, PathSmoother, PlannerAlgorithm, PlannerConfig, TrajectoryGenerator,
+    AStarPlanner, MissionPlan, MotionPlanner, ObstacleModel, PathSmoother, PlannedPath,
+    PlannerAlgorithm, PlannerConfig, Rrt, RrtConnect, RrtStar, TrajectoryGenerator,
 };
 use crate::states::{MonitoredStates, PointCloud, Stage, Trajectory, Waypoint};
 use crate::tap::{StageTap, TapAction};
@@ -260,6 +261,63 @@ pub struct PpcTick {
     pub mission_complete: bool,
 }
 
+/// The pipeline's motion planner: one of the in-crate planners, held by
+/// value so the pipeline — and a mid-mission checkpoint of it — is `Clone`.
+#[derive(Debug)]
+enum Planner {
+    Rrt(Rrt),
+    RrtConnect(RrtConnect),
+    RrtStar(RrtStar),
+    AStar(AStarPlanner),
+}
+
+impl Planner {
+    fn new(algorithm: PlannerAlgorithm, config: PlannerConfig) -> Self {
+        match algorithm {
+            PlannerAlgorithm::Rrt => Self::Rrt(Rrt::new(config)),
+            PlannerAlgorithm::RrtConnect => Self::RrtConnect(RrtConnect::new(config)),
+            PlannerAlgorithm::RrtStar => Self::RrtStar(RrtStar::new(config)),
+            PlannerAlgorithm::AStar => Self::AStar(AStarPlanner::new(config)),
+        }
+    }
+
+    fn plan_into(
+        &mut self,
+        model: &dyn ObstacleModel,
+        start: Vec3,
+        goal: Vec3,
+        out: &mut PlannedPath,
+    ) -> bool {
+        match self {
+            Self::Rrt(planner) => planner.plan_into(model, start, goal, out),
+            Self::RrtConnect(planner) => planner.plan_into(model, start, goal, out),
+            Self::RrtStar(planner) => planner.plan_into(model, start, goal, out),
+            Self::AStar(planner) => planner.plan_into(model, start, goal, out),
+        }
+    }
+}
+
+impl Clone for Planner {
+    fn clone(&self) -> Self {
+        match self {
+            Self::Rrt(planner) => Self::Rrt(planner.clone()),
+            Self::RrtConnect(planner) => Self::RrtConnect(planner.clone()),
+            Self::RrtStar(planner) => Self::RrtStar(planner.clone()),
+            Self::AStar(planner) => Self::AStar(planner.clone()),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Self::Rrt(to), Self::Rrt(from)) => to.clone_from(from),
+            (Self::RrtConnect(to), Self::RrtConnect(from)) => to.clone_from(from),
+            (Self::RrtStar(to), Self::RrtStar(from)) => to.clone_from(from),
+            (Self::AStar(to), Self::AStar(from)) => to.clone_from(from),
+            (to, from) => *to = from.clone(),
+        }
+    }
+}
+
 /// The end-to-end PPC pipeline.
 ///
 /// # Examples
@@ -284,7 +342,7 @@ pub struct PpcPipeline {
     point_cloud_generator: PointCloudGenerator,
     occupancy: OccupancyGrid,
     collision_checker: CollisionChecker,
-    planner: Box<dyn MotionPlanner + Send>,
+    planner: Planner,
     smoother: PathSmoother,
     trajectory_generator: TrajectoryGenerator,
     mission: MissionPlan,
@@ -297,8 +355,8 @@ pub struct PpcPipeline {
     // heap allocations (see docs/PERFORMANCE.md for the ownership
     // convention).
     cloud: PointCloud,
-    planned: crate::planning::PlannedPath,
-    smoothed: crate::planning::PlannedPath,
+    planned: PlannedPath,
+    smoothed: PlannedPath,
     resample_positions: Vec<Vec3>,
     // Revision tracking for the collision-check cache: the trajectory
     // revision bumps whenever the stored trajectory's contents change —
@@ -323,6 +381,63 @@ impl std::fmt::Debug for PpcPipeline {
     }
 }
 
+/// A clone carries the pipeline's whole semantic state — configuration, map,
+/// collision-check cache, planner with its random stream, mission, tracker,
+/// controller, stored trajectory and statistics — so it flies exactly as the
+/// original would from here on.  Per-tick scratch (point cloud, planner
+/// output, smoothing buffers, tick timings) is not copied: each tick
+/// overwrites it before reading it.  `clone_from` reuses the target's
+/// storage, so refreshing a mid-mission checkpoint allocates nothing once
+/// warm.
+impl Clone for PpcPipeline {
+    fn clone(&self) -> Self {
+        let mut pipeline = Self::with_mission(self.config, self.mission.clone());
+        pipeline.clone_from(self);
+        pipeline
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        // Destructured, so a new field cannot silently miss checkpoints.
+        let Self {
+            config,
+            point_cloud_generator,
+            occupancy,
+            collision_checker,
+            planner,
+            smoother,
+            trajectory_generator,
+            mission,
+            tracker,
+            pid,
+            trajectory,
+            stats,
+            cloud: _,
+            planned: _,
+            smoothed: _,
+            resample_positions: _,
+            trajectory_revision,
+            trajectory_shadow,
+            timing_enabled,
+            tick_timings: _,
+        } = source;
+        self.config = *config;
+        self.point_cloud_generator = *point_cloud_generator;
+        self.occupancy.clone_from(occupancy);
+        self.collision_checker = *collision_checker;
+        self.planner.clone_from(planner);
+        self.smoother = *smoother;
+        self.trajectory_generator = *trajectory_generator;
+        self.mission.clone_from(mission);
+        self.tracker.clone_from(tracker);
+        self.pid.clone_from(pid);
+        self.trajectory.clone_from(trajectory);
+        self.stats.clone_from(stats);
+        self.trajectory_revision = *trajectory_revision;
+        self.trajectory_shadow.clone_from(trajectory_shadow);
+        self.timing_enabled = *timing_enabled;
+    }
+}
+
 impl PpcPipeline {
     /// Creates a pipeline flying a single-goal package-delivery mission from
     /// `start` to `goal`.
@@ -337,7 +452,7 @@ impl PpcPipeline {
             point_cloud_generator: PointCloudGenerator::default(),
             occupancy: OccupancyGrid::new(config.occupancy_resolution),
             collision_checker: CollisionChecker::new(config.collision_checker),
-            planner: config.planner.instantiate(config.planner_config),
+            planner: Planner::new(config.planner, config.planner_config),
             smoother: PathSmoother::new(config.planner_config.margin),
             trajectory_generator: TrajectoryGenerator::new(
                 config.cruise_speed,
@@ -349,8 +464,8 @@ impl PpcPipeline {
             trajectory: Trajectory::default(),
             stats: PipelineStats::default(),
             cloud: PointCloud::default(),
-            planned: crate::planning::PlannedPath::default(),
-            smoothed: crate::planning::PlannedPath::default(),
+            planned: PlannedPath::default(),
+            smoothed: PlannedPath::default(),
             resample_positions: Vec::new(),
             trajectory_revision: 0,
             trajectory_shadow: Vec::new(),
@@ -658,6 +773,53 @@ mod tests {
     fn completes_mission_in_farm_environment() {
         let (status, _) = run_mission(EnvironmentKind::Farm, 1, 300.0);
         assert_eq!(status, MissionStatus::Succeeded);
+    }
+
+    /// Flies `pipeline` in `world` for `ticks` ticks; returns every tick.
+    fn fly(pipeline: &mut PpcPipeline, world: &mut World, ticks: usize) -> Vec<PpcTick> {
+        let camera = DepthCamera::default();
+        let mut flown = Vec::new();
+        while flown.len() < ticks && world.status() == MissionStatus::InProgress {
+            let frame = camera.capture(world.environment(), &world.vehicle().pose());
+            let tick = pipeline.tick(&frame, &world.vehicle().state(), 0.1, &mut NoopTap);
+            world.step(&tick.command, 0.1);
+            flown.push(tick);
+        }
+        flown
+    }
+
+    #[test]
+    fn a_mid_mission_copy_flies_exactly_as_the_original() {
+        for algorithm in PlannerAlgorithm::EXTENDED {
+            let env = EnvironmentKind::Dense.build(8);
+            let config = PpcConfig::new(algorithm, env.bounds(), 8);
+            let mut pipeline = PpcPipeline::new(config, env.start(), env.goal());
+            let mut world = World::new(
+                env.clone(),
+                QuadrotorParams::default(),
+                PowerModel::default(),
+                MissionConfig::default(),
+            );
+            fly(&mut pipeline, &mut world, 25);
+
+            let mut cloned = pipeline.clone();
+            // `clone_from` into a pipeline with another planner and another
+            // history replaces it whole.
+            let other = PpcConfig::new(PlannerAlgorithm::AStar, env.bounds(), 1);
+            let mut refreshed = PpcPipeline::new(other, env.goal(), env.start());
+            fly(&mut refreshed, &mut world.clone(), 3);
+            refreshed.clone_from(&pipeline);
+
+            let replans = pipeline.stats().replans;
+            let expected = fly(&mut pipeline, &mut world.clone(), 40);
+            assert!(pipeline.stats().replans > replans, "{algorithm:?}: the window must replan");
+            for copy in [&mut cloned, &mut refreshed] {
+                assert_eq!(fly(copy, &mut world.clone(), 40), expected, "{algorithm:?}");
+                assert_eq!(copy.stats(), pipeline.stats(), "{algorithm:?}");
+                assert_eq!(copy.trajectory(), pipeline.trajectory(), "{algorithm:?}");
+                assert_eq!(copy.occupancy(), pipeline.occupancy(), "{algorithm:?}");
+            }
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl PartialOrd for QueueEntry {
 ///     .expect("free space is trivially plannable");
 /// assert!(path.length() >= 20.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct AStarPlanner {
     config: PlannerConfig,
     // Search state pooled across `plan` calls.  The maps are lookup-only
@@ -87,6 +87,18 @@ pub struct AStarPlanner {
     g_cost: HashMap<Cell, f64, BuildHasherDefault<VoxelHasher>>,
     came_from: HashMap<Cell, Cell, BuildHasherDefault<VoxelHasher>>,
     cells: Vec<Cell>,
+}
+
+/// A clone gets fresh pooled search state: the search state never outlives
+/// a `plan_into` call, so the clone plans exactly as the original would.
+impl Clone for AStarPlanner {
+    fn clone(&self) -> Self {
+        Self::new(self.config)
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.config = source.config;
+    }
 }
 
 impl AStarPlanner {

@@ -23,10 +23,22 @@ use serde::{Deserialize, Serialize};
 /// assert!(plan.advance_if_reached(Vec3::new(9.6, 0.0, 2.0), 1.0));
 /// assert!(plan.is_complete());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct MissionPlan {
     goals: Vec<Vec3>,
     next_index: usize,
+}
+
+/// `clone_from` reuses the target's storage (see `PpcPipeline`'s `Clone`).
+impl Clone for MissionPlan {
+    fn clone(&self) -> Self {
+        Self { goals: self.goals.clone(), ..*self }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.goals.clone_from(&source.goals);
+        self.next_index = source.next_index;
+    }
 }
 
 impl MissionPlan {

@@ -44,6 +44,21 @@ enum ExtendResult {
     Reached(usize),
 }
 
+/// A clone continues the planner's random stream with fresh pooled scratch.
+/// The scratch never outlives a `plan_into` call, so the clone plans
+/// exactly as the original would from here on.
+impl Clone for RrtConnect {
+    fn clone(&self) -> Self {
+        Self { rng: self.rng.clone(), use_index: self.use_index, ..Self::new(self.config) }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.config = source.config;
+        self.rng.clone_from(&source.rng);
+        self.use_index = source.use_index;
+    }
+}
+
 impl RrtConnect {
     /// Creates an RRT-Connect planner.
     pub fn new(config: PlannerConfig) -> Self {

@@ -214,6 +214,21 @@ pub struct RrtStar {
     neighbour_distances: Vec<f64>,
 }
 
+/// A clone continues the planner's random stream with fresh pooled scratch.
+/// The scratch never outlives a `plan_into` call, so the clone plans
+/// exactly as the original would from here on.
+impl Clone for RrtStar {
+    fn clone(&self) -> Self {
+        Self { rng: self.rng.clone(), use_index: self.use_index, ..Self::new(self.config) }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.config = source.config;
+        self.rng.clone_from(&source.rng);
+        self.use_index = source.use_index;
+    }
+}
+
 impl RrtStar {
     /// Creates an RRT* planner.
     pub fn new(config: PlannerConfig) -> Self {

@@ -104,10 +104,21 @@ pub struct Waypoint {
 }
 
 /// A time-ordered sequence of way-points, the planning-stage output.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Default, Serialize, Deserialize)]
 pub struct Trajectory {
     /// Way-points in flight order.
     pub waypoints: Vec<Waypoint>,
+}
+
+/// `clone_from` reuses the target's storage (see `PpcPipeline`'s `Clone`).
+impl Clone for Trajectory {
+    fn clone(&self) -> Self {
+        Self { waypoints: self.waypoints.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.waypoints.clone_from(&source.waypoints);
+    }
 }
 
 impl Trajectory {

@@ -28,13 +28,29 @@ impl Obstacle {
 }
 
 /// A navigation world: bounded free space, obstacles and a start/goal pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Environment {
     name: String,
     bounds: Aabb,
     obstacles: Vec<Obstacle>,
     start: Vec3,
     goal: Vec3,
+}
+
+/// `clone_from` reuses the target's storage, so refreshing a mid-mission
+/// checkpoint of a world allocates nothing once warm.
+impl Clone for Environment {
+    fn clone(&self) -> Self {
+        Self { name: self.name.clone(), obstacles: self.obstacles.clone(), ..*self }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.name.clone_from(&source.name);
+        self.obstacles.clone_from(&source.obstacles);
+        self.bounds = source.bounds;
+        self.start = source.start;
+        self.goal = source.goal;
+    }
 }
 
 impl Environment {

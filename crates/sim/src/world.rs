@@ -69,7 +69,7 @@ impl Default for MissionConfig {
 /// assert_eq!(world.status(), MissionStatus::InProgress);
 /// assert!(world.elapsed() > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct World {
     environment: Environment,
     vehicle: Quadrotor,
@@ -81,6 +81,32 @@ pub struct World {
     trail: Vec<Vec3>,
     distance_travelled: f64,
     last_trail_sample: f64,
+}
+
+/// `clone_from` reuses the target's storage (environment and trail), so
+/// refreshing a mid-mission checkpoint allocates nothing once warm.
+impl Clone for World {
+    fn clone(&self) -> Self {
+        Self {
+            environment: self.environment.clone(),
+            vehicle: self.vehicle.clone(),
+            trail: self.trail.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.environment.clone_from(&source.environment);
+        self.vehicle.clone_from(&source.vehicle);
+        self.power_model = source.power_model;
+        self.config = source.config;
+        self.energy = source.energy;
+        self.elapsed = source.elapsed;
+        self.status = source.status;
+        self.trail.clone_from(&source.trail);
+        self.distance_travelled = source.distance_travelled;
+        self.last_trail_sample = source.last_trail_sample;
+    }
 }
 
 impl World {

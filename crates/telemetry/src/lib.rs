@@ -29,7 +29,9 @@ pub mod sink;
 pub mod timeline;
 
 pub use histogram::LatencyHistogram;
-pub use report::{LatencyTicks, MissionReport, ServerCounters, TelemetryReport, WallClockRollup};
+pub use report::{
+    LatencyTicks, MissionReport, ServerCounters, TelemetryReport, TrunkCounters, WallClockRollup,
+};
 pub use sink::{MissionTelemetry, TelemetryCounters};
 pub use timeline::{EventTimeline, TelemetryEvent, TimelineEvent};
 
@@ -37,7 +39,8 @@ pub use timeline::{EventTimeline, TelemetryEvent, TimelineEvent};
 pub mod prelude {
     pub use crate::histogram::LatencyHistogram;
     pub use crate::report::{
-        LatencyTicks, MissionReport, ServerCounters, TelemetryReport, WallClockRollup,
+        LatencyTicks, MissionReport, ServerCounters, TelemetryReport, TrunkCounters,
+        WallClockRollup,
     };
     pub use crate::sink::{MissionTelemetry, TelemetryCounters};
     pub use crate::timeline::{EventTimeline, TelemetryEvent, TimelineEvent};

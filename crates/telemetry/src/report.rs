@@ -138,6 +138,44 @@ impl ServerCounters {
     }
 }
 
+/// How a campaign's missions were flown.  Each fault job flies its three
+/// settings as one trunk — the unprotected flight, carrying both detectors
+/// as shadows — that forks a branch where a detector first acts; see
+/// `docs/ARCHITECTURE.md`.
+///
+/// Deterministic: identical for every worker count and chunk size.  Over a
+/// campaign, `ticks_flown + ticks_shared` equals the ticks its missions
+/// report ([`TelemetryCounters::ticks`] summed).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct TrunkCounters {
+    /// Pipeline ticks actually flown: golden runs, trunks and branches.  A
+    /// branch re-flies its fork tick, so that tick counts twice.
+    pub ticks_flown: u64,
+    /// Ticks a protected setting took from its trunk instead of flying
+    /// them: all of a setting whose detector never acts, and the ticks
+    /// before the fork of a branch.
+    pub ticks_shared: u64,
+    /// Branches taken by the Gaussian detector (D&R(G)).
+    pub gaussian_branches: u64,
+    /// Branches taken by the autoencoder detector (D&R(A)).
+    pub autoencoder_branches: u64,
+    /// Fault jobs whose injection never fired in the unprotected flight,
+    /// typically because the trigger tick lies past the mission's end.
+    /// Table I's injected rate still counts them as faulty flights.
+    pub faults_never_fired: u64,
+}
+
+impl TrunkCounters {
+    /// Adds `other` into `self`.
+    pub fn merge(&mut self, other: &Self) {
+        self.ticks_flown += other.ticks_flown;
+        self.ticks_shared += other.ticks_shared;
+        self.gaussian_branches += other.gaussian_branches;
+        self.autoencoder_branches += other.autoencoder_branches;
+        self.faults_never_fired += other.faults_never_fired;
+    }
+}
+
 /// The campaign-wide telemetry rollup: every mission's report merged in
 /// deterministic (run-index) order.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -159,6 +197,9 @@ pub struct TelemetryReport {
     /// Digest of every recorded timeline event, folded in merge order:
     /// two rollups with equal digests saw identical event streams.
     pub timeline_digest: u64,
+    /// How the missions were flown: ticks flown and shared, branches taken
+    /// and faults that never fired (deterministic).
+    pub trunks: TrunkCounters,
     /// The machine-dependent half (histograms, worker utilisation).
     pub wall_clock: WallClockRollup,
     /// Campaign-server activity (submissions, checkpoints, resumes);
@@ -224,6 +265,7 @@ impl TelemetryReport {
             .timeline_digest
             .wrapping_mul(0x0000_0100_0000_01b3)
             .rotate_left((self.missions % 63) as u32 + 1);
+        self.trunks.merge(&other.trunks);
         self.wall_clock.fold_stalls += other.wall_clock.fold_stalls;
         self.server.merge(&other.server);
     }
@@ -311,6 +353,33 @@ mod tests {
         assert_eq!(view.wall_clock, WallClockRollup::default());
         assert_eq!(view.server, ServerCounters::default());
         assert_eq!(view.counters, rollup.counters);
+    }
+
+    #[test]
+    fn trunk_counters_merge_fieldwise_and_stay_deterministic() {
+        let mut a = TelemetryReport::new();
+        a.trunks = TrunkCounters {
+            ticks_flown: 10,
+            ticks_shared: 4,
+            gaussian_branches: 1,
+            autoencoder_branches: 0,
+            faults_never_fired: 2,
+        };
+        let mut b = TelemetryReport::new();
+        b.trunks.ticks_flown = 5;
+        b.trunks.autoencoder_branches = 1;
+        a.merge(&b);
+        assert_eq!(
+            a.trunks,
+            TrunkCounters {
+                ticks_flown: 15,
+                ticks_shared: 4,
+                gaussian_branches: 1,
+                autoencoder_branches: 1,
+                faults_never_fired: 2,
+            }
+        );
+        assert_eq!(a.deterministic_view().trunks, a.trunks);
     }
 
     #[test]

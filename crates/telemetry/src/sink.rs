@@ -79,7 +79,7 @@ impl TelemetryCounters {
 /// and call [`MissionTelemetry::observe_tick`] after every pipeline tick.
 /// Wall-clock kernel histograms fill only while the pipeline's timing knob
 /// is on; everything else is deterministic counting.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MissionTelemetry {
     kernel_latency: [LatencyHistogram; KernelId::COUNT],
     timeline: EventTimeline,
@@ -93,6 +93,20 @@ pub struct MissionTelemetry {
     fault_stage: Option<Stage>,
     first_alarm_tick: Option<u64>,
     first_recovery_tick: Option<u64>,
+}
+
+/// `clone_from` reuses the target's timeline storage, so a mid-mission
+/// flight checkpoint carrying the sink refreshes without allocating.
+impl Clone for MissionTelemetry {
+    fn clone(&self) -> Self {
+        Self { timeline: self.timeline.clone(), ..*self }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let mut timeline = std::mem::replace(&mut self.timeline, EventTimeline::with_capacity(0));
+        timeline.clone_from(&source.timeline);
+        *self = Self { timeline, ..*source };
+    }
 }
 
 impl MissionTelemetry {

@@ -114,11 +114,28 @@ impl TimelineEvent {
 /// — the fault → detect → recover prefix of a mission is the part the
 /// paper's latency analysis needs, and "keep earliest" is deterministic by
 /// construction (eviction depends only on event order, not timing).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct EventTimeline {
     events: Vec<TimelineEvent>,
     capacity: usize,
     dropped: u64,
+}
+
+/// Copies keep the full capacity reserved, so `push` stays allocation-free
+/// on a copy too; `clone_from` reuses the target's storage.
+impl Clone for EventTimeline {
+    fn clone(&self) -> Self {
+        let mut events = Vec::with_capacity(self.capacity);
+        events.extend_from_slice(&self.events);
+        Self { events, ..*self }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.events.clone_from(&source.events);
+        self.events.reserve(source.capacity.saturating_sub(self.events.len()));
+        self.capacity = source.capacity;
+        self.dropped = source.dropped;
+    }
 }
 
 impl EventTimeline {

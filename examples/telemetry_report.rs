@@ -100,6 +100,16 @@ fn main() -> Result<(), MavfiError> {
             );
         }
     }
+    let trunks = rollup.trunks;
+    println!(
+        "trunks: {} ticks flown, {} shared; branches D&R(G) {} / D&R(A) {}; \
+         {} faults never fired",
+        trunks.ticks_flown,
+        trunks.ticks_shared,
+        trunks.gaussian_branches,
+        trunks.autoencoder_branches,
+        trunks.faults_never_fired,
+    );
     println!(
         "wall clock: {} workers used, jobs per worker {:?}, fold stalls {}",
         rollup.wall_clock.worker_jobs.len(),

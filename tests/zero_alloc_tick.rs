@@ -1,6 +1,7 @@
 //! Asserts the tentpole property of the scratch-buffer tick path: once warm,
 //! one `PpcPipeline::tick` — depth capture included — and one AAD
-//! detector-score iteration perform **zero heap allocations**.
+//! detector-score iteration perform **zero heap allocations**; and so does
+//! refreshing a reused checkpoint of a mid-mission fault-job trunk.
 //!
 //! A counting global allocator wraps the system allocator; after a warm-up
 //! that grows every scratch buffer to capacity, the allocation counter must
@@ -12,15 +13,18 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
+use mavfi::{Flight, MissionRunner, MissionSpec, TrainedDetectors};
 use mavfi_detect::detector_node::{DetectionScheme, DetectorTap};
 use mavfi_detect::prelude::*;
+use mavfi_fault::injector::FaultSpec;
+use mavfi_fault::target::InjectionTarget;
 use mavfi_nn::train::TrainConfig;
 use mavfi_ppc::kernel::KernelId;
 use mavfi_ppc::pipeline::{PpcConfig, PpcPipeline};
 use mavfi_ppc::planning::PlannerAlgorithm;
-use mavfi_ppc::states::{MonitoredStates, StateField, Trajectory};
+use mavfi_ppc::states::{MonitoredStates, Stage, StateField, Trajectory};
 use mavfi_ppc::tap::{NoopTap, StageTap, TapAction};
-use mavfi_sim::env::{Environment, Obstacle};
+use mavfi_sim::env::{Environment, EnvironmentKind, Obstacle};
 use mavfi_sim::geometry::{Aabb, Pose, Vec3};
 use mavfi_sim::sensors::{CaptureScratch, DepthCamera, DepthFrame};
 use mavfi_sim::vehicle::QuadrotorState;
@@ -567,4 +571,41 @@ fn mahalanobis_distance_allocates_nothing() {
     let allocated = allocation_count() - before;
     std::hint::black_box(sink);
     assert_eq!(allocated, 0, "computed 1000 distances with {allocated} allocations");
+}
+
+/// The fault-job trunk's checkpoint: a mid-mission Dense trunk — world,
+/// pipeline and planner, the fired fault's injector, both shadow detectors —
+/// copied into a reused checkpoint with `clone_from` performs **zero heap
+/// allocations** once the checkpoint has been warmed on the same flight.
+#[test]
+fn warm_trunk_checkpoint_allocates_nothing() {
+    let mut telemetry = TelemetrySet::new();
+    for step in 0..300 {
+        telemetry.record(&synthetic_states(step));
+    }
+    let detectors =
+        TrainedDetectors { gad: telemetry.build_gad(CgadConfig::default()), aad: trained_aad() };
+    let fault = FaultSpec::new(InjectionTarget::Stage(Stage::Planning), 5, 3);
+    let mut trunk: Flight =
+        MissionRunner::new(MissionSpec::new(EnvironmentKind::Dense, 10)).trunk(fault, &detectors);
+    for _ in 0..40 {
+        trunk.step();
+    }
+    assert!(trunk.is_in_progress(), "the checkpoint must be taken mid-mission");
+    assert!(trunk.outcome().fault.is_some(), "the fault must have fired");
+
+    let _measuring = start_measuring();
+    let mut checkpoint = trunk.clone();
+    let mut steady = 0;
+    for _ in 0..20 {
+        trunk.step();
+        // Warm: the checkpoint's tables and buffers grow to this tick's
+        // sizes.  Measured: refreshing a warm checkpoint.
+        checkpoint.clone_from(&trunk);
+        let before = allocation_count();
+        checkpoint.clone_from(&trunk);
+        steady += allocation_count() - before;
+    }
+    assert_eq!(steady, 0, "20 warm checkpoint refreshes allocated {steady} times");
+    assert_eq!(checkpoint.outcome(), trunk.outcome());
 }
