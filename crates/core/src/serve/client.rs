@@ -69,8 +69,10 @@ impl CampaignClient {
         })
     }
 
-    /// Subscribes to a job's incremental [`CampaignProgress`] stream with
-    /// the default queue capacity.
+    /// Subscribes to a job's incremental [`CampaignProgress`] stream.  The
+    /// subscription keeps at most the bus's
+    /// [`QUEUE_CAPACITY`](mavfi_middleware::topic::QUEUE_CAPACITY) newest
+    /// updates.
     pub fn subscribe_progress(&self, job_id: u64) -> Subscriber<CampaignProgress> {
         self.bus.subscribe(&progress_topic(job_id))
     }

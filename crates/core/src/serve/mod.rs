@@ -2,16 +2,17 @@
 //! the in-repo middleware.
 //!
 //! [`CampaignServer`] promotes [`run_campaign`](crate::exec::run_campaign)
-//! from a library call into a long-running service node: clients submit
+//! from a library call into a long-running service: clients submit
 //! [`CampaignRequest`]s over a bus service, the server shards each
 //! campaign across its persistent worker pool in *chunks* of consecutive
-//! jobs,
-//! streams incremental [`CampaignProgress`] aggregates on a per-job topic,
-//! and persists a versioned, digest-checked [`CampaignCheckpoint`] after
-//! every stride.  A server killed at any point — between strides, or
-//! mid-write thanks to atomic checkpoint renames — resumes from the last
-//! checkpoint and produces a final campaign **byte-identical** to an
-//! uninterrupted serve and to the library call.
+//! jobs, streams incremental [`CampaignProgress`] aggregates on a per-job
+//! topic, and persists a versioned, digest-checked [`CampaignCheckpoint`]
+//! after every stride, one stride per
+//! [`step_once`](CampaignServer::step_once) call.  A server killed at any
+//! point — between strides, or mid-write thanks to atomic checkpoint
+//! renames — resumes from the last checkpoint and produces a final
+//! campaign **byte-identical** to an uninterrupted serve and to the library
+//! call.
 //!
 //! The determinism contract, wire protocol and failure taxonomy are
 //! documented in `docs/SERVING.md`; `tests/server_faults.rs` and
@@ -20,10 +21,9 @@
 //! # Examples
 //!
 //! ```no_run
-//! use std::time::Duration;
 //! use mavfi::exec::CampaignExecutor;
 //! use mavfi::serve::{CampaignClient, CampaignRequest, CampaignServer};
-//! use mavfi_middleware::{Bus, Executor};
+//! use mavfi_middleware::Bus;
 //! use mavfi_sim::env::EnvironmentKind;
 //!
 //! let bus = Bus::new();
@@ -33,14 +33,9 @@
 //! let ticket = client.submit(&CampaignRequest::quick(EnvironmentKind::Farm, 7)).unwrap();
 //! let progress = client.subscribe_progress(ticket.job_id);
 //!
-//! let mut executor = Executor::new(bus);
-//! executor.add_node(Box::new(server));
-//! while executor.run_for(Duration::from_millis(100)).is_ok() {
+//! while server.step_once(&bus).unwrap() {
 //!     if let Some(update) = progress.drain().last() {
 //!         println!("{}/{} chunks", update.chunks_done, update.chunks_total);
-//!         if update.complete {
-//!             break;
-//!         }
 //!     }
 //! }
 //! let campaign = client.result(ticket.job_id).unwrap().expect("complete");

@@ -137,8 +137,9 @@ impl JobStatus {
 
 /// Typed failure taxonomy of the campaign service.  Every fault the
 /// harness injects — corrupt checkpoints, unwritable directories, calls to
-/// a dead server, malformed submissions — surfaces as one of these; the
-/// server never panics on damaged input.
+/// a dead server, malformed submissions, a progress topic taken by another
+/// message type — surfaces as one of these; the server never panics on
+/// damaged input.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum ServerError {
@@ -170,6 +171,22 @@ pub enum ServerError {
         /// The middleware error, rendered.
         detail: String,
     },
+    /// A stride of a job failed while flying its campaign chunks; the job's
+    /// fold is unchanged, so the next stride retries the same chunks.
+    JobFailed {
+        /// The failing job.
+        job_id: u64,
+        /// The campaign error, rendered.
+        detail: String,
+    },
+    /// A stride completed but its progress update could not be published,
+    /// because the job's progress topic is held by another message type.
+    ProgressUnpublished {
+        /// The job whose update was not streamed.
+        job_id: u64,
+        /// The middleware error, rendered.
+        detail: String,
+    },
 }
 
 impl fmt::Display for ServerError {
@@ -182,6 +199,12 @@ impl fmt::Display for ServerError {
             }
             Self::CheckpointIo { detail } => write!(f, "checkpoint i/o failed: {detail}"),
             Self::Unavailable { detail } => write!(f, "campaign service unavailable: {detail}"),
+            Self::JobFailed { job_id, detail } => {
+                write!(f, "campaign job {job_id:016x} failed: {detail}")
+            }
+            Self::ProgressUnpublished { job_id, detail } => {
+                write!(f, "progress of campaign job {job_id:016x} not published: {detail}")
+            }
         }
     }
 }

@@ -1,12 +1,10 @@
-//! The [`CampaignServer`] node: admits campaign submissions over the bus,
+//! The [`CampaignServer`]: admits campaign submissions over the bus,
 //! shards them across the worker pool in checkpointable strides, streams
 //! incremental aggregates, and survives being killed at any point.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
-use mavfi_middleware::node::{Node, NodeContext, NodeError};
 use mavfi_middleware::topic::Bus;
 use mavfi_telemetry::{ServerCounters, TelemetryReport};
 
@@ -45,7 +43,8 @@ impl Job {
     }
 }
 
-/// State shared between the node's step loop and the bus service handlers.
+/// State shared between [`CampaignServer::step_once`] and the bus service
+/// handlers.
 struct ServerState {
     executor: CampaignExecutor,
     checkpoint_dir: PathBuf,
@@ -138,18 +137,17 @@ fn validate_config(config: &CampaignConfig) -> Result<(), ServerError> {
     Ok(())
 }
 
-/// A long-running campaign service on the in-repo middleware.
+/// A long-running campaign service on the in-repo bus.
 ///
-/// The server is a middleware [`Node`]: [`CampaignServer::attach`]
-/// advertises the submit/status services on a [`Bus`], and every scheduled
-/// [`step`](Node::step) executes up to
-/// [`checkpoint_stride`](Self::with_checkpoint_stride) chunks of the oldest
-/// unfinished job through the shared [`CampaignExecutor`], persists a
-/// digest-checked checkpoint, and publishes a [`CampaignProgress`]
-/// aggregate on the job's topic.
+/// [`CampaignServer::attach`] advertises the submit/status services on a
+/// [`Bus`], and every [`step_once`](Self::step_once) call by the driving
+/// loop executes up to [`checkpoint_stride`](Self::with_checkpoint_stride)
+/// chunks of the oldest unfinished job through the shared
+/// [`CampaignExecutor`], persists a digest-checked checkpoint, and
+/// publishes a [`CampaignProgress`] aggregate on the job's topic.
 ///
 /// Killing the process (or just dropping the server) between — or during —
-/// steps loses nothing: a new server pointed at the same checkpoint
+/// strides loses nothing: a new server pointed at the same checkpoint
 /// directory re-admits every checkpointed job and continues folding from
 /// the last persisted chunk, and the final [`EnvironmentCampaign`] is
 /// byte-identical to an uninterrupted serve and to library
@@ -157,7 +155,6 @@ fn validate_config(config: &CampaignConfig) -> Result<(), ServerError> {
 /// `tests/server_faults.rs`, `docs/SERVING.md`).
 pub struct CampaignServer {
     shared: Arc<Mutex<ServerState>>,
-    period: Duration,
 }
 
 impl std::fmt::Debug for CampaignServer {
@@ -172,15 +169,12 @@ impl std::fmt::Debug for CampaignServer {
 }
 
 /// Locks the shared state, recovering from a poisoned lock (a panicking
-/// step must not wedge the services).
+/// stride must not wedge the services).
 fn lock(shared: &Arc<Mutex<ServerState>>) -> MutexGuard<'_, ServerState> {
     shared.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl CampaignServer {
-    /// Default simulated-time interval between server steps.
-    pub const DEFAULT_PERIOD: Duration = Duration::from_millis(10);
-
     /// Creates a server persisting to `checkpoint_dir` (created if missing)
     /// and resumes every verifiable checkpoint found there.
     ///
@@ -252,10 +246,10 @@ impl CampaignServer {
                 }
             }
         }
-        Ok(Self { shared: Arc::new(Mutex::new(state)), period: Self::DEFAULT_PERIOD })
+        Ok(Self { shared: Arc::new(Mutex::new(state)) })
     }
 
-    /// Sets how many chunks each step executes before checkpointing and
+    /// Sets how many chunks each stride executes before checkpointing and
     /// publishing progress (minimum 1, default 1).
     #[must_use]
     pub fn with_checkpoint_stride(self, stride: usize) -> Self {
@@ -263,15 +257,8 @@ impl CampaignServer {
         self
     }
 
-    /// Sets the node's scheduling period.
-    #[must_use]
-    pub fn with_period(mut self, period: Duration) -> Self {
-        self.period = period;
-        self
-    }
-
-    /// Advertises the submit and status services on `bus`.  Call before
-    /// handing the server to an executor.
+    /// Advertises the submit and status services on `bus`.  Call before the
+    /// first [`step_once`](Self::step_once).
     pub fn attach(&self, bus: &Bus) {
         let shared = Arc::clone(&self.shared);
         bus.advertise_service::<CampaignRequest, Result<JobTicket, ServerError>, _>(
@@ -285,7 +272,7 @@ impl CampaignServer {
         );
     }
 
-    /// Unregisters the services, as a shutting-down node would.  Pending
+    /// Unregisters the services, as a shutting-down server would.  Pending
     /// jobs and checkpoints stay intact; clients calling afterwards get
     /// typed [`ServerError::Unavailable`] errors from the client wrapper.
     pub fn detach(bus: &Bus) {
@@ -319,16 +306,24 @@ impl CampaignServer {
 
     /// Runs one checkpointed stride of the oldest unfinished job and
     /// publishes its progress on `bus`.  Returns `false` when there was no
-    /// work.  This is the body of [`Node::step`], callable directly by
-    /// drivers that do not schedule the server on an executor.
+    /// work.  Drivers call this in a loop until the jobs they wait on are
+    /// complete.
     ///
     /// # Errors
     ///
-    /// Mission failures and checkpoint-write failures surface as
-    /// [`NodeError`]s — the executor records them (with reason) in its
-    /// registry and restarts the node; in-memory fold state is unaffected,
-    /// so the job continues on the next step.
-    pub fn step_once(&self, bus: &Bus) -> Result<bool, NodeError> {
+    /// Every error leaves the server usable, and the job continues on the
+    /// next call:
+    ///
+    /// - [`ServerError::JobFailed`] when flying the stride's chunks fails;
+    ///   the job's fold is left as it was, so the next call retries them.
+    /// - [`ServerError::CheckpointIo`] when the stride's checkpoint cannot
+    ///   be written; the stride is folded, counted and streamed, so only
+    ///   its durability is lost.
+    /// - [`ServerError::ProgressUnpublished`] when the job's progress topic
+    ///   is held by another message type; the stride is folded, counted
+    ///   and checkpointed.  A checkpoint failure in the same stride takes
+    ///   precedence.
+    pub fn step_once(&self, bus: &Bus) -> Result<bool, ServerError> {
         let mut state = lock(&self.shared);
         let state = &mut *state;
         let Some(job) = state.jobs.iter_mut().find(|job| job.result.is_none()) else {
@@ -340,7 +335,10 @@ impl CampaignServer {
         let end = (job.chunks_done + state.stride).min(job.chunks_total) as usize;
         executor
             .run_campaign_chunks(&job.request.config, &scheme, start..end, &mut job.state)
-            .map_err(|error| NodeError::new(format!("job {:016x}: {error}", job.id)))?;
+            .map_err(|error| ServerError::JobFailed {
+                job_id: job.id,
+                detail: error.to_string(),
+            })?;
         job.chunks_done = end as u64;
         state.counters.chunks_executed += (end - start) as u64;
         if job.chunks_done >= job.chunks_total {
@@ -356,34 +354,36 @@ impl CampaignServer {
         let path = state.checkpoint_dir.join(format!("{:016x}.{CHECKPOINT_EXTENSION}", job.id));
         let checkpoint_outcome = checkpoint.save(&path);
 
-        let summaries = job.state.partial_summaries();
-        let [golden, injected, gaussian, autoencoder] = summaries;
-        bus.advertise::<CampaignProgress>(&progress_topic(job.id)).publish(CampaignProgress {
-            job_id: job.id,
-            chunks_done: job.chunks_done,
-            chunks_total: job.chunks_total,
-            jobs_folded: job.state.jobs_folded() as u64,
-            golden,
-            injected,
-            gaussian,
-            autoencoder,
-            complete: job.result.is_some(),
-        });
-        state.counters.progress_updates += 1;
+        let progress_outcome = bus.try_advertise::<CampaignProgress>(&progress_topic(job.id));
+        if let Ok(publisher) = &progress_outcome {
+            let [golden, injected, gaussian, autoencoder] = job.state.partial_summaries();
+            publisher.publish(CampaignProgress {
+                job_id: job.id,
+                chunks_done: job.chunks_done,
+                chunks_total: job.chunks_total,
+                jobs_folded: job.state.jobs_folded() as u64,
+                golden,
+                injected,
+                gaussian,
+                autoencoder,
+                complete: job.result.is_some(),
+            });
+            state.counters.progress_updates += 1;
+        }
 
         match checkpoint_outcome {
-            Ok(()) => {
-                state.counters.checkpoints_written += 1;
-                Ok(true)
-            }
+            Ok(()) => state.counters.checkpoints_written += 1,
             Err(error) => {
                 state.counters.checkpoint_failures += 1;
-                Err(NodeError::new(format!(
-                    "checkpoint write failed for job {:016x}: {error}",
-                    job.id
-                )))
+                return Err(ServerError::CheckpointIo {
+                    detail: format!("checkpoint write failed for job {:016x}: {error}", job.id),
+                });
             }
         }
+        progress_outcome.map(|_| true).map_err(|error| ServerError::ProgressUnpublished {
+            job_id: job.id,
+            detail: error.to_string(),
+        })
     }
 
     /// Number of jobs currently admitted (pending or complete).
@@ -425,18 +425,4 @@ pub fn clear_checkpoints(dir: &Path) -> Result<usize, MavfiError> {
         }
     }
     Ok(removed)
-}
-
-impl Node for CampaignServer {
-    fn name(&self) -> &str {
-        "campaign_server"
-    }
-
-    fn period(&self) -> Duration {
-        self.period
-    }
-
-    fn step(&mut self, ctx: &mut NodeContext<'_>) -> Result<(), NodeError> {
-        self.step_once(ctx.bus).map(|_| ())
-    }
 }

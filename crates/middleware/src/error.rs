@@ -3,12 +3,11 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors raised by bus, service and executor operations.
+/// Errors raised by bus and service operations.
 ///
 /// Every public fallible middleware API returns this type.  The variants are
 /// intentionally coarse: the middleware is an in-process substrate, so the
-/// only failure modes are programming errors (type mismatches, unknown
-/// names) and node crashes surfaced by the executor.
+/// only failure modes are type mismatches and unknown service names.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum MiddlewareError {
@@ -29,16 +28,6 @@ pub enum MiddlewareError {
         /// Name of the offending service.
         service: String,
     },
-    /// A node registered with the executor panicked or returned an error
-    /// from its `step` function.
-    NodeCrashed {
-        /// Name of the crashed node.
-        node: String,
-        /// Human-readable crash reason.
-        reason: String,
-    },
-    /// An executor was asked to run but owns no nodes.
-    EmptyExecutor,
 }
 
 impl fmt::Display for MiddlewareError {
@@ -53,10 +42,6 @@ impl fmt::Display for MiddlewareError {
             Self::ServiceTypeMismatch { service } => {
                 write!(f, "service `{service}` called with mismatched request or response type")
             }
-            Self::NodeCrashed { node, reason } => {
-                write!(f, "node `{node}` crashed: {reason}")
-            }
-            Self::EmptyExecutor => write!(f, "executor has no registered nodes"),
         }
     }
 }
@@ -73,8 +58,6 @@ mod tests {
             MiddlewareError::TopicTypeMismatch { topic: "imu".into() },
             MiddlewareError::NoSuchService { service: "plan".into() },
             MiddlewareError::ServiceTypeMismatch { service: "plan".into() },
-            MiddlewareError::NodeCrashed { node: "pid".into(), reason: "panic".into() },
-            MiddlewareError::EmptyExecutor,
         ];
         for err in errors {
             let text = err.to_string();

@@ -1,13 +1,12 @@
-//! `mavfi-middleware` is a small, deterministic, in-process publish/subscribe
-//! middleware modelled after the subset of ROS 1 that the MAVFI paper relies
-//! on: named *topics* carrying typed messages between *nodes*, one-to-one
-//! *services*, a master-like registry that restarts crashed nodes, and a
-//! rate-driven executor running on a simulated clock.
+//! `mavfi-middleware` is a small, deterministic, in-process message bus plus
+//! the binary mission-trace format.
 //!
-//! The fault-injection framework of the paper attaches to the ROS
-//! communication layer to corrupt inter-kernel states in flight; this crate
-//! reproduces that hook with per-topic [interceptors](topic::Publisher) that
-//! may mutate messages between publication and delivery.
+//! The [`Bus`] carries typed messages on named *topics* (publish/subscribe,
+//! each subscriber with its own bounded queue) and one-to-one typed
+//! *services* (request/response).  The campaign server speaks its protocol
+//! over it: submit and status services plus a per-job progress topic.  The
+//! [`trace`] module is the lossless capture format missions are recorded to
+//! and replayed from.
 //!
 //! # Examples
 //!
@@ -25,37 +24,21 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod clock;
 pub mod error;
-pub mod executor;
 pub mod message;
-pub mod node;
-pub mod record;
-pub mod registry;
 pub mod service;
 pub mod topic;
 pub mod trace;
 
-pub use clock::SimClock;
 pub use error::MiddlewareError;
-pub use executor::{Executor, ExecutorReport};
 pub use message::Message;
-pub use node::{Node, NodeContext, NodeError};
-pub use record::{RecordEntry, Recorder, DEFAULT_RECORD_CAPACITY};
-pub use registry::{NodeInfo, Registry};
-pub use service::{ServiceClient, ServiceServer};
 pub use topic::{Bus, Publisher, Subscriber};
 pub use trace::{TopicDecl, TraceError, TraceReader, TraceRecordRef, TraceSummary, TraceWriter};
 
 /// Commonly used items, suitable for glob import.
 pub mod prelude {
-    pub use crate::clock::SimClock;
     pub use crate::error::MiddlewareError;
-    pub use crate::executor::{Executor, ExecutorReport};
     pub use crate::message::Message;
-    pub use crate::node::{Node, NodeContext, NodeError};
-    pub use crate::record::{RecordEntry, Recorder};
-    pub use crate::registry::{NodeInfo, Registry};
     pub use crate::topic::{Bus, Publisher, Subscriber};
     pub use crate::trace::{TopicDecl, TraceError, TraceReader, TraceWriter};
 }

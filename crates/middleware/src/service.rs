@@ -1,8 +1,6 @@
 //! One-to-one request/response services, the ROS `service` analogue.
 
 use std::any::{Any, TypeId};
-use std::fmt;
-use std::marker::PhantomData;
 
 use crate::error::MiddlewareError;
 use crate::message::Message;
@@ -11,67 +9,15 @@ use crate::topic::Bus;
 type ErasedHandler = Box<dyn FnMut(Box<dyn Any>) -> Box<dyn Any> + Send>;
 
 pub(crate) struct ServiceEntry {
-    pub(crate) request_type: TypeId,
-    pub(crate) response_type: TypeId,
-    pub(crate) handler: ErasedHandler,
-    pub(crate) call_count: u64,
-}
-
-/// Handle returned when a service is advertised; exposes call statistics.
-#[derive(Debug, Clone)]
-pub struct ServiceServer {
-    bus: Bus,
-    name: String,
-}
-
-impl ServiceServer {
-    /// Name the service was advertised under.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of calls handled so far.
-    pub fn call_count(&self) -> u64 {
-        self.bus.services().lock().get(&self.name).map_or(0, |entry| entry.call_count)
-    }
-}
-
-/// Typed client handle for calling a service repeatedly without re-checking
-/// its name.
-pub struct ServiceClient<Req, Resp> {
-    bus: Bus,
-    name: String,
-    _marker: PhantomData<fn(Req) -> Resp>,
-}
-
-impl<Req, Resp> fmt::Debug for ServiceClient<Req, Resp> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ServiceClient").field("service", &self.name).finish()
-    }
-}
-
-impl<Req: Message, Resp: Message> ServiceClient<Req, Resp> {
-    /// Calls the service.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MiddlewareError::NoSuchService`] when no server is
-    /// registered and [`MiddlewareError::ServiceTypeMismatch`] when the
-    /// request/response types differ from the server's.
-    pub fn call(&self, request: Req) -> Result<Resp, MiddlewareError> {
-        self.bus.call_service(&self.name, request)
-    }
-
-    /// Name of the target service.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
+    request_type: TypeId,
+    response_type: TypeId,
+    handler: ErasedHandler,
 }
 
 impl Bus {
     /// Registers a service handler under `name`, replacing any previous
     /// server for that name (as a restarted ROS node would).
-    pub fn advertise_service<Req, Resp, F>(&self, name: &str, mut handler: F) -> ServiceServer
+    pub fn advertise_service<Req, Resp, F>(&self, name: &str, mut handler: F)
     where
         Req: Message,
         Resp: Message,
@@ -87,19 +33,8 @@ impl Bus {
                 request_type: TypeId::of::<Req>(),
                 response_type: TypeId::of::<Resp>(),
                 handler: erased,
-                call_count: 0,
             },
         );
-        ServiceServer { bus: self.clone(), name: name.to_owned() }
-    }
-
-    /// Creates a typed client for the service `name`.  The service does not
-    /// need to exist yet; existence is checked on every call.
-    pub fn service_client<Req: Message, Resp: Message>(
-        &self,
-        name: &str,
-    ) -> ServiceClient<Req, Resp> {
-        ServiceClient { bus: self.clone(), name: name.to_owned(), _marker: PhantomData }
     }
 
     /// Calls the service `name` synchronously.
@@ -122,7 +57,6 @@ impl Bus {
         {
             return Err(MiddlewareError::ServiceTypeMismatch { service: name.to_owned() });
         }
-        entry.call_count += 1;
         let response = (entry.handler)(Box::new(request));
         let response = response.downcast::<Resp>().expect("response type validated above");
         Ok(*response)
@@ -135,18 +69,6 @@ impl Bus {
     pub fn remove_service(&self, name: &str) -> bool {
         self.services().lock().remove(name).is_some()
     }
-
-    /// Returns `true` if a server is currently registered for `name`.
-    pub fn has_service(&self, name: &str) -> bool {
-        self.services().lock().contains_key(name)
-    }
-
-    /// Names of every registered service, sorted.
-    pub fn service_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.services().lock().keys().cloned().collect();
-        names.sort();
-        names
-    }
 }
 
 #[cfg(test)]
@@ -156,11 +78,9 @@ mod tests {
     #[test]
     fn call_roundtrip() {
         let bus = Bus::new();
-        let server = bus.advertise_service::<u32, u32, _>("double", |x| x * 2);
+        bus.advertise_service::<u32, u32, _>("double", |x| x * 2);
         let result: u32 = bus.call_service("double", 21u32).unwrap();
         assert_eq!(result, 42);
-        assert_eq!(server.call_count(), 1);
-        assert_eq!(server.name(), "double");
     }
 
     #[test]
@@ -173,23 +93,9 @@ mod tests {
     #[test]
     fn type_mismatch_is_an_error() {
         let bus = Bus::new();
-        let _server = bus.advertise_service::<u32, u32, _>("id", |x| x);
+        bus.advertise_service::<u32, u32, _>("id", |x| x);
         let err = bus.call_service::<f64, u32>("id", 1.0).unwrap_err();
         assert_eq!(err, MiddlewareError::ServiceTypeMismatch { service: "id".into() });
-    }
-
-    #[test]
-    fn client_handle_calls_repeatedly() {
-        let bus = Bus::new();
-        let mut total = 0u32;
-        bus.advertise_service::<u32, u32, _>("accumulate", move |x| {
-            total += x;
-            total
-        });
-        let client = bus.service_client::<u32, u32>("accumulate");
-        assert_eq!(client.call(2).unwrap(), 2);
-        assert_eq!(client.call(3).unwrap(), 5);
-        assert_eq!(client.name(), "accumulate");
     }
 
     #[test]
@@ -198,7 +104,6 @@ mod tests {
         bus.advertise_service::<u32, u32, _>("ephemeral", |x| x);
         assert!(bus.remove_service("ephemeral"));
         assert!(!bus.remove_service("ephemeral"));
-        assert!(!bus.has_service("ephemeral"));
         let err = bus.call_service::<u32, u32>("ephemeral", 1).unwrap_err();
         assert_eq!(err, MiddlewareError::NoSuchService { service: "ephemeral".into() });
     }
@@ -209,7 +114,5 @@ mod tests {
         bus.advertise_service::<u32, u32, _>("f", |x| x + 1);
         bus.advertise_service::<u32, u32, _>("f", |x| x + 100);
         assert_eq!(bus.call_service::<u32, u32>("f", 1).unwrap(), 101);
-        assert!(bus.has_service("f"));
-        assert_eq!(bus.service_names(), vec!["f".to_owned()]);
     }
 }

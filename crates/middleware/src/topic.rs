@@ -1,5 +1,4 @@
-//! The typed publish/subscribe bus: topics, publishers, subscribers and
-//! in-flight message interceptors.
+//! The typed publish/subscribe bus: topics, publishers and subscribers.
 
 use std::any::{Any, TypeId};
 use std::collections::{HashMap, VecDeque};
@@ -9,47 +8,31 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::clock::SimClock;
 use crate::error::MiddlewareError;
 use crate::message::Message;
-use crate::record::Recorder;
 
-/// Default bounded queue depth per subscriber, mirroring a typical ROS
-/// `queue_size`.
-pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
-
-/// Mutating hook applied to every message on a topic between publication and
-/// delivery.  This is the attachment point used by the fault injector.
-type Interceptor<T> = Box<dyn FnMut(&mut T) + Send>;
+/// Queue depth of every subscriber, mirroring a typical ROS `queue_size`:
+/// when a queue is full its oldest message is dropped, so a subscriber that
+/// never drains stays bounded.
+pub const QUEUE_CAPACITY: usize = 1024;
 
 struct SubscriberQueue<T> {
     queue: VecDeque<T>,
     latest: Option<T>,
-    capacity: usize,
     dropped: u64,
 }
 
-impl<T> SubscriberQueue<T> {
-    fn new(capacity: usize) -> Self {
-        Self { queue: VecDeque::new(), latest: None, capacity, dropped: 0 }
+impl<T> Default for SubscriberQueue<T> {
+    fn default() -> Self {
+        Self { queue: VecDeque::new(), latest: None, dropped: 0 }
     }
 }
 
-struct TopicChannel<T> {
-    subscribers: Vec<Arc<Mutex<SubscriberQueue<T>>>>,
-    interceptors: Vec<Interceptor<T>>,
-}
-
-impl<T> TopicChannel<T> {
-    fn new() -> Self {
-        Self { subscribers: Vec::new(), interceptors: Vec::new() }
-    }
-}
+/// Every subscriber queue of one topic; stored type-erased in [`TopicEntry`].
+type TopicChannel<T> = Vec<Arc<Mutex<SubscriberQueue<T>>>>;
 
 struct TopicEntry {
     type_id: TypeId,
-    type_name: &'static str,
-    publish_count: u64,
     channel: Box<dyn Any + Send>,
 }
 
@@ -57,14 +40,13 @@ struct TopicEntry {
 struct BusInner {
     topics: Mutex<HashMap<String, TopicEntry>>,
     services: Mutex<HashMap<String, crate::service::ServiceEntry>>,
-    recorder: Mutex<Option<Recorder>>,
 }
 
 /// The central message bus: a deterministic, in-process stand-in for the ROS
 /// topic graph.
 ///
-/// A `Bus` is cheap to clone; clones share the same topic table, service
-/// table, clock and recorder.
+/// A `Bus` is cheap to clone; clones share the same topic and service
+/// tables.
 ///
 /// # Examples
 ///
@@ -80,42 +62,21 @@ struct BusInner {
 #[derive(Clone, Default)]
 pub struct Bus {
     inner: Arc<BusInner>,
-    clock: SimClock,
 }
 
 impl fmt::Debug for Bus {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Bus")
-            .field("topics", &self.topic_names())
-            .field("now", &self.clock.now())
+            .field("topics", &self.inner.topics.lock().len())
+            .field("services", &self.inner.services.lock().len())
             .finish()
     }
 }
 
 impl Bus {
-    /// Creates an empty bus with a fresh clock at time zero.
+    /// Creates an empty bus.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a bus driven by an existing simulated clock.
-    pub fn with_clock(clock: SimClock) -> Self {
-        Self { inner: Arc::new(BusInner::default()), clock }
-    }
-
-    /// Returns a handle to the bus clock.
-    pub fn clock(&self) -> SimClock {
-        self.clock.clone()
-    }
-
-    /// Attaches a recorder that captures every subsequent publication.
-    pub fn set_recorder(&self, recorder: Recorder) {
-        *self.inner.recorder.lock() = Some(recorder);
-    }
-
-    /// Removes the active recorder, if any, and returns it.
-    pub fn take_recorder(&self) -> Option<Recorder> {
-        self.inner.recorder.lock().take()
     }
 
     /// Creates a publisher for `topic`, registering the topic on first use.
@@ -139,7 +100,8 @@ impl Bus {
         Ok(Publisher { bus: self.clone(), topic: topic.to_owned(), _marker: PhantomData })
     }
 
-    /// Creates a subscriber on `topic` with the default queue capacity.
+    /// Creates a subscriber on `topic` with a queue of
+    /// [`QUEUE_CAPACITY`] messages.
     ///
     /// # Panics
     ///
@@ -156,82 +118,14 @@ impl Bus {
     /// Returns [`MiddlewareError::TopicTypeMismatch`] if the topic exists
     /// with a different message type.
     pub fn try_subscribe<T: Message>(&self, topic: &str) -> Result<Subscriber<T>, MiddlewareError> {
-        self.try_subscribe_with_capacity(topic, DEFAULT_QUEUE_CAPACITY)
-    }
-
-    /// Creates a subscriber with an explicit bounded queue capacity.  When
-    /// the queue is full the oldest message is dropped, as with a ROS
-    /// `queue_size`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MiddlewareError::TopicTypeMismatch`] if the topic exists
-    /// with a different message type.
-    pub fn try_subscribe_with_capacity<T: Message>(
-        &self,
-        topic: &str,
-        capacity: usize,
-    ) -> Result<Subscriber<T>, MiddlewareError> {
         self.ensure_topic::<T>(topic)?;
-        let queue = Arc::new(Mutex::new(SubscriberQueue::new(capacity.max(1))));
+        let queue = Arc::new(Mutex::new(SubscriberQueue::default()));
         let mut topics = self.inner.topics.lock();
         let entry = topics.get_mut(topic).expect("topic just ensured");
         let channel =
             entry.channel.downcast_mut::<TopicChannel<T>>().expect("type id already validated");
-        channel.subscribers.push(Arc::clone(&queue));
+        channel.push(Arc::clone(&queue));
         Ok(Subscriber { queue, topic: topic.to_owned() })
-    }
-
-    /// Registers an interceptor that may mutate every message published on
-    /// `topic` before delivery.  Interceptors run in registration order.
-    ///
-    /// This is the hook the MAVFI fault injector uses to corrupt inter-kernel
-    /// states in flight.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MiddlewareError::TopicTypeMismatch`] if the topic exists
-    /// with a different message type.
-    pub fn add_interceptor<T, F>(&self, topic: &str, interceptor: F) -> Result<(), MiddlewareError>
-    where
-        T: Message,
-        F: FnMut(&mut T) + Send + 'static,
-    {
-        self.ensure_topic::<T>(topic)?;
-        let mut topics = self.inner.topics.lock();
-        let entry = topics.get_mut(topic).expect("topic just ensured");
-        let channel =
-            entry.channel.downcast_mut::<TopicChannel<T>>().expect("type id already validated");
-        channel.interceptors.push(Box::new(interceptor));
-        Ok(())
-    }
-
-    /// Removes every interceptor registered on `topic`.  Unknown topics are
-    /// ignored.
-    pub fn clear_interceptors<T: Message>(&self, topic: &str) {
-        let mut topics = self.inner.topics.lock();
-        if let Some(entry) = topics.get_mut(topic) {
-            if let Some(channel) = entry.channel.downcast_mut::<TopicChannel<T>>() {
-                channel.interceptors.clear();
-            }
-        }
-    }
-
-    /// Number of messages published on `topic` since bus creation.
-    pub fn publish_count(&self, topic: &str) -> u64 {
-        self.inner.topics.lock().get(topic).map_or(0, |entry| entry.publish_count)
-    }
-
-    /// Names of every advertised or subscribed topic, sorted.
-    pub fn topic_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.topics.lock().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// Registered message type name for `topic`, if the topic exists.
-    pub fn topic_type_name(&self, topic: &str) -> Option<&'static str> {
-        self.inner.topics.lock().get(topic).map(|entry| entry.type_name)
     }
 
     pub(crate) fn services(&self) -> &Mutex<HashMap<String, crate::service::ServiceEntry>> {
@@ -248,8 +142,6 @@ impl Bus {
                     topic.to_owned(),
                     TopicEntry {
                         type_id: TypeId::of::<T>(),
-                        type_name: std::any::type_name::<T>(),
-                        publish_count: 0,
                         channel: Box::new(TopicChannel::<T>::new()),
                     },
                 );
@@ -258,35 +150,24 @@ impl Bus {
         }
     }
 
-    fn publish_inner<T: Message>(&self, topic: &str, mut message: T) -> usize {
-        let delivered;
-        {
-            let mut topics = self.inner.topics.lock();
-            let entry = match topics.get_mut(topic) {
-                Some(entry) if entry.type_id == TypeId::of::<T>() => entry,
-                _ => return 0,
-            };
-            entry.publish_count += 1;
-            let channel =
-                entry.channel.downcast_mut::<TopicChannel<T>>().expect("type id already validated");
-            for interceptor in channel.interceptors.iter_mut() {
-                interceptor(&mut message);
+    fn publish_inner<T: Message>(&self, topic: &str, message: T) -> usize {
+        let mut topics = self.inner.topics.lock();
+        let entry = match topics.get_mut(topic) {
+            Some(entry) if entry.type_id == TypeId::of::<T>() => entry,
+            _ => return 0,
+        };
+        let channel =
+            entry.channel.downcast_mut::<TopicChannel<T>>().expect("type id already validated");
+        for subscriber in channel.iter() {
+            let mut queue = subscriber.lock();
+            if queue.queue.len() >= QUEUE_CAPACITY {
+                queue.queue.pop_front();
+                queue.dropped += 1;
             }
-            delivered = channel.subscribers.len();
-            for subscriber in &channel.subscribers {
-                let mut queue = subscriber.lock();
-                if queue.queue.len() >= queue.capacity {
-                    queue.queue.pop_front();
-                    queue.dropped += 1;
-                }
-                queue.queue.push_back(message.clone());
-                queue.latest = Some(message.clone());
-            }
+            queue.queue.push_back(message.clone());
+            queue.latest = Some(message.clone());
         }
-        if let Some(recorder) = self.inner.recorder.lock().as_ref() {
-            recorder.record(topic, self.clock.now(), format!("{message:?}"));
-        }
-        delivered
+        channel.len()
     }
 }
 
@@ -317,7 +198,7 @@ impl<T: Message> fmt::Debug for Publisher<T> {
 
 impl<T: Message> Publisher<T> {
     /// Publishes one message, returning the number of subscribers it was
-    /// delivered to (after interceptors ran).
+    /// delivered to.
     pub fn publish(&self, message: T) -> usize {
         self.bus.publish_inner(&self.topic, message)
     }
@@ -390,14 +271,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn publish_without_subscribers_is_counted() {
-        let bus = Bus::new();
-        let publisher = bus.advertise::<u32>("lonely");
-        assert_eq!(publisher.publish(1), 0);
-        assert_eq!(bus.publish_count("lonely"), 1);
-    }
-
-    #[test]
     fn multiple_subscribers_each_receive_a_copy() {
         let bus = Bus::new();
         let publisher = bus.advertise::<String>("chat");
@@ -414,33 +287,24 @@ mod tests {
         let _tx = bus.advertise::<u32>("count");
         let err = bus.try_subscribe::<f64>("count").unwrap_err();
         assert_eq!(err, MiddlewareError::TopicTypeMismatch { topic: "count".into() });
-    }
-
-    #[test]
-    fn interceptor_mutates_in_flight_messages() {
-        let bus = Bus::new();
-        let publisher = bus.advertise::<f64>("velocity");
-        let subscriber = bus.subscribe::<f64>("velocity");
-        bus.add_interceptor::<f64, _>("velocity", |value| *value *= -1.0).unwrap();
-        publisher.publish(3.5);
-        assert_eq!(subscriber.try_recv(), Some(-3.5));
-        bus.clear_interceptors::<f64>("velocity");
-        publisher.publish(3.5);
-        assert_eq!(subscriber.try_recv(), Some(3.5));
+        let err = bus.try_advertise::<f64>("count").unwrap_err();
+        assert_eq!(err, MiddlewareError::TopicTypeMismatch { topic: "count".into() });
     }
 
     #[test]
     fn bounded_queue_drops_oldest() {
         let bus = Bus::new();
-        let publisher = bus.advertise::<u32>("burst");
-        let subscriber = bus.try_subscribe_with_capacity::<u32>("burst", 2).unwrap();
-        for value in 0..5 {
+        let publisher = bus.advertise::<usize>("burst");
+        let subscriber = bus.subscribe::<usize>("burst");
+        let overflow = 3;
+        for value in 0..QUEUE_CAPACITY + overflow {
             publisher.publish(value);
         }
-        assert_eq!(subscriber.len(), 2);
-        assert_eq!(subscriber.dropped(), 3);
-        assert_eq!(subscriber.drain(), vec![3, 4]);
-        assert_eq!(subscriber.latest(), Some(4));
+        assert_eq!(subscriber.len(), QUEUE_CAPACITY);
+        assert_eq!(subscriber.dropped(), overflow as u64);
+        let expected: Vec<usize> = (overflow..QUEUE_CAPACITY + overflow).collect();
+        assert_eq!(subscriber.drain(), expected);
+        assert_eq!(subscriber.latest(), Some(QUEUE_CAPACITY + overflow - 1));
     }
 
     #[test]
@@ -452,28 +316,6 @@ mod tests {
         let _ = subscriber.drain();
         assert_eq!(subscriber.latest(), Some(9));
         assert!(subscriber.is_empty());
-    }
-
-    #[test]
-    fn topic_names_are_sorted_and_typed() {
-        let bus = Bus::new();
-        let _b = bus.advertise::<u32>("b");
-        let _a = bus.advertise::<f32>("a");
-        assert_eq!(bus.topic_names(), vec!["a".to_owned(), "b".to_owned()]);
-        assert_eq!(bus.topic_type_name("a"), Some(std::any::type_name::<f32>()));
-        assert_eq!(bus.topic_type_name("missing"), None);
-    }
-
-    #[test]
-    fn recorder_captures_publications() {
-        let bus = Bus::new();
-        let recorder = Recorder::new();
-        bus.set_recorder(recorder.clone());
-        bus.advertise::<u8>("beat").publish(1);
-        bus.advertise::<u8>("beat").publish(2);
-        assert_eq!(recorder.count_for_topic("beat"), 2);
-        assert!(bus.take_recorder().is_some());
-        bus.advertise::<u8>("beat").publish(3);
-        assert_eq!(recorder.count_for_topic("beat"), 2);
+        assert_eq!(subscriber.dropped(), 0);
     }
 }

@@ -1,11 +1,9 @@
 //! Typed, compact binary mission traces: [`TraceWriter`] / [`TraceReader`].
 //!
-//! Where [`Recorder`](crate::record::Recorder) keeps a bounded,
-//! human-readable tail of `Debug`-rendered publications, the trace layer is
-//! the lossless capture path: a versioned binary stream of per-topic records
-//! with varint-delta tick / sim-time stamps and an FNV-1a stream digest, so
-//! a full mission can be re-driven bit-identically from its trace (see
-//! `docs/REPLAY.md` in the repository root).
+//! The trace layer is the lossless capture path: a versioned binary stream
+//! of per-topic records with varint-delta tick / sim-time stamps and an
+//! FNV-1a stream digest, so a full mission can be re-driven bit-identically
+//! from its trace (see `docs/REPLAY.md` in the repository root).
 //!
 //! The layer is deliberately schema-agnostic: topics are declared by `(id,
 //! name, schema version)` and payloads are opaque byte strings encoded by

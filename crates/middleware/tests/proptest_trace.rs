@@ -1,8 +1,4 @@
-//! Property tests for the `Recorder` ring buffer (against a reference
-//! model) and for the binary trace format's round-trip guarantees.
-
-use std::collections::VecDeque;
-use std::time::Duration;
+//! Property tests for the binary trace format's round-trip guarantees.
 
 use proptest::prelude::*;
 
@@ -10,81 +6,9 @@ use mavfi_middleware::trace::{
     compress, compress_container, decompress, decompress_container, read_summary, TopicDecl,
     TraceReader, TraceWriter,
 };
-use mavfi_middleware::Recorder;
-
-/// An unbounded reference model of the recorder: same observable behaviour,
-/// trivially correct bookkeeping.
-struct ModelRecorder {
-    entries: VecDeque<(u64, String)>,
-    capacity: usize,
-    next_seq: u64,
-    dropped: u64,
-}
-
-impl ModelRecorder {
-    fn new(capacity: usize) -> Self {
-        Self { entries: VecDeque::new(), capacity: capacity.max(1), next_seq: 0, dropped: 0 }
-    }
-
-    fn record(&mut self, topic: &str) {
-        if self.entries.len() == self.capacity {
-            self.entries.pop_front();
-            self.dropped += 1;
-        }
-        self.entries.push_back((self.next_seq, topic.to_owned()));
-        self.next_seq += 1;
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
-const TOPICS: [&str; 3] = ["imu", "cmd", "λ/мульти"];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Random record/clear interleavings keep the ring aligned with the
-    /// reference model: same retained (seq, topic) entries, same dropped
-    /// count, sequence numbers contiguous across wraps, capacity respected.
-    #[test]
-    fn ring_matches_reference_model(
-        capacity in 0usize..9,
-        ops in proptest::collection::vec(0u8..8, 1..120),
-    ) {
-        let recorder = Recorder::with_capacity(capacity);
-        let mut model = ModelRecorder::new(capacity);
-        for op in ops {
-            match op {
-                7 => {
-                    recorder.clear();
-                    model.clear();
-                }
-                n => {
-                    let topic = TOPICS[(n as usize) % TOPICS.len()];
-                    recorder.record(topic, Duration::ZERO, format!("payload-{n}-λλλ"));
-                    model.record(topic);
-                }
-            }
-            prop_assert!(recorder.len() <= recorder.capacity());
-            prop_assert_eq!(recorder.len(), model.entries.len());
-            prop_assert_eq!(recorder.dropped(), model.dropped);
-            prop_assert_eq!(recorder.total_recorded(), model.next_seq);
-            let actual: Vec<(u64, String)> = recorder.with_entries(|entries| {
-                entries.map(|e| (e.seq, e.topic.clone())).collect()
-            });
-            let expected: Vec<(u64, String)> = model.entries.iter().cloned().collect();
-            prop_assert_eq!(&actual, &expected);
-            // Retained sequence numbers are contiguous even across wraps.
-            for pair in expected.windows(2) {
-                prop_assert_eq!(pair[1].0, pair[0].0 + 1);
-            }
-            for entry in recorder.entries() {
-                prop_assert!(entry.summary.len() <= 160);
-            }
-        }
-    }
 
     /// Arbitrary record sequences survive a write→read round trip with every
     /// stamp and payload intact and the footer digest verifying.

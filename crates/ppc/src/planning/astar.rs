@@ -211,11 +211,6 @@ impl MotionPlanner for AStarPlanner {
         KernelId::AStar
     }
 
-    fn plan(&mut self, model: &dyn ObstacleModel, start: Vec3, goal: Vec3) -> Option<PlannedPath> {
-        let mut out = PlannedPath::default();
-        self.plan_into(model, start, goal, &mut out).then_some(out)
-    }
-
     fn plan_into(
         &mut self,
         model: &dyn ObstacleModel,

@@ -126,42 +126,29 @@ pub trait MotionPlanner {
     /// The kernel identity of this planner (for reports and timing).
     fn kernel(&self) -> KernelId;
 
-    /// Attempts to plan a collision-free path from `start` to `goal`.
-    /// Returns `None` when the iteration budget is exhausted without
-    /// reaching the goal.
-    fn plan(&mut self, model: &dyn ObstacleModel, start: Vec3, goal: Vec3) -> Option<PlannedPath>;
-
-    /// [`MotionPlanner::plan`] into a caller-owned path, reusing its
-    /// way-point storage (allocation-free once at capacity).
+    /// Attempts to plan a collision-free path from `start` to `goal` into a
+    /// caller-owned path, reusing its way-point storage (allocation-free
+    /// once at capacity).
     ///
     /// Returns `true` when a path was found, in which case `out` holds the
-    /// way-points from `start` to `goal` inclusive; on `false` `out` is left
+    /// way-points from `start` to `goal` inclusive; on `false` (the
+    /// iteration budget ran out without reaching the goal) `out` is left
     /// empty.  Either way any previous content of `out` is discarded
     /// (clear-then-fill, like every `_into` API — see
     /// `docs/PERFORMANCE.md`).
-    ///
-    /// For a given planner state the result is bit-identical to
-    /// [`MotionPlanner::plan`]: the four in-crate planners implement the
-    /// search natively in terms of `plan_into` and derive `plan` from it;
-    /// the default implementation below covers external implementors that
-    /// only provide `plan`.
     fn plan_into(
         &mut self,
         model: &dyn ObstacleModel,
         start: Vec3,
         goal: Vec3,
         out: &mut PlannedPath,
-    ) -> bool {
-        match self.plan(model, start, goal) {
-            Some(path) => {
-                *out = path;
-                true
-            }
-            None => {
-                out.waypoints.clear();
-                false
-            }
-        }
+    ) -> bool;
+
+    /// [`MotionPlanner::plan_into`] a fresh path: `None` when no path was
+    /// found.  Bit-identical to `plan_into` for a given planner state.
+    fn plan(&mut self, model: &dyn ObstacleModel, start: Vec3, goal: Vec3) -> Option<PlannedPath> {
+        let mut out = PlannedPath::default();
+        self.plan_into(model, start, goal, &mut out).then_some(out)
     }
 
     /// Enables or disables the planner's pooled spatial index
@@ -252,40 +239,6 @@ mod tests {
         let kernels: std::collections::HashSet<_> =
             PlannerAlgorithm::ALL.iter().map(|p| p.kernel()).collect();
         assert_eq!(kernels.len(), 3);
-    }
-
-    #[test]
-    fn default_plan_into_delegates_to_plan() {
-        /// A planner that only implements `plan`, exercising the provided
-        /// `plan_into`.
-        struct Straight;
-        impl MotionPlanner for Straight {
-            fn kernel(&self) -> KernelId {
-                KernelId::Rrt
-            }
-            fn plan(
-                &mut self,
-                model: &dyn ObstacleModel,
-                start: Vec3,
-                goal: Vec3,
-            ) -> Option<PlannedPath> {
-                model.segment_free(start, goal, 0.0).then(|| PlannedPath::new(vec![start, goal]))
-            }
-        }
-
-        let grid = OccupancyGrid::new(0.5);
-        let start = Vec3::ZERO;
-        let goal = Vec3::new(5.0, 0.0, 0.0);
-        // Pre-populate `out` to check the clear-then-fill contract.
-        let mut out = PlannedPath::new(vec![Vec3::splat(9.0); 7]);
-        assert!(Straight.plan_into(&grid, start, goal, &mut out));
-        assert_eq!(Some(out), Straight.plan(&grid, start, goal));
-
-        let mut blocked = OccupancyGrid::new(0.5);
-        blocked.insert_point(Vec3::new(2.5, 0.0, 0.0));
-        let mut out = PlannedPath::new(vec![Vec3::splat(9.0); 7]);
-        assert!(!Straight.plan_into(&blocked, start, goal, &mut out));
-        assert!(out.is_empty(), "failed plan_into must leave `out` empty");
     }
 
     #[test]

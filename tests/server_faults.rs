@@ -10,8 +10,8 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
+use mavfi_suite::mavfi::serve::{progress_topic, CampaignCheckpoint};
 use mavfi_suite::mavfi_middleware::prelude::*;
 use mavfi_suite::prelude::*;
 
@@ -278,11 +278,11 @@ fn dropped_and_invalid_submissions_fail_typed_never_panic() {
 }
 
 /// An unwritable checkpoint store must not lose work or panic: each stride
-/// still executes and streams progress, the write failure crashes the node
-/// with a diagnosable reason (surfaced through the executor's registry),
-/// and the final result is still bit-identical to the library call.
+/// still executes and streams progress, `step_once` returns a typed error
+/// naming the job, and the final result is still bit-identical to the
+/// library call.
 #[test]
-fn checkpoint_write_failures_crash_the_node_with_a_reason_but_preserve_results() {
+fn checkpoint_write_failures_return_typed_errors_but_preserve_results() {
     let request = quick_request(906);
     let reference = library_reference(&request, 2);
     let dir = fresh_dir("unwritable");
@@ -300,17 +300,14 @@ fn checkpoint_write_failures_crash_the_node_with_a_reason_but_preserve_results()
     std::fs::create_dir(&path).expect("squat a directory on the checkpoint path");
     std::fs::write(path.join("occupied"), b"x").expect("make it non-empty");
 
-    let mut executor = Executor::new(bus.clone());
-    executor.add_node(Box::new(server));
-    let report = executor.run_for(Duration::from_secs(1)).expect("executor has the server");
-    assert!(report.crashes >= 3, "every stride's failed write crashes the node");
-
-    // Satellite tie-in: the registry carries the typed reason string.
-    let info = executor.registry().info("campaign_server").expect("server registered");
-    assert_eq!(info.crashes, info.restarts, "the server is restarted after every crash");
-    let reason = info.last_error.clone().expect("crash reason recorded");
-    assert!(reason.contains("checkpoint write failed"), "reason names the failure: {reason}");
-    assert!(reason.contains(&format!("{:016x}", ticket.job_id)), "reason names the job");
+    for stride in 0..ticket.chunks_total {
+        let error = server.step_once(&bus).expect_err("every stride's checkpoint write fails");
+        assert!(matches!(error, ServerError::CheckpointIo { .. }), "stride {stride}: {error:?}");
+        let text = error.to_string();
+        assert!(text.contains("checkpoint write failed"), "error names the failure: {text}");
+        assert!(text.contains(&format!("{:016x}", ticket.job_id)), "error names the job: {text}");
+    }
+    assert!(!server.step_once(&bus).expect("no work left"), "the job is complete");
 
     // The work itself was never lost: progress streamed for every stride
     // and the final campaign matches the library bit-for-bit.
@@ -320,4 +317,42 @@ fn checkpoint_write_failures_crash_the_node_with_a_reason_but_preserve_results()
     let result = client.result(ticket.job_id).expect("status").expect("complete");
     assert_eq!(*result, reference);
     assert_eq!(as_json(&result), as_json(&reference));
+}
+
+/// A progress topic already held by another message type must not panic
+/// the server: each stride still folds, counts and checkpoints, and
+/// `step_once` returns a typed error naming the job.
+#[test]
+fn a_foreign_type_on_the_progress_topic_is_a_typed_error_not_a_panic() {
+    let request = quick_request(907);
+    let reference = library_reference(&request, 2);
+    let dir = fresh_dir("foreign_progress");
+    let bus = Bus::new();
+    let server = CampaignServer::new(CampaignExecutor::new(2), dir).expect("create server");
+    server.attach(&bus);
+    let client = CampaignClient::new(&bus);
+    let ticket = client.submit(&request).expect("submit");
+    let squatter = client.bus().subscribe::<u64>(&progress_topic(ticket.job_id));
+
+    for stride in 1..=ticket.chunks_total {
+        let error = server.step_once(&bus).expect_err("the progress topic is taken");
+        assert!(
+            matches!(error, ServerError::ProgressUnpublished { job_id, .. } if job_id == ticket.job_id),
+            "stride {stride}: {error:?}"
+        );
+        assert!(error.to_string().contains(&format!("{:016x}", ticket.job_id)), "{error}");
+        let checkpoint = CampaignCheckpoint::load(&server.checkpoint_path(ticket.job_id))
+            .expect("the stride was checkpointed");
+        assert_eq!(checkpoint.chunks_done, stride, "checkpoint after stride {stride}");
+    }
+    assert!(!server.step_once(&bus).expect("no work left"), "the job is complete");
+
+    let counters = server.counters();
+    assert_eq!(counters.chunks_executed, ticket.chunks_total);
+    assert_eq!(counters.checkpoints_written, ticket.chunks_total + 1, "admission + every stride");
+    assert_eq!(counters.checkpoint_failures, 0);
+    assert_eq!(counters.progress_updates, 0, "nothing was streamed");
+    assert!(squatter.is_empty());
+    let result = client.result(ticket.job_id).expect("status").expect("complete");
+    assert_eq!(*result, reference);
 }
