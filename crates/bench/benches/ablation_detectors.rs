@@ -1,6 +1,6 @@
 //! Ablation benches: the Gaussian `n_sigma` sweep, the autoencoder
-//! threshold-margin sweep, the detector-family comparison (GAD / EWMA /
-//! static range / Mahalanobis / AAD) and the autoencoder architecture sweep.
+//! threshold-margin sweep, the detector-family comparison (GAD /
+//! Mahalanobis / AAD) and the autoencoder architecture sweep.
 //!
 //! These are the design-choice ablations DESIGN.md calls out; they operate
 //! on stream-level detection quality so they stay cheap.  Set

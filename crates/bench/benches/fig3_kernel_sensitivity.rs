@@ -9,12 +9,11 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion};
 use mavfi::experiments::fig3::{self, Fig3Config};
 use mavfi::prelude::*;
-use mavfi_bench::{bench_log, print_campaign_experiment, runs_per_target};
+use mavfi_bench::{print_campaign_experiment, runs_per_target};
 
 /// Measures steady-state closed-loop throughput (pipeline ticks per second
-/// of wall time) over golden missions in the Sparse environment, and logs it
-/// to the bench log so the tick-path performance trajectory is tracked
-/// across PRs.
+/// of wall time) over golden missions in the Sparse environment and prints
+/// it.
 fn measure_tick_throughput() {
     let specs: Vec<MissionSpec> = (0..3)
         .map(|seed| MissionSpec::new(EnvironmentKind::Sparse, 3 + seed).with_time_budget(200.0))
@@ -28,25 +27,14 @@ fn measure_tick_throughput() {
     }
     let elapsed = start.elapsed().as_secs_f64();
     let ticks_per_sec = ticks as f64 / elapsed.max(1e-9);
-    bench_log::record(
-        "fig3_kernel_sensitivity",
-        "ticks_per_sec",
-        ticks_per_sec,
-        "ticks/s",
-        &bench_log::note_or("golden Sparse seeds 3-5"),
-    );
-    bench_log::record(
-        "fig3_kernel_sensitivity",
-        "tick_latency",
-        1.0e9 / ticks_per_sec.max(1e-9),
-        "ns/tick",
-        &bench_log::note_or("golden Sparse seeds 3-5"),
+    println!(
+        "golden Sparse seeds 3-5: {ticks_per_sec:.0} ticks/s ({:.0} ns/tick)",
+        1.0e9 / ticks_per_sec.max(1e-9)
     );
 }
 
-/// Flies one instrumented golden mission and logs each kernel's p99
-/// wall-clock latency, so per-kernel latency trends are tracked alongside
-/// whole-tick throughput.
+/// Flies one instrumented golden mission and prints each kernel's p99
+/// wall-clock latency.
 fn measure_kernel_latency_p99() {
     let spec = MissionSpec::new(EnvironmentKind::Sparse, 3).with_time_budget(200.0);
     let mut sink = MissionTelemetry::new();
@@ -56,13 +44,7 @@ fn measure_kernel_latency_p99() {
         if histogram.count() == 0 {
             continue;
         }
-        bench_log::record(
-            "fig3_kernel_sensitivity",
-            &format!("{kernel:?}_p99"),
-            histogram.p99() as f64,
-            "ns",
-            &bench_log::note_or("golden Sparse seed 3, instrumented"),
-        );
+        println!("golden Sparse seed 3: {kernel:?} p99 {} ns", histogram.p99());
     }
 }
 
@@ -88,11 +70,6 @@ fn run_experiment() {
 fn bench(c: &mut Criterion) {
     measure_tick_throughput();
     measure_kernel_latency_p99();
-    // MAVFI_BENCH_QUICK=1 records the tick-throughput metrics and skips the
-    // full fault-sensitivity campaign (used by scripts/bench.sh).
-    if std::env::var("MAVFI_BENCH_QUICK").is_ok() {
-        return;
-    }
     run_experiment();
     let mut group = c.benchmark_group("fig3");
     group.sample_size(10);

@@ -1,18 +1,15 @@
 //! Microbenchmarks of the replan path: per-planner `plan_into` latency on a
-//! mission-observed occupancy grid (vs the allocating `plan` wrapper, and —
-//! for the RRT family — vs the O(n) linear nearest/radius scans the pooled
-//! spatial index replaced), and the end-to-end throughput of a pipeline
-//! forced to replan on every tick — the fault-triggered recovery workload
-//! of the paper's §VI-C.
+//! mission-observed occupancy grid (for the RRT family also vs the O(n)
+//! linear nearest/radius scans the pooled spatial index replaced), and the
+//! end-to-end throughput of a pipeline forced to replan on every tick — the
+//! fault-triggered recovery workload of the paper's §VI-C.
 //!
-//! Records `ns/replan` and `ticks/s` entries to the bench log
-//! (`BENCH_10.json` by default).
+//! Prints `ns/replan` and `ticks/s` lines before the Criterion group.
 
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mavfi::prelude::*;
-use mavfi_bench::bench_log;
 use mavfi_ppc::perception::occupancy::OccupancyGrid;
 use mavfi_ppc::pipeline::{PpcConfig, PpcPipeline};
 use mavfi_ppc::planning::{MotionPlanner, PlannedPath, PlannerAlgorithm, PlannerConfig};
@@ -67,11 +64,10 @@ fn time_plan_into(
     begin.elapsed().as_nanos() as f64 / f64::from(iters)
 }
 
-/// Times per-planner replans on the observed grid: the pooled `plan_into`
-/// path (spatial index on, the default), the allocating `plan` wrapper, and
-/// — for the three RRT-family planners — `plan_into` with the spatial index
-/// disabled, i.e. the O(n) linear nearest/radius scans it replaced, so the
-/// indexed-vs-linear speedup is part of the committed perf trajectory.
+/// Times per-planner replans on the observed grid: `plan_into` with the
+/// spatial index on (the default) and — for the three RRT-family planners —
+/// with it disabled, i.e. the O(n) linear nearest/radius scans it
+/// replaced.
 fn measure_planner_latency(grid: &OccupancyGrid, start: Vec3, goal: Vec3) {
     const ITERS: u32 = 24;
     /// Linear RRT* replans cost close to a second each; a few iterations
@@ -79,36 +75,12 @@ fn measure_planner_latency(grid: &OccupancyGrid, start: Vec3, goal: Vec3) {
     const LINEAR_STAR_ITERS: u32 = 4;
     let bounds = EnvironmentKind::Dense.build(8).bounds();
     let config = PlannerConfig::for_bounds(bounds).with_seed(8);
-    let note = bench_log::note_or("observed Dense seed-8 grid, warm planner");
     for algorithm in PlannerAlgorithm::EXTENDED {
         let label = format!("{algorithm:?}").to_lowercase();
 
         let mut pooled = algorithm.instantiate(config);
         let pooled_ns = time_plan_into(&mut pooled, grid, start, goal, 3, ITERS);
-        bench_log::record(
-            "replan_micro",
-            &format!("{label}_plan_into"),
-            pooled_ns,
-            "ns/replan",
-            &note,
-        );
-
-        let mut allocating = algorithm.instantiate(config);
-        for _ in 0..3 {
-            std::hint::black_box(allocating.plan(grid, start, goal));
-        }
-        let begin = Instant::now();
-        for _ in 0..ITERS {
-            std::hint::black_box(allocating.plan(grid, start, goal));
-        }
-        let allocating_ns = begin.elapsed().as_nanos() as f64 / f64::from(ITERS);
-        bench_log::record(
-            "replan_micro",
-            &format!("{label}_plan"),
-            allocating_ns,
-            "ns/replan",
-            &note,
-        );
+        println!("observed Dense seed-8 grid: {label}_plan_into {pooled_ns:.0} ns/replan");
 
         if matches!(
             algorithm,
@@ -119,12 +91,8 @@ fn measure_planner_latency(grid: &OccupancyGrid, start: Vec3, goal: Vec3) {
             let mut linear = algorithm.instantiate(config);
             linear.set_spatial_index_enabled(false);
             let linear_ns = time_plan_into(&mut linear, grid, start, goal, 1, iters);
-            bench_log::record(
-                "replan_micro",
-                &format!("{label}_plan_into_linear"),
-                linear_ns,
-                "ns/replan",
-                &note,
+            println!(
+                "observed Dense seed-8 grid: {label}_plan_into_linear {linear_ns:.0} ns/replan"
             );
         }
     }
@@ -170,12 +138,9 @@ fn measure_forced_replan_throughput() {
         std::hint::black_box(pipeline.tick(&frame, &vehicle, 0.1, &mut tap));
     }
     let elapsed = begin.elapsed().as_secs_f64();
-    bench_log::record(
-        "replan_micro",
-        "forced_replan_ticks_per_sec",
-        f64::from(TICKS) / elapsed.max(1e-9),
-        "ticks/s",
-        &bench_log::note_or("A* replan every tick, stationary walled world"),
+    println!(
+        "A* replan every tick, stationary walled world: {:.0} ticks/s",
+        f64::from(TICKS) / elapsed.max(1e-9)
     );
 }
 
@@ -183,11 +148,6 @@ fn bench(c: &mut Criterion) {
     let (grid, position, goal) = observed_replan_problem();
     measure_planner_latency(&grid, position, goal);
     measure_forced_replan_throughput();
-    // MAVFI_BENCH_QUICK=1 records the metrics above and skips the Criterion
-    // group (used by scripts/bench.sh).
-    if std::env::var("MAVFI_BENCH_QUICK").is_ok() {
-        return;
-    }
     let mut group = c.benchmark_group("replan");
     group.sample_size(10);
     group.bench_function("rrt_star_plan_into_observed_grid", |b| {

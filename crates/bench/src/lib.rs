@@ -5,8 +5,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench_log;
-
 /// Reads the `MAVFI_RUNS` environment variable controlling how many runs
 /// per target the simulation-backed benches execute.
 ///

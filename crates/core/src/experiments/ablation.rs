@@ -13,11 +13,9 @@ use mavfi_detect::calibration::{
     roc_curve, sweep_aad_threshold, sweep_gad_nsigma, CorruptionProfile, LabeledStream,
     OperatingPoint, SyntheticAnomalyConfig,
 };
-use mavfi_detect::ewma::{EwmaBank, EwmaConfig};
 use mavfi_detect::gad::{CgadConfig, GadBank};
 use mavfi_detect::mahalanobis::{MahalanobisConfig, MahalanobisDetector};
 use mavfi_detect::metrics::RocCurve;
-use mavfi_detect::static_range::{StaticRangeBank, StaticRangeConfig};
 use mavfi_detect::training::TelemetrySet;
 use mavfi_detect::{AadConfig, AadDetector};
 use mavfi_nn::autoencoder::Autoencoder;
@@ -262,9 +260,6 @@ pub fn run(config: &AblationConfig) -> Result<AblationResult, MavfiError> {
     // 3. Fit every detector family on the training split.
     let mut gad = GadBank::new(CgadConfig::default());
     gad.prime(&train);
-    let mut ewma = EwmaBank::new(EwmaConfig::default());
-    ewma.prime(&train);
-    let ranges = StaticRangeBank::calibrate(&train, StaticRangeConfig::default());
     let mahalanobis = MahalanobisDetector::fit(&train, MahalanobisConfig::default());
     let train_config = TrainConfig { epochs: config.epochs, ..TrainConfig::default() };
     let (aad, _) = AadDetector::train(&train, AadConfig::default(), &train_config);
@@ -280,12 +275,6 @@ pub fn run(config: &AblationConfig) -> Result<AblationResult, MavfiError> {
             "Gaussian (GAD)",
             roc_curve(&gad, &exponent_stream),
             roc_curve(&gad, &correlation_stream),
-        ),
-        quality("EWMA", roc_curve(&ewma, &exponent_stream), roc_curve(&ewma, &correlation_stream)),
-        quality(
-            "Static range",
-            roc_curve(&ranges, &exponent_stream),
-            roc_curve(&ranges, &correlation_stream),
         ),
         quality(
             "Mahalanobis",

@@ -14,11 +14,9 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::aad::AadDetector;
-use crate::ewma::EwmaBank;
 use crate::gad::GadBank;
 use crate::mahalanobis::MahalanobisDetector;
 use crate::metrics::{ConfusionMatrix, GroundTruth, RocCurve};
-use crate::static_range::StaticRangeBank;
 
 const DIM: usize = MonitoredStates::DIM;
 
@@ -179,26 +177,6 @@ impl AnomalyScorer for AadDetector {
     }
 }
 
-impl AnomalyScorer for EwmaBank {
-    fn name(&self) -> &'static str {
-        "ewma"
-    }
-
-    fn anomaly_score(&self, deltas: &[f64; DIM]) -> f64 {
-        self.score(deltas)
-    }
-}
-
-impl AnomalyScorer for StaticRangeBank {
-    fn name(&self) -> &'static str {
-        "static_range"
-    }
-
-    fn anomaly_score(&self, deltas: &[f64; DIM]) -> f64 {
-        self.score(deltas)
-    }
-}
-
 impl AnomalyScorer for MahalanobisDetector {
     fn name(&self) -> &'static str {
         "mahalanobis"
@@ -237,7 +215,7 @@ pub fn evaluate_stream(
 /// detection quality achieved at that value.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OperatingPoint {
-    /// The swept parameter (n-sigma, threshold margin, alpha, ...).
+    /// The swept parameter (n-sigma or threshold margin).
     pub parameter: f64,
     /// Detection quality at this parameter value.
     pub matrix: ConfusionMatrix,
@@ -290,25 +268,6 @@ pub fn sweep_aad_threshold(
         .collect()
 }
 
-/// Sweeps the EWMA smoothing factor.  For each alpha a fresh bank is primed
-/// on `training` and evaluated on `stream`.
-pub fn sweep_ewma_alpha(
-    training: &[[f64; DIM]],
-    stream: &LabeledStream,
-    alphas: &[f64],
-    base: crate::ewma::EwmaConfig,
-) -> Vec<OperatingPoint> {
-    alphas
-        .iter()
-        .map(|&alpha| {
-            let mut bank = EwmaBank::new(crate::ewma::EwmaConfig { alpha, ..base });
-            bank.prime(training);
-            let matrix = evaluate_stream(|sample| !bank.observe_all(sample).is_empty(), stream);
-            OperatingPoint { parameter: alpha, matrix }
-        })
-        .collect()
-}
-
 /// Picks the operating point with the highest F1 score, breaking ties toward
 /// the smaller parameter.  Returns `None` when `points` is empty.
 pub fn best_by_f1(points: &[OperatingPoint]) -> Option<OperatingPoint> {
@@ -323,10 +282,8 @@ pub fn best_by_f1(points: &[OperatingPoint]) -> Option<OperatingPoint> {
 mod tests {
     use super::*;
     use crate::aad::AadConfig;
-    use crate::ewma::EwmaConfig;
     use crate::gad::CgadConfig;
     use crate::mahalanobis::MahalanobisConfig;
-    use crate::static_range::StaticRangeConfig;
     use mavfi_nn::train::TrainConfig;
 
     /// Correlated clean telemetry shared by every calibration test.
@@ -377,9 +334,6 @@ mod tests {
 
         let mut gad = GadBank::new(CgadConfig::default());
         gad.prime(&training);
-        let mut ewma = EwmaBank::new(EwmaConfig::default());
-        ewma.prime(&training);
-        let ranges = StaticRangeBank::calibrate(&training, StaticRangeConfig::default());
         let mahalanobis = MahalanobisDetector::fit(&training, MahalanobisConfig::default());
         let (aad, _) = AadDetector::train(
             &training,
@@ -387,7 +341,7 @@ mod tests {
             &TrainConfig { epochs: 20, ..TrainConfig::default() },
         );
 
-        let scorers: Vec<&dyn AnomalyScorer> = vec![&gad, &ewma, &ranges, &mahalanobis, &aad];
+        let scorers: Vec<&dyn AnomalyScorer> = vec![&gad, &mahalanobis, &aad];
         for scorer in scorers {
             let curve = roc_curve(scorer, &stream);
             assert!(
@@ -477,15 +431,6 @@ mod tests {
                     >= pair[1].matrix.false_positive_rate() - 1e-12
             );
         }
-    }
-
-    #[test]
-    fn ewma_alpha_sweep_produces_one_point_per_alpha() {
-        let training = clean_samples(300, 13);
-        let stream = exponent_flip_stream(14);
-        let points = sweep_ewma_alpha(&training, &stream, &[0.01, 0.1, 0.5], EwmaConfig::default());
-        assert_eq!(points.len(), 3);
-        assert!(points.iter().all(|p| p.matrix.total() as usize == stream.len()));
     }
 
     #[test]

@@ -24,7 +24,6 @@ pub mod bitflip;
 pub mod campaign;
 pub mod injector;
 pub mod model;
-pub mod recurring;
 pub mod severity;
 pub mod target;
 
@@ -32,7 +31,6 @@ pub use bitflip::{flip_bit, flip_is_masked, BitField};
 pub use campaign::{CampaignPlan, TriggerWindow};
 pub use injector::{FaultInjector, FaultRecord, FaultSpec};
 pub use model::{BitSelection, CorruptionDetail, FaultModel};
-pub use recurring::{FaultOccurrence, Recurrence, RecurringFaultSpec, RecurringInjector};
 pub use severity::{classify, classify_detail, FlipSurvey, Severity, SeverityThresholds};
 pub use target::InjectionTarget;
 
@@ -42,9 +40,6 @@ pub mod prelude {
     pub use crate::campaign::{CampaignPlan, TriggerWindow};
     pub use crate::injector::{FaultInjector, FaultRecord, FaultSpec};
     pub use crate::model::{BitSelection, FaultModel};
-    pub use crate::recurring::{
-        FaultOccurrence, Recurrence, RecurringFaultSpec, RecurringInjector,
-    };
     pub use crate::severity::{
         classify, classify_detail, FlipSurvey, Severity, SeverityThresholds,
     };

@@ -94,18 +94,18 @@ impl Autoencoder {
 
     /// Reconstructs an input vector.
     pub fn reconstruct(&self, input: &[f64]) -> Vec<f64> {
-        self.network.forward(input)
+        self.network.forward_into(input, &mut MlpScratch::new()).to_vec()
     }
 
     /// Mean-squared reconstruction error of `input`, the anomaly score used
     /// by AAD.
     pub fn reconstruction_error(&self, input: &[f64]) -> f64 {
-        mse(&self.reconstruct(input), input)
+        self.reconstruction_error_with(input, &mut MlpScratch::new())
     }
 
     /// [`Autoencoder::reconstruction_error`] through reusable scratch
-    /// buffers: zero heap allocations in steady state, bit-identical score.
-    /// This is the per-tick scoring path of the AAD detector.
+    /// buffers: zero heap allocations in steady state.  This is the
+    /// per-tick scoring path of the AAD detector.
     pub fn reconstruction_error_with(&self, input: &[f64], scratch: &mut MlpScratch) -> f64 {
         mse(self.network.forward_into(input, scratch), input)
     }

@@ -97,18 +97,9 @@ impl Dense {
         &mut self.biases
     }
 
-    /// Forward pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != self.input_dim()`.
-    pub fn forward(&self, input: &[f64]) -> Vec<f64> {
-        self.forward_cached(input).output
-    }
-
-    /// Forward pass into a caller-provided buffer: the allocation-free
-    /// counterpart of [`Dense::forward`], bit-identical in its results
-    /// (same matvec summation order, bias add and activation).
+    /// Forward pass into a caller-provided buffer, reusing its storage.
+    /// Bit-identical to [`Dense::forward_cached`]'s output (same matvec
+    /// summation order, bias add and activation).
     ///
     /// # Panics
     ///
@@ -126,7 +117,8 @@ impl Dense {
     /// [`Dense::backward`].
     pub fn forward_cached(&self, input: &[f64]) -> LayerCache {
         assert_eq!(input.len(), self.input_dim(), "dense layer input dimension mismatch");
-        let mut pre_activation = self.weights.matvec(input);
+        let mut pre_activation = Vec::with_capacity(self.output_dim());
+        self.weights.matvec_into(input, &mut pre_activation);
         for (z, b) in pre_activation.iter_mut().zip(&self.biases) {
             *z += b;
         }
@@ -161,10 +153,16 @@ mod tests {
     use super::*;
     use crate::loss::{mse, mse_gradient};
 
+    fn forward(layer: &Dense, input: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        layer.forward_into(input, &mut out);
+        out
+    }
+
     #[test]
     fn forward_dimensions() {
         let layer = Dense::new(3, 2, Activation::Identity, 1);
-        let out = layer.forward(&[1.0, 0.0, -1.0]);
+        let out = forward(&layer, &[1.0, 0.0, -1.0]);
         assert_eq!(out.len(), 2);
         assert_eq!(layer.input_dim(), 3);
         assert_eq!(layer.output_dim(), 2);
@@ -184,9 +182,9 @@ mod tests {
             for col in 0..4 {
                 let original = layer.weights().get(row, col);
                 *layer.weights_mut().get_mut(row, col) = original + eps;
-                let plus = mse(&layer.forward(&input), &target);
+                let plus = mse(&forward(&layer, &input), &target);
                 *layer.weights_mut().get_mut(row, col) = original - eps;
-                let minus = mse(&layer.forward(&input), &target);
+                let minus = mse(&forward(&layer, &input), &target);
                 *layer.weights_mut().get_mut(row, col) = original;
                 let numeric = (plus - minus) / (2.0 * eps);
                 let analytic = grads.weights.get(row, col);
@@ -212,8 +210,8 @@ mod tests {
             plus[i] += eps;
             let mut minus = input;
             minus[i] -= eps;
-            let numeric = (mse(&layer.forward(&plus), &target)
-                - mse(&layer.forward(&minus), &target))
+            let numeric = (mse(&forward(&layer, &plus), &target)
+                - mse(&forward(&layer, &minus), &target))
                 / (2.0 * eps);
             assert!((numeric - input_grad[i]).abs() < 1e-5);
         }
@@ -223,6 +221,6 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn wrong_input_size_panics() {
         let layer = Dense::new(3, 2, Activation::Identity, 1);
-        let _ = layer.forward(&[1.0]);
+        let _ = forward(&layer, &[1.0]);
     }
 }

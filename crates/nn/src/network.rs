@@ -12,13 +12,14 @@ use crate::loss::{mse, mse_gradient};
 ///
 /// ```
 /// use mavfi_nn::activation::Activation;
-/// use mavfi_nn::network::Mlp;
+/// use mavfi_nn::network::{Mlp, MlpScratch};
 ///
 /// let mlp = Mlp::builder(4)
 ///     .layer(8, Activation::Relu)
 ///     .layer(2, Activation::Identity)
 ///     .build(42);
-/// assert_eq!(mlp.forward(&[0.1, 0.2, 0.3, 0.4]).len(), 2);
+/// let mut scratch = MlpScratch::new();
+/// assert_eq!(mlp.forward_into(&[0.1, 0.2, 0.3, 0.4], &mut scratch).len(), 2);
 /// ```
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Mlp {
@@ -135,19 +136,10 @@ impl Mlp {
             .sum()
     }
 
-    /// Forward pass.
-    pub fn forward(&self, input: &[f64]) -> Vec<f64> {
-        let mut current = input.to_vec();
-        for layer in &self.layers {
-            current = layer.forward(&current);
-        }
-        current
-    }
-
-    /// Forward pass through caller-provided scratch buffers: the
-    /// allocation-free counterpart of [`Mlp::forward`], bit-identical in its
-    /// results.  Returns the output activations as a slice into `scratch`,
-    /// valid until the next use of the scratch.
+    /// Forward pass through caller-provided scratch buffers (no heap
+    /// allocation once they are at capacity).  Returns the output
+    /// activations as a slice into `scratch`, valid until the next use of
+    /// the scratch.
     pub fn forward_into<'scratch>(
         &self,
         input: &[f64],
@@ -224,9 +216,11 @@ mod tests {
                 for col in 0..mlp.layers()[layer_index].input_dim() {
                     let original = mlp.layers()[layer_index].weights().get(row, col);
                     *mlp.layers_mut()[layer_index].weights_mut().get_mut(row, col) = original + eps;
-                    let plus = crate::loss::mse(&mlp.forward(&input), &target);
+                    let plus =
+                        crate::loss::mse(mlp.forward_into(&input, &mut MlpScratch::new()), &target);
                     *mlp.layers_mut()[layer_index].weights_mut().get_mut(row, col) = original - eps;
-                    let minus = crate::loss::mse(&mlp.forward(&input), &target);
+                    let minus =
+                        crate::loss::mse(mlp.forward_into(&input, &mut MlpScratch::new()), &target);
                     *mlp.layers_mut()[layer_index].weights_mut().get_mut(row, col) = original;
                     let numeric = (plus - minus) / (2.0 * eps);
                     let analytic = grads.layers[layer_index].weights.get(row, col);

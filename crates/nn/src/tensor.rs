@@ -12,7 +12,9 @@ use serde::{Deserialize, Serialize};
 /// use mavfi_nn::tensor::Matrix;
 ///
 /// let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-/// assert_eq!(m.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
+/// let mut out = Vec::new();
+/// m.matvec_into(&[1.0, 1.0], &mut out);
+/// assert_eq!(out, vec![3.0, 7.0]);
 /// ```
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
@@ -104,22 +106,9 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Matrix-vector product `self * x`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.cols()`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.rows);
-        self.matvec_into(x, &mut out);
-        out
-    }
-
     /// Matrix-vector product `self * x` written into a caller-provided
     /// buffer, so hot loops can reuse one allocation across calls.  The
-    /// buffer is cleared and refilled; its capacity is reused.  Produces
-    /// bit-identical results to [`Matrix::matvec`] (same per-row summation
-    /// order).
+    /// buffer is cleared and refilled; its capacity is reused.
     ///
     /// # Panics
     ///
@@ -184,7 +173,9 @@ mod tests {
     #[test]
     fn matvec_matches_hand_computation() {
         let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
-        assert_eq!(m.matvec(&[1.0, 0.0, -1.0]), vec![-2.0, -2.0]);
+        let mut out = Vec::new();
+        m.matvec_into(&[1.0, 0.0, -1.0], &mut out);
+        assert_eq!(out, vec![-2.0, -2.0]);
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 3);
     }
@@ -217,7 +208,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn matvec_dimension_mismatch_panics() {
-        Matrix::zeros(2, 2).matvec(&[1.0]);
+        Matrix::zeros(2, 2).matvec_into(&[1.0], &mut Vec::new());
     }
 
     #[test]

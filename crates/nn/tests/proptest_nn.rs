@@ -2,6 +2,7 @@
 //! gradients and serialisation.
 
 use mavfi_nn::autoencoder::Autoencoder;
+use mavfi_nn::layer::Dense;
 use mavfi_nn::network::{Mlp, MlpScratch};
 use mavfi_nn::serialize::{from_json, to_json};
 use mavfi_nn::tensor::Matrix;
@@ -13,39 +14,48 @@ fn finite_inputs(dim: usize) -> impl Strategy<Value = Vec<f64>> {
 }
 
 proptest! {
-    /// The scratch-buffer matvec is bit-identical to the allocating one,
-    /// including when the output buffer is reused across shapes.
+    /// `matvec_into` a dirty, differently-sized buffer is bit-identical to
+    /// `matvec_into` a fresh one, and so is a second call into the reused
+    /// buffer.
     #[test]
-    fn matvec_into_matches_matvec(
+    fn matvec_into_dirty_buffer_matches_fresh_buffer(
         input in finite_inputs(4),
         seed in any::<u64>(),
         rows in 1usize..6,
     ) {
         let matrix = Matrix::xavier(rows, 4, seed);
-        let allocating = matrix.matvec(&input);
+        let mut fresh = Vec::new();
+        matrix.matvec_into(&input, &mut fresh);
         // A dirty, differently-sized buffer must not influence the result.
         let mut reused = vec![f64::NAN; 9];
         matrix.matvec_into(&input, &mut reused);
-        prop_assert_eq!(&allocating, &reused);
+        prop_assert_eq!(&fresh, &reused);
         // Second call into the now-correctly-sized buffer.
         matrix.matvec_into(&input, &mut reused);
-        prop_assert_eq!(&allocating, &reused);
+        prop_assert_eq!(&fresh, &reused);
     }
 
-    /// The scratch-buffer forward pass is bit-identical to the allocating
-    /// one, for both a fresh and a reused scratch.
+    /// The scratch-buffer forward pass is bit-identical to the
+    /// `Dense::forward_cached` chain that training back-propagates through,
+    /// for both a fresh and a reused scratch.
     #[test]
-    fn forward_into_matches_forward(input in finite_inputs(5), seed in any::<u64>()) {
+    fn forward_into_matches_the_forward_cached_chain(
+        input in finite_inputs(5),
+        seed in any::<u64>(),
+    ) {
         let network = Mlp::builder(5)
             .layer(7, Activation::Tanh)
             .layer(2, Activation::Sigmoid)
             .layer(5, Activation::Identity)
             .build(seed);
-        let allocating = network.forward(&input);
+        let cached = network
+            .layers()
+            .iter()
+            .fold(input.clone(), |current, layer: &Dense| layer.forward_cached(&current).output);
         let mut scratch = MlpScratch::new();
-        prop_assert_eq!(&allocating, &network.forward_into(&input, &mut scratch).to_vec());
+        prop_assert_eq!(&cached, &network.forward_into(&input, &mut scratch).to_vec());
         // Reuse the warm scratch: still identical.
-        prop_assert_eq!(&allocating, &network.forward_into(&input, &mut scratch).to_vec());
+        prop_assert_eq!(&cached, &network.forward_into(&input, &mut scratch).to_vec());
     }
     /// Forward passes produce finite outputs of the declared dimension.
     #[test]
@@ -56,7 +66,8 @@ proptest! {
             .build(seed);
         prop_assert_eq!(network.input_dim(), 5);
         prop_assert_eq!(network.output_dim(), 3);
-        let output = network.forward(&input);
+        let mut scratch = MlpScratch::new();
+        let output = network.forward_into(&input, &mut scratch);
         prop_assert_eq!(output.len(), 3);
         prop_assert!(output.iter().all(|v| v.is_finite()));
     }

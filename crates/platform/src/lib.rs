@@ -21,26 +21,20 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod battery;
 pub mod perf_model;
 pub mod redundancy;
 pub mod spec;
-pub mod thermal;
 pub mod uav;
 
-pub use battery::{BatteryModel, MissionFeasibility};
 pub use perf_model::{FlightEstimate, ScenarioParams, VisualPerformanceModel};
 pub use redundancy::ProtectionScheme;
 pub use spec::ComputePlatform;
-pub use thermal::ThermalEnvelope;
 pub use uav::UavSpec;
 
 /// Commonly used items, suitable for glob import.
 pub mod prelude {
-    pub use crate::battery::{BatteryModel, MissionFeasibility};
     pub use crate::perf_model::{FlightEstimate, ScenarioParams, VisualPerformanceModel};
     pub use crate::redundancy::ProtectionScheme;
     pub use crate::spec::ComputePlatform;
-    pub use crate::thermal::ThermalEnvelope;
     pub use crate::uav::UavSpec;
 }

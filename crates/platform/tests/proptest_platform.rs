@@ -1,5 +1,5 @@
 //! Property-based tests for the platform models: the visual performance
-//! model, the redundancy schemes, and the battery / thermal extensions.
+//! model and the redundancy schemes.
 
 use mavfi_platform::prelude::*;
 use proptest::prelude::*;
@@ -80,45 +80,6 @@ proptest! {
             prop_assert!(est.energy_j.is_finite() && est.energy_j > 0.0);
             prop_assert!(est.cruise_power_w.is_finite() && est.cruise_power_w > 0.0);
             prop_assert!(est.max_velocity.is_finite() && est.max_velocity > 0.0);
-        }
-    }
-
-    /// Battery endurance decreases when the power draw increases, and the
-    /// feasibility verdict always agrees with the sign of both margins.
-    #[test]
-    fn battery_endurance_and_margins_are_consistent(
-        uav in arbitrary_uav(),
-        platform in arbitrary_platform(),
-        p_low in 20.0f64..200.0,
-        extra in 1.0f64..300.0,
-    ) {
-        let battery = BatteryModel::for_uav(&uav);
-        prop_assert!(battery.endurance_s(p_low) > battery.endurance_s(p_low + extra));
-
-        let model = VisualPerformanceModel::default();
-        let est = model.evaluate(&uav, &platform, ProtectionScheme::Tmr);
-        let verdict = battery.assess(&est);
-        prop_assert_eq!(verdict.feasible, verdict.energy_margin() >= 0.0);
-        prop_assert_eq!(verdict.feasible, verdict.time_margin_s() >= 0.0);
-    }
-
-    /// The thermal throttle factor is never below one, never throttles a
-    /// configuration inside the budget, and never decreases when boards are
-    /// added.
-    #[test]
-    fn thermal_throttle_is_monotone_in_board_count(
-        platform in arbitrary_platform(),
-        budget in 5.0f64..300.0,
-    ) {
-        let envelope = ThermalEnvelope { sustained_dissipation_w: budget, throttle_exponent: 1.0 };
-        let single = envelope.throttle_factor(&platform, ProtectionScheme::AnomalyDetection);
-        let dmr = envelope.throttle_factor(&platform, ProtectionScheme::Dmr);
-        let tmr = envelope.throttle_factor(&platform, ProtectionScheme::Tmr);
-        prop_assert!(single >= 1.0);
-        prop_assert!(dmr >= single);
-        prop_assert!(tmr >= dmr);
-        if envelope.within_budget(&platform, ProtectionScheme::Tmr) {
-            prop_assert_eq!(tmr, 1.0);
         }
     }
 }

@@ -15,7 +15,9 @@
 //! let config = PpcConfig::new(PlannerAlgorithm::RrtStar, env.bounds(), 1);
 //! let mut pipeline = PpcPipeline::new(config, env.start(), env.goal());
 //! let world = World::new(env, QuadrotorParams::default(), PowerModel::default(), MissionConfig::default());
-//! let frame = DepthCamera::default().capture(world.environment(), &world.vehicle().pose());
+//! let mut frame = DepthFrame::default();
+//! let pose = world.vehicle().pose();
+//! DepthCamera::default().capture_into(world.environment(), &pose, &mut CaptureScratch::new(), &mut frame);
 //! let tick = pipeline.tick(&frame, &world.vehicle().state(), 0.1, &mut NoopTap);
 //! assert!(tick.command.is_finite());
 //! ```
@@ -44,16 +46,14 @@ pub mod prelude {
     pub use crate::control::{PathTracker, PathTrackerConfig, PidConfig, PidController};
     pub use crate::kernel::KernelId;
     pub use crate::perception::{
-        CollisionCacheStats, CollisionChecker, EstimatorConfig, OccupancyGrid, PointCloudGenerator,
-        StateEstimate, StateEstimator,
+        CollisionCacheStats, CollisionChecker, OccupancyGrid, PointCloudGenerator,
     };
     pub use crate::pipeline::{
         PipelineStats, PpcConfig, PpcPipeline, PpcTick, StageList, TickTimings,
     };
     pub use crate::planning::{
-        AStarPlanner, CellState, ExplorationCell, ExplorationMap, FrontierPlanner, MissionPlan,
-        MotionPlanner, PathSmoother, PlannedPath, PlannerAlgorithm, PlannerConfig, Rrt, RrtConnect,
-        RrtStar, TrajectoryGenerator,
+        AStarPlanner, MissionPlan, MotionPlanner, PathSmoother, PlannedPath, PlannerAlgorithm,
+        PlannerConfig, Rrt, RrtConnect, RrtStar, TrajectoryGenerator,
     };
     pub use crate::states::{
         CollisionEstimate, MonitoredStates, PointCloud, Stage, StateField, Trajectory, Waypoint,

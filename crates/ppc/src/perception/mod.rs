@@ -1,12 +1,10 @@
-//! Perception stage: point-cloud generation, occupancy mapping, collision
-//! checking and state estimation.
+//! Perception stage: point-cloud generation, occupancy mapping and collision
+//! checking.
 
 pub mod collision_check;
-pub mod localization;
 pub mod occupancy;
 pub mod point_cloud;
 
 pub use collision_check::{CollisionCacheStats, CollisionChecker, CollisionCheckerConfig};
-pub use localization::{EstimatorConfig, StateEstimate, StateEstimator};
 pub use occupancy::{OccupancyGrid, VoxelKey};
 pub use point_cloud::PointCloudGenerator;

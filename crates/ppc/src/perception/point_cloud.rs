@@ -15,9 +15,13 @@ use crate::states::PointCloud;
 /// use mavfi_sim::sensors::DepthFrame;
 /// use mavfi_sim::geometry::Vec3;
 ///
+/// use mavfi_ppc::states::PointCloud;
+///
 /// let generator = PointCloudGenerator::new(2);
 /// let frame = DepthFrame { points: vec![Vec3::ZERO; 10], rays_cast: 10 };
-/// assert_eq!(generator.run(&frame).len(), 5);
+/// let mut cloud = PointCloud::default();
+/// generator.run_into(&frame, &mut cloud);
+/// assert_eq!(cloud.len(), 5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PointCloudGenerator {
@@ -46,16 +50,8 @@ impl PointCloudGenerator {
         self.stride
     }
 
-    /// Converts one depth frame into a point cloud.
-    pub fn run(&self, frame: &DepthFrame) -> PointCloud {
-        let mut cloud = PointCloud::default();
-        self.run_into(frame, &mut cloud);
-        cloud
-    }
-
-    /// [`PointCloudGenerator::run`] into a caller-provided cloud, reusing
-    /// its point storage (allocation-free in steady state, bit-identical
-    /// output).
+    /// Converts one depth frame into a point cloud in `cloud`, reusing its
+    /// point storage (allocation-free in steady state).
     pub fn run_into(&self, frame: &DepthFrame, cloud: &mut PointCloud) {
         cloud.points.clear();
         cloud.points.extend(
@@ -69,13 +65,19 @@ mod tests {
     use super::*;
     use mavfi_sim::geometry::Vec3;
 
+    fn run(generator: PointCloudGenerator, frame: &DepthFrame) -> PointCloud {
+        let mut cloud = PointCloud::default();
+        generator.run_into(frame, &mut cloud);
+        cloud
+    }
+
     #[test]
     fn keeps_all_points_with_unit_stride() {
         let frame = DepthFrame {
             points: vec![Vec3::new(1.0, 2.0, 3.0), Vec3::new(4.0, 5.0, 6.0)],
             rays_cast: 4,
         };
-        let cloud = PointCloudGenerator::default().run(&frame);
+        let cloud = run(PointCloudGenerator::default(), &frame);
         assert_eq!(cloud.len(), 2);
         assert_eq!(cloud.points[1], Vec3::new(4.0, 5.0, 6.0));
     }
@@ -86,13 +88,13 @@ mod tests {
             points: vec![Vec3::new(f64::NAN, 0.0, 0.0), Vec3::new(1.0, 1.0, 1.0)],
             rays_cast: 2,
         };
-        let cloud = PointCloudGenerator::default().run(&frame);
+        let cloud = run(PointCloudGenerator::default(), &frame);
         assert_eq!(cloud.len(), 1);
     }
 
     #[test]
     fn empty_frame_yields_empty_cloud() {
-        let cloud = PointCloudGenerator::new(3).run(&DepthFrame::default());
+        let cloud = run(PointCloudGenerator::new(3), &DepthFrame::default());
         assert!(cloud.is_empty());
     }
 

@@ -333,7 +333,9 @@ impl Clone for Planner {
 /// let mut pipeline = PpcPipeline::new(config, env.start(), env.goal());
 /// let camera = DepthCamera::default();
 /// let world = World::new(env, QuadrotorParams::default(), PowerModel::default(), MissionConfig::default());
-/// let frame = camera.capture(world.environment(), &world.vehicle().pose());
+/// let mut frame = DepthFrame::default();
+/// let pose = world.vehicle().pose();
+/// camera.capture_into(world.environment(), &pose, &mut CaptureScratch::new(), &mut frame);
 /// let tick = pipeline.tick(&frame, &world.vehicle().state(), 0.1, &mut NoopTap);
 /// assert!(tick.command.is_finite());
 /// ```
@@ -744,6 +746,13 @@ mod tests {
     use crate::tap::NoopTap;
     use mavfi_sim::prelude::*;
 
+    fn capture(camera: &DepthCamera, world: &World) -> DepthFrame {
+        let mut frame = DepthFrame::default();
+        let pose = world.vehicle().pose();
+        camera.capture_into(world.environment(), &pose, &mut CaptureScratch::new(), &mut frame);
+        frame
+    }
+
     fn run_mission(kind: EnvironmentKind, seed: u64, max_seconds: f64) -> (MissionStatus, f64) {
         let env = kind.build(seed);
         let config = PpcConfig::new(PlannerAlgorithm::RrtStar, env.bounds(), seed);
@@ -755,7 +764,7 @@ mod tests {
             World::new(env, QuadrotorParams::default(), PowerModel::default(), mission_config);
         let dt = 0.1;
         while world.status() == MissionStatus::InProgress {
-            let frame = camera.capture(world.environment(), &world.vehicle().pose());
+            let frame = capture(&camera, &world);
             let tick = pipeline.tick(&frame, &world.vehicle().state(), dt, &mut NoopTap);
             world.step(&tick.command, dt);
         }
@@ -780,7 +789,7 @@ mod tests {
         let camera = DepthCamera::default();
         let mut flown = Vec::new();
         while flown.len() < ticks && world.status() == MissionStatus::InProgress {
-            let frame = camera.capture(world.environment(), &world.vehicle().pose());
+            let frame = capture(&camera, world);
             let tick = pipeline.tick(&frame, &world.vehicle().state(), 0.1, &mut NoopTap);
             world.step(&tick.command, 0.1);
             flown.push(tick);
@@ -834,7 +843,7 @@ mod tests {
             PowerModel::default(),
             MissionConfig::default(),
         );
-        let frame = camera.capture(world.environment(), &world.vehicle().pose());
+        let frame = capture(&camera, &world);
         let tick = pipeline.tick(&frame, &world.vehicle().state(), 0.1, &mut NoopTap);
         assert!(tick.replanned, "first tick must plan");
         let stats = pipeline.stats();
@@ -878,7 +887,7 @@ mod tests {
             PowerModel::default(),
             MissionConfig::default(),
         );
-        let frame = camera.capture(world.environment(), &world.vehicle().pose());
+        let frame = capture(&camera, &world);
         let tick = pipeline.tick(&frame, &world.vehicle().state(), 0.1, &mut RecomputeEverything);
         assert_eq!(tick.recomputed_stages.len(), 3);
         assert_eq!(pipeline.stats().recomputations_of(Stage::Perception), 1);
@@ -898,7 +907,7 @@ mod tests {
             PowerModel::default(),
             MissionConfig::default(),
         );
-        let frame = camera.capture(world.environment(), &world.vehicle().pose());
+        let frame = capture(&camera, &world);
         let tick = pipeline.tick(&frame, &world.vehicle().state(), 0.1, &mut NoopTap);
         assert_eq!(tick.monitored.command, tick.command);
         let array = tick.monitored.as_array();

@@ -64,22 +64,22 @@ impl PartialOrd for QueueEntry {
 ///
 /// ```
 /// use mavfi_ppc::planning::astar::AStarPlanner;
-/// use mavfi_ppc::planning::{MotionPlanner, PlannerConfig};
+/// use mavfi_ppc::planning::{MotionPlanner, PlannedPath, PlannerConfig};
 /// use mavfi_ppc::perception::OccupancyGrid;
 /// use mavfi_sim::geometry::{Aabb, Vec3};
 ///
 /// let bounds = Aabb::new(Vec3::new(-5.0, -5.0, 0.0), Vec3::new(25.0, 25.0, 10.0));
 /// let mut planner = AStarPlanner::new(PlannerConfig::for_bounds(bounds));
 /// let grid = OccupancyGrid::new(0.5);
-/// let path = planner
-///     .plan(&grid, Vec3::new(0.0, 0.0, 2.0), Vec3::new(20.0, 20.0, 2.0))
-///     .expect("free space is trivially plannable");
+/// let mut path = PlannedPath::default();
+/// let (start, goal) = (Vec3::new(0.0, 0.0, 2.0), Vec3::new(20.0, 20.0, 2.0));
+/// assert!(planner.plan_into(&grid, start, goal, &mut path), "free space is trivially plannable");
 /// assert!(path.length() >= 20.0);
 /// ```
 #[derive(Debug)]
 pub struct AStarPlanner {
     config: PlannerConfig,
-    // Search state pooled across `plan` calls.  The maps are lookup-only
+    // Search state pooled across `plan_into` calls.  The maps are lookup-only
     // (iteration order never observed), so they share the occupancy grid's
     // cheap deterministic hasher instead of SipHash — the keys have the
     // same three-i64 shape.
@@ -278,6 +278,7 @@ impl MotionPlanner for AStarPlanner {
 mod tests {
     use super::*;
     use crate::perception::occupancy::OccupancyGrid;
+    use crate::planning::space::plan;
     use mavfi_sim::env::EnvironmentKind;
     use mavfi_sim::geometry::Aabb;
 
@@ -290,7 +291,7 @@ mod tests {
         let mut planner = AStarPlanner::new(PlannerConfig::for_bounds(open_bounds()));
         let grid = OccupancyGrid::new(0.5);
         let path =
-            planner.plan(&grid, Vec3::new(0.0, 0.0, 2.0), Vec3::new(30.0, 0.0, 2.0)).unwrap();
+            plan(&mut planner, &grid, Vec3::new(0.0, 0.0, 2.0), Vec3::new(30.0, 0.0, 2.0)).unwrap();
         assert_eq!(path.len(), 2);
         assert!((path.length() - 30.0).abs() < 1e-9);
         assert_eq!(planner.kernel(), KernelId::AStar);
@@ -308,7 +309,7 @@ mod tests {
         let mut planner = AStarPlanner::new(PlannerConfig::for_bounds(open_bounds()));
         let start = Vec3::new(0.0, 0.0, 2.0);
         let goal = Vec3::new(20.0, 0.0, 2.0);
-        let path = planner.plan(&grid, start, goal).expect("a detour exists");
+        let path = plan(&mut planner, &grid, start, goal).expect("a detour exists");
         assert!(path.length() > start.distance(goal));
         assert!(path.is_collision_free(&grid, 0.4));
         assert_eq!(path.waypoints[0], start);
@@ -320,7 +321,7 @@ mod tests {
         let env = EnvironmentKind::Sparse.build(7);
         let config = PlannerConfig::for_bounds(env.bounds());
         let mut planner = AStarPlanner::new(config);
-        let path = planner.plan(&env, env.start(), env.goal());
+        let path = plan(&mut planner, &env, env.start(), env.goal());
         let path = path.expect("sparse environments are plannable");
         assert!(path.is_collision_free(&env, config.margin * 0.9));
     }
@@ -342,7 +343,7 @@ mod tests {
         let config =
             PlannerConfig { max_iterations: 2000, ..PlannerConfig::for_bounds(open_bounds()) };
         let mut planner = AStarPlanner::new(config);
-        let path = planner.plan(&grid, Vec3::new(0.0, 0.0, 2.0), Vec3::new(40.0, 40.0, 2.0));
+        let path = plan(&mut planner, &grid, Vec3::new(0.0, 0.0, 2.0), Vec3::new(40.0, 40.0, 2.0));
         assert!(path.is_none());
     }
 
@@ -350,9 +351,8 @@ mod tests {
     fn planning_is_deterministic() {
         let env = EnvironmentKind::Dense.build(3);
         let config = PlannerConfig::for_bounds(env.bounds());
-        let plan = |mut planner: AStarPlanner| planner.plan(&env, env.start(), env.goal());
-        let a = plan(AStarPlanner::new(config));
-        let b = plan(AStarPlanner::new(config));
+        let a = plan(&mut AStarPlanner::new(config), &env, env.start(), env.goal());
+        let b = plan(&mut AStarPlanner::new(config), &env, env.start(), env.goal());
         assert_eq!(a, b);
     }
 

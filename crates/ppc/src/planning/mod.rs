@@ -2,7 +2,6 @@
 //! trajectory generation and the mission planner.
 
 pub mod astar;
-pub mod frontier;
 pub mod mission;
 pub mod nn_index;
 pub mod rrt;
@@ -13,7 +12,6 @@ pub mod space;
 pub mod trajectory_gen;
 
 pub use astar::AStarPlanner;
-pub use frontier::{CellState, ExplorationCell, ExplorationMap, FrontierPlanner};
 pub use mission::MissionPlan;
 pub use nn_index::NnIndex;
 pub use rrt::Rrt;

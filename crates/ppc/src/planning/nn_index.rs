@@ -6,7 +6,7 @@
 //! used to be O(n) scans over the whole tree, which made RRT* quadratic in
 //! its iteration budget — a major share (with collision checking) of the
 //! ~856 ms it spent per replan on a mission-observed Dense grid
-//! (`BENCH_5.json`; `BENCH_7.json` has the indexed-vs-linear numbers).
+//! (`CHANGES.md`, PR 5; PR 7's entry has the indexed-vs-linear numbers).
 //!
 //! [`NnIndex`] replaces the scans with a uniform grid of cells over the
 //! planner's sampling box: cell `floor(p / cell_size)` per axis, the same

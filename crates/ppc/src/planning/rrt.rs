@@ -102,19 +102,20 @@ pub(crate) fn trace_path_into<N: ParentLinked>(nodes: &[N], index: usize, out: &
 /// # Examples
 ///
 /// ```
-/// use mavfi_ppc::planning::{MotionPlanner, PlannerConfig, Rrt};
+/// use mavfi_ppc::planning::{MotionPlanner, PlannedPath, PlannerConfig, Rrt};
 /// use mavfi_sim::env::EnvironmentKind;
 ///
 /// let env = EnvironmentKind::Sparse.build(3);
 /// let mut planner = Rrt::new(PlannerConfig::for_bounds(env.bounds()).with_seed(1));
-/// let path = planner.plan(&env, env.start(), env.goal()).expect("sparse world is solvable");
+/// let mut path = PlannedPath::default();
+/// assert!(planner.plan_into(&env, env.start(), env.goal(), &mut path), "sparse world is solvable");
 /// assert!(path.len() >= 2);
 /// ```
 #[derive(Debug)]
 pub struct Rrt {
     config: PlannerConfig,
     rng: StdRng,
-    // Tree storage pooled across `plan` calls (replans reuse the capacity).
+    // Tree storage pooled across `plan_into` calls (replans reuse the capacity).
     nodes: Vec<TreeNode>,
     // Pooled spatial index over the tree (bit-identical to the linear
     // `nearest` scan; `use_index` is the verification knob).
@@ -222,6 +223,7 @@ impl MotionPlanner for Rrt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planning::space::plan;
     use mavfi_sim::env::EnvironmentKind;
 
     #[test]
@@ -236,7 +238,7 @@ mod tests {
     fn plans_through_sparse_environment() {
         let env = EnvironmentKind::Sparse.build(11);
         let mut planner = Rrt::new(PlannerConfig::for_bounds(env.bounds()).with_seed(4));
-        let path = planner.plan(&env, env.start(), env.goal()).expect("path exists");
+        let path = plan(&mut planner, &env, env.start(), env.goal()).expect("path exists");
         assert_eq!(path.waypoints[0], env.start());
         assert_eq!(*path.waypoints.last().unwrap(), env.goal());
         assert!(path.is_collision_free(&env, planner.config().margin * 0.9));
@@ -251,7 +253,7 @@ mod tests {
         // that a short unobstructed segment takes the shortcut.
         let start = env.start();
         let nearby = start + Vec3::new(3.0, 0.0, 0.0);
-        let path = planner.plan(&env, start, nearby).unwrap();
+        let path = plan(&mut planner, &env, start, nearby).unwrap();
         assert_eq!(path.len(), 2);
     }
 
@@ -259,8 +261,8 @@ mod tests {
     fn planning_is_deterministic_for_a_seed() {
         let env = EnvironmentKind::Sparse.build(7);
         let config = PlannerConfig::for_bounds(env.bounds()).with_seed(21);
-        let a = Rrt::new(config).plan(&env, env.start(), env.goal());
-        let b = Rrt::new(config).plan(&env, env.start(), env.goal());
+        let a = plan(&mut Rrt::new(config), &env, env.start(), env.goal());
+        let b = plan(&mut Rrt::new(config), &env, env.start(), env.goal());
         assert_eq!(a, b);
     }
 
@@ -272,6 +274,6 @@ mod tests {
         // Ask for a goal outside the bounds with a tiny budget: unreachable.
         let outside = env.bounds().max + Vec3::splat(100.0);
         let mut planner = Rrt::new(config);
-        assert!(planner.plan(&env, env.start(), outside).is_none());
+        assert!(plan(&mut planner, &env, env.start(), outside).is_none());
     }
 }

@@ -17,18 +17,18 @@ use crate::planning::space::{MotionPlanner, ObstacleModel, PlannedPath, PlannerC
 /// # Examples
 ///
 /// ```
-/// use mavfi_ppc::planning::{MotionPlanner, PlannerConfig, RrtConnect};
+/// use mavfi_ppc::planning::{MotionPlanner, PlannedPath, PlannerConfig, RrtConnect};
 /// use mavfi_sim::env::EnvironmentKind;
 ///
 /// let env = EnvironmentKind::Sparse.build(5);
 /// let mut planner = RrtConnect::new(PlannerConfig::for_bounds(env.bounds()).with_seed(2));
-/// assert!(planner.plan(&env, env.start(), env.goal()).is_some());
+/// assert!(planner.plan_into(&env, env.start(), env.goal(), &mut PlannedPath::default()));
 /// ```
 #[derive(Debug)]
 pub struct RrtConnect {
     config: PlannerConfig,
     rng: StdRng,
-    // Both trees pooled across `plan` calls (replans reuse the capacity),
+    // Both trees pooled across `plan_into` calls (replans reuse the capacity),
     // each paired with its own pooled spatial index (bit-identical to the
     // linear `nearest` scan; `use_index` is the verification knob).
     start_tree: Vec<TreeNode>,
@@ -219,6 +219,7 @@ impl MotionPlanner for RrtConnect {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planning::space::plan;
     use mavfi_sim::env::EnvironmentKind;
 
     #[test]
@@ -227,8 +228,7 @@ mod tests {
             let env = kind.build(seed);
             let mut planner =
                 RrtConnect::new(PlannerConfig::for_bounds(env.bounds()).with_seed(17));
-            let path = planner
-                .plan(&env, env.start(), env.goal())
+            let path = plan(&mut planner, &env, env.start(), env.goal())
                 .unwrap_or_else(|| panic!("{} should be solvable", env.name()));
             assert_eq!(path.waypoints.first().copied(), Some(env.start()));
             assert_eq!(path.waypoints.last().copied(), Some(env.goal()));
@@ -240,8 +240,8 @@ mod tests {
     fn deterministic_per_seed() {
         let env = EnvironmentKind::Sparse.build(9);
         let config = PlannerConfig::for_bounds(env.bounds()).with_seed(5);
-        let a = RrtConnect::new(config).plan(&env, env.start(), env.goal());
-        let b = RrtConnect::new(config).plan(&env, env.start(), env.goal());
+        let a = plan(&mut RrtConnect::new(config), &env, env.start(), env.goal());
+        let b = plan(&mut RrtConnect::new(config), &env, env.start(), env.goal());
         assert_eq!(a, b);
     }
 
@@ -249,7 +249,7 @@ mod tests {
     fn path_endpoints_are_exact() {
         let env = EnvironmentKind::Factory.build(0);
         let mut planner = RrtConnect::new(PlannerConfig::for_bounds(env.bounds()).with_seed(31));
-        if let Some(path) = planner.plan(&env, env.start(), env.goal()) {
+        if let Some(path) = plan(&mut planner, &env, env.start(), env.goal()) {
             assert_eq!(path.waypoints[0], env.start());
             assert_eq!(*path.waypoints.last().unwrap(), env.goal());
         }

@@ -179,18 +179,18 @@ fn pick_parent(
 /// # Examples
 ///
 /// ```
-/// use mavfi_ppc::planning::{MotionPlanner, PlannerConfig, RrtStar};
+/// use mavfi_ppc::planning::{MotionPlanner, PlannedPath, PlannerConfig, RrtStar};
 /// use mavfi_sim::env::EnvironmentKind;
 ///
 /// let env = EnvironmentKind::Sparse.build(2);
 /// let mut planner = RrtStar::new(PlannerConfig::for_bounds(env.bounds()).with_seed(3));
-/// assert!(planner.plan(&env, env.start(), env.goal()).is_some());
+/// assert!(planner.plan_into(&env, env.start(), env.goal(), &mut PlannedPath::default()));
 /// ```
 #[derive(Debug)]
 pub struct RrtStar {
     config: PlannerConfig,
     rng: StdRng,
-    // Everything below is pooled across `plan` calls per the scratch-buffer
+    // Everything below is pooled across `plan_into` calls per the scratch-buffer
     // convention (docs/PERFORMANCE.md): cleared, never shrunk.
     nodes: Vec<StarNode>,
     neighbours: Vec<usize>,
@@ -433,6 +433,7 @@ impl MotionPlanner for RrtStar {
 mod tests {
     use super::*;
     use crate::planning::rrt::Rrt;
+    use crate::planning::space::plan;
     use mavfi_sim::env::EnvironmentKind;
     use mavfi_sim::geometry::Aabb;
 
@@ -440,7 +441,7 @@ mod tests {
     fn plans_collision_free_paths() {
         let env = EnvironmentKind::Sparse.build(13);
         let mut planner = RrtStar::new(PlannerConfig::for_bounds(env.bounds()).with_seed(6));
-        let path = planner.plan(&env, env.start(), env.goal()).expect("solvable");
+        let path = plan(&mut planner, &env, env.start(), env.goal()).expect("solvable");
         assert!(path.is_collision_free(&env, planner.config().margin * 0.9));
         assert_eq!(path.waypoints[0], env.start());
         assert_eq!(*path.waypoints.last().unwrap(), env.goal());
@@ -450,8 +451,8 @@ mod tests {
     fn deterministic_per_seed() {
         let env = EnvironmentKind::Sparse.build(4);
         let config = PlannerConfig::for_bounds(env.bounds()).with_seed(12);
-        let a = RrtStar::new(config).plan(&env, env.start(), env.goal());
-        let b = RrtStar::new(config).plan(&env, env.start(), env.goal());
+        let a = plan(&mut RrtStar::new(config), &env, env.start(), env.goal());
+        let b = plan(&mut RrtStar::new(config), &env, env.start(), env.goal());
         assert_eq!(a, b);
     }
 
@@ -491,10 +492,10 @@ mod tests {
                 // Two plans per instance: the second runs over warm pooled
                 // buffers and a stepped RNG.
                 for (start, goal) in [(env.start(), env.goal()), (env.goal(), env.start())] {
-                    let path = indexed.plan(&env, start, goal);
+                    let path = plan(&mut indexed, &env, start, goal);
                     assert_eq!(
                         path,
-                        linear.plan(&env, start, goal),
+                        plan(&mut linear, &env, start, goal),
                         "{} seed {env_seed} diverged",
                         env.name()
                     );
@@ -649,7 +650,7 @@ mod tests {
             let env = kind.build(env_seed);
             let mut planner =
                 RrtStar::new(PlannerConfig::for_bounds(env.bounds()).with_seed(planner_seed));
-            planner.plan(&env, env.start(), env.goal());
+            plan(&mut planner, &env, env.start(), env.goal());
             assert!(planner.nodes.len() > 50, "the search must have built a real tree");
             for (index, node) in planner.nodes.iter().enumerate() {
                 let Some(parent) = node.parent else {
@@ -699,8 +700,8 @@ mod tests {
         let mut solved = 0;
         for seed in 0..4_u64 {
             let config = PlannerConfig::for_bounds(env.bounds()).with_seed(seed);
-            let star = RrtStar::new(config).plan(&env, env.start(), env.goal());
-            let plain = Rrt::new(config).plan(&env, env.start(), env.goal());
+            let star = plan(&mut RrtStar::new(config), &env, env.start(), env.goal());
+            let plain = plan(&mut Rrt::new(config), &env, env.start(), env.goal());
             if let (Some(star), Some(plain)) = (star, plain) {
                 star_total += star.length();
                 rrt_total += plain.length();

@@ -24,7 +24,8 @@ use crate::planning::space::{ObstacleModel, PlannedPath};
 ///     Vec3::new(1.0, 1.0, 0.0),
 ///     Vec3::new(2.0, 0.0, 0.0),
 /// ]);
-/// let smooth = smoother.run(&OccupancyGrid::new(0.5), &zigzag);
+/// let mut smooth = PlannedPath::default();
+/// smoother.run_into(&OccupancyGrid::new(0.5), &zigzag, &mut smooth);
 /// assert_eq!(smooth.len(), 2); // obstacle-free: straight shortcut
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -43,17 +44,9 @@ impl PathSmoother {
         self.margin
     }
 
-    /// Smooths a path.  Paths with fewer than three way-points are returned
-    /// unchanged.
-    pub fn run(&self, model: &dyn ObstacleModel, path: &PlannedPath) -> PlannedPath {
-        let mut smoothed = PlannedPath::default();
-        self.run_into(model, path, &mut smoothed);
-        smoothed
-    }
-
-    /// [`PathSmoother::run`] into a caller-provided path, reusing its
-    /// way-point storage (allocation-free once at capacity, bit-identical
-    /// output).
+    /// Smooths `path` into `out`, reusing its way-point storage
+    /// (allocation-free once at capacity).  Paths with fewer than three
+    /// way-points are copied unchanged.
     pub fn run_into(&self, model: &dyn ObstacleModel, path: &PlannedPath, out: &mut PlannedPath) {
         out.waypoints.clear();
         if path.len() < 3 {
@@ -84,6 +77,12 @@ mod tests {
     use crate::perception::occupancy::OccupancyGrid;
     use mavfi_sim::geometry::Vec3;
 
+    fn smoothed(model: &dyn ObstacleModel, path: &PlannedPath) -> PlannedPath {
+        let mut out = PlannedPath::default();
+        PathSmoother::new(0.4).run_into(model, path, &mut out);
+        out
+    }
+
     #[test]
     fn smoothing_never_lengthens_the_path() {
         let grid = OccupancyGrid::new(0.5);
@@ -93,7 +92,7 @@ mod tests {
             Vec3::new(2.0, -3.0, 0.0),
             Vec3::new(5.0, 0.0, 0.0),
         ]);
-        let smooth = PathSmoother::new(0.4).run(&grid, &path);
+        let smooth = smoothed(&grid, &path);
         assert!(smooth.length() <= path.length() + 1e-9);
         assert_eq!(smooth.waypoints[0], path.waypoints[0]);
         assert_eq!(smooth.waypoints.last(), path.waypoints.last());
@@ -113,7 +112,7 @@ mod tests {
             Vec3::new(5.0, 8.0, 1.0),
             Vec3::new(10.0, 0.0, 1.0),
         ]);
-        let smooth = PathSmoother::new(0.4).run(&grid, &detour);
+        let smooth = smoothed(&grid, &detour);
         // The direct shortcut is blocked, so the detour way-point survives.
         assert_eq!(smooth.len(), 3);
         assert!(smooth.is_collision_free(&grid, 0.3));
@@ -123,6 +122,6 @@ mod tests {
     fn short_paths_are_untouched() {
         let grid = OccupancyGrid::new(0.5);
         let short = PlannedPath::new(vec![Vec3::ZERO, Vec3::new(1.0, 0.0, 0.0)]);
-        assert_eq!(PathSmoother::new(0.4).run(&grid, &short), short);
+        assert_eq!(smoothed(&grid, &short), short);
     }
 }

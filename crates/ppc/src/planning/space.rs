@@ -144,13 +144,6 @@ pub trait MotionPlanner {
         out: &mut PlannedPath,
     ) -> bool;
 
-    /// [`MotionPlanner::plan_into`] a fresh path: `None` when no path was
-    /// found.  Bit-identical to `plan_into` for a given planner state.
-    fn plan(&mut self, model: &dyn ObstacleModel, start: Vec3, goal: Vec3) -> Option<PlannedPath> {
-        let mut out = PlannedPath::default();
-        self.plan_into(model, start, goal, &mut out).then_some(out)
-    }
-
     /// Enables or disables the planner's pooled spatial index
     /// ([`NnIndex`](crate::planning::NnIndex)) for nearest-neighbour and
     /// rewiring-radius queries.
@@ -160,9 +153,22 @@ pub trait MotionPlanner {
     /// same lowest-index tie-breaks), so toggling it never changes a planned
     /// path — only how fast it is found.  Disabling it is the verification
     /// knob used by the equivalence tests and the `replan_micro` bench's
-    /// indexed-vs-linear records.  Takes effect at the next `plan` /
-    /// `plan_into` call.  Planners without such an index (A*) ignore it.
+    /// indexed-vs-linear timings.  Takes effect at the next `plan_into`
+    /// call.  Planners without such an index (A*) ignore it.
     fn set_spatial_index_enabled(&mut self, _enabled: bool) {}
+}
+
+/// [`MotionPlanner::plan_into`] a fresh path: `None` when no path was
+/// found.  The planners' unit tests use it as shorthand.
+#[cfg(test)]
+pub(crate) fn plan(
+    planner: &mut dyn MotionPlanner,
+    model: &dyn ObstacleModel,
+    start: Vec3,
+    goal: Vec3,
+) -> Option<PlannedPath> {
+    let mut out = PlannedPath::default();
+    planner.plan_into(model, start, goal, &mut out).then_some(out)
 }
 
 /// The planner algorithms evaluated by the paper, plus the deterministic A*

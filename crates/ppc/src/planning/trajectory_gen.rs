@@ -37,18 +37,10 @@ impl TrajectoryGenerator {
         Self { cruise_speed, waypoint_spacing }
     }
 
-    /// Converts a path into a trajectory.  Empty paths produce empty
-    /// trajectories.
-    pub fn run(&self, path: &PlannedPath) -> Trajectory {
-        let mut trajectory = Trajectory::default();
-        self.run_into(path, &mut Vec::new(), &mut trajectory);
-        trajectory
-    }
-
-    /// [`TrajectoryGenerator::run`] into caller-provided buffers:
+    /// Converts a path into a trajectory in caller-provided buffers:
     /// `positions` is resampling scratch, `out` receives the trajectory.
     /// Both reuse their storage across calls (allocation-free once at
-    /// capacity); the output is bit-identical to [`TrajectoryGenerator::run`].
+    /// capacity).  Empty paths produce empty trajectories.
     pub fn run_into(&self, path: &PlannedPath, positions: &mut Vec<Vec3>, out: &mut Trajectory) {
         out.waypoints.clear();
         if path.is_empty() {
@@ -90,17 +82,23 @@ impl TrajectoryGenerator {
 mod tests {
     use super::*;
 
+    fn run(generator: TrajectoryGenerator, path: &PlannedPath) -> Trajectory {
+        let mut trajectory = Trajectory::default();
+        generator.run_into(path, &mut Vec::new(), &mut trajectory);
+        trajectory
+    }
+
     #[test]
     fn empty_path_gives_empty_trajectory() {
         let generator = TrajectoryGenerator::default();
-        assert!(generator.run(&PlannedPath::default()).is_empty());
+        assert!(run(generator, &PlannedPath::default()).is_empty());
     }
 
     #[test]
     fn resampling_respects_spacing_and_endpoints() {
         let generator = TrajectoryGenerator::new(3.0, 2.0);
         let path = PlannedPath::new(vec![Vec3::ZERO, Vec3::new(10.0, 0.0, 0.0)]);
-        let trajectory = generator.run(&path);
+        let trajectory = run(generator, &path);
         assert_eq!(trajectory.waypoints.first().unwrap().position, Vec3::ZERO);
         assert_eq!(trajectory.waypoints.last().unwrap().position, Vec3::new(10.0, 0.0, 0.0));
         assert!(trajectory.len() >= 6);
@@ -113,7 +111,7 @@ mod tests {
     fn intermediate_waypoints_carry_cruise_speed_and_final_is_zero() {
         let generator = TrajectoryGenerator::new(4.0, 2.5);
         let path = PlannedPath::new(vec![Vec3::ZERO, Vec3::new(0.0, 10.0, 0.0)]);
-        let trajectory = generator.run(&path);
+        let trajectory = run(generator, &path);
         let first = &trajectory.waypoints[0];
         assert!((first.velocity.norm() - 4.0).abs() < 1e-9);
         assert!((first.yaw - std::f64::consts::FRAC_PI_2).abs() < 1e-9);
@@ -125,7 +123,7 @@ mod tests {
         let generator = TrajectoryGenerator::default();
         let path =
             PlannedPath::new(vec![Vec3::ZERO, Vec3::new(5.0, 0.0, 0.0), Vec3::new(5.0, 5.0, 0.0)]);
-        let trajectory = generator.run(&path);
+        let trajectory = run(generator, &path);
         assert!((trajectory.path_length() - path.length()).abs() < 1e-6);
     }
 

@@ -6,12 +6,25 @@
 //! planners themselves must produce bit-identical paths with the index on
 //! and off.
 
-use mavfi_ppc::planning::{NnIndex, PlannerAlgorithm, PlannerConfig};
+use mavfi_ppc::planning::{
+    MotionPlanner, NnIndex, ObstacleModel, PlannedPath, PlannerAlgorithm, PlannerConfig,
+};
 use mavfi_sim::env::EnvironmentKind;
 use mavfi_sim::geometry::{Aabb, Vec3};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Plans into a fresh path: `None` when no path was found.
+fn plan(
+    planner: &mut dyn MotionPlanner,
+    model: &dyn ObstacleModel,
+    start: Vec3,
+    goal: Vec3,
+) -> Option<PlannedPath> {
+    let mut out = PlannedPath::default();
+    planner.plan_into(model, start, goal, &mut out).then_some(out)
+}
 
 /// The linear `nearest` the planners used: `min_by` over distances in index
 /// order, first minimum (= lowest index) winning ties.
@@ -189,8 +202,8 @@ proptest! {
                 linear.set_spatial_index_enabled(false);
                 for (start, goal) in [(start, goal), (goal, start)] {
                     prop_assert_eq!(
-                        indexed.plan(&env, start, goal),
-                        linear.plan(&env, start, goal),
+                        plan(&mut *indexed, &env, start, goal),
+                        plan(&mut *linear, &env, start, goal),
                         "{:?} diverged on {}/{} (bounds {:?})",
                         algorithm,
                         env.name(),

@@ -3,7 +3,7 @@
 
 use mavfi_ppc::perception::occupancy::OccupancyGrid;
 use mavfi_ppc::planning::astar::AStarPlanner;
-use mavfi_ppc::planning::space::{MotionPlanner, PlannerConfig};
+use mavfi_ppc::planning::space::{MotionPlanner, PlannedPath, PlannerConfig};
 use mavfi_ppc::states::{MonitoredStates, StateField, Trajectory, Waypoint};
 use mavfi_sim::geometry::{Aabb, Vec3};
 use proptest::prelude::*;
@@ -81,7 +81,8 @@ proptest! {
         let bounds = Aabb::new(Vec3::new(-600.0, -600.0, -60.0), Vec3::new(600.0, 600.0, 60.0));
         let mut planner = AStarPlanner::new(PlannerConfig::for_bounds(bounds));
         let grid = OccupancyGrid::new(0.5);
-        let path = planner.plan(&grid, start, goal).expect("free space is plannable");
+        let mut path = PlannedPath::default();
+        prop_assert!(planner.plan_into(&grid, start, goal, &mut path), "free space is plannable");
         prop_assert_eq!(path.waypoints.first().copied(), Some(start));
         prop_assert_eq!(path.waypoints.last().copied(), Some(goal));
         prop_assert!((path.length() - start.distance(goal)).abs() < 1e-9);
@@ -109,7 +110,8 @@ proptest! {
         let goal = Vec3::new(24.0, offset, seed_z);
         let config = PlannerConfig::for_bounds(bounds);
         let mut planner = AStarPlanner::new(config);
-        if let Some(path) = planner.plan(&grid, start, goal) {
+        let mut path = PlannedPath::default();
+        if planner.plan_into(&grid, start, goal, &mut path) {
             prop_assert!(path.is_collision_free(&grid, config.margin * 0.8));
             prop_assert_eq!(path.waypoints.first().copied(), Some(start));
             prop_assert_eq!(path.waypoints.last().copied(), Some(goal));

@@ -50,11 +50,12 @@ impl RayHits {
 /// ```
 /// use mavfi_sim::env::EnvironmentKind;
 /// use mavfi_sim::geometry::Pose;
-/// use mavfi_sim::sensors::DepthCamera;
+/// use mavfi_sim::sensors::{CaptureScratch, DepthCamera, DepthFrame};
 ///
 /// let env = EnvironmentKind::Dense.build(1);
 /// let camera = DepthCamera::default();
-/// let frame = camera.capture(&env, &Pose::new(env.start(), 0.0));
+/// let mut frame = DepthFrame::default();
+/// camera.capture_into(&env, &Pose::new(env.start(), 0.0), &mut CaptureScratch::new(), &mut frame);
 /// assert_eq!(frame.rays_cast, camera.ray_count());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -106,17 +107,11 @@ impl DepthCamera {
         self.horizontal_rays * self.vertical_rays
     }
 
-    /// Captures a depth frame from `pose` looking along the pose heading.
-    pub fn capture(&self, env: &Environment, pose: &Pose) -> DepthFrame {
-        let mut frame = DepthFrame::default();
-        self.capture_into(env, pose, &mut CaptureScratch::new(), &mut frame);
-        frame
-    }
-
-    /// [`DepthCamera::capture`] into caller-provided buffers: reuses the
-    /// frame's point storage and the scratch's cull list, so steady-state
-    /// captures perform zero heap allocations.  The produced frame is
-    /// bit-identical to [`DepthCamera::capture`]'s.
+    /// Captures a depth frame from `pose` looking along the pose heading
+    /// into caller-provided buffers: reuses the frame's point storage and
+    /// the scratch's cull list, so steady-state captures perform zero heap
+    /// allocations.  A fresh frame and scratch produce the same frame as
+    /// reused ones.
     ///
     /// Before casting any rays, obstacles are broad-phase culled once per
     /// frame: boxes farther than the sensing range and boxes entirely behind
@@ -347,6 +342,12 @@ mod tests {
     use super::*;
     use crate::env::EnvironmentKind;
 
+    fn capture(camera: &DepthCamera, env: &Environment, pose: &Pose) -> DepthFrame {
+        let mut frame = DepthFrame::default();
+        camera.capture_into(env, pose, &mut CaptureScratch::new(), &mut frame);
+        frame
+    }
+
     #[test]
     fn camera_sees_obstacle_directly_ahead() {
         use crate::env::{Environment, Obstacle};
@@ -359,14 +360,14 @@ mod tests {
             Vec3::new(25.0, 0.0, 2.0),
         );
         let camera = DepthCamera::default();
-        let frame = camera.capture(&env, &Pose::new(env.start(), 0.0));
+        let frame = capture(&camera, &env, &Pose::new(env.start(), 0.0));
         assert!(!frame.points.is_empty());
         // Every returned point lies on the obstacle within sensing range.
         for point in &frame.points {
             assert!(point.distance(env.start()) <= camera.max_range + 1e-9);
         }
         // Looking away from the obstacle sees nothing.
-        let behind = camera.capture(&env, &Pose::new(env.start(), std::f64::consts::PI));
+        let behind = capture(&camera, &env, &Pose::new(env.start(), std::f64::consts::PI));
         assert!(behind.points.is_empty());
     }
 
@@ -405,7 +406,7 @@ mod tests {
     fn camera_range_limits_detection() {
         let env = EnvironmentKind::Sparse.build(5);
         let short = DepthCamera { max_range: 0.1, ..DepthCamera::default() };
-        let frame = short.capture(&env, &Pose::new(env.start(), 0.0));
+        let frame = capture(&short, &env, &Pose::new(env.start(), 0.0));
         assert!(frame.points.is_empty());
     }
 

@@ -1,7 +1,7 @@
 //! Detector calibration and ablation: sweep the Gaussian `n_sigma` and the
-//! autoencoder threshold margin, and compare five detector families
-//! (Gaussian, EWMA, static range, Mahalanobis, autoencoder) on labelled
-//! corruption streams derived from real error-free telemetry.
+//! autoencoder threshold margin, and compare three detector families
+//! (Gaussian, Mahalanobis, autoencoder) on labelled corruption streams
+//! derived from real error-free telemetry.
 //!
 //! Run with: `cargo run --release --example detector_calibration`
 

@@ -4,15 +4,16 @@
 # `docs/` markdown pages are included into the `mavfi-suite` crate docs, so
 # the same gate covers them), a release build of the benchmark package
 # (`perfbench/` calls the crates' public API, so an API change that breaks
-# it fails here), a smoke run of the instrumented-telemetry example, and a
-# relative-link existence check over the repository's markdown
-# documentation.
+# it fails here), a smoke run of the instrumented-telemetry example, a
+# bit-identical replay of the golden-trace store (`retrace --verify`), a
+# kill/resume smoke run of the campaign server, and a relative-link
+# existence check over the repository's markdown documentation.
 #
 # Usage: ./scripts/check.sh
 #
 # This is the cheap half of CI (.github/workflows/ci.yml); it does not run
-# the test suite, which takes ~30+ minutes on a small machine — use
-# `cargo test -q` for that.
+# the test suite (`cargo test -q`, about 2 minutes on a 2-core machine once
+# built), which holds the determinism and work-count gates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,9 +37,6 @@ cargo run --release --offline -q --example retrace -- --verify >/dev/null
 
 echo "==> campaign server kill/resume smoke (campaign_server --smoke)"
 cargo run --release --offline -q --example campaign_server -- --smoke >/dev/null
-
-echo "==> bench log gate: BENCH_9.json -> BENCH_10.json (bench_compare)"
-./scripts/bench.sh --compare BENCH_9.json BENCH_10.json >/dev/null
 
 echo "==> markdown relative links resolve (README.md, docs/, CHANGES.md)"
 broken=0

@@ -23,7 +23,7 @@ pub mod docs {
     pub mod architecture {}
 
     /// `docs/PLANNERS.md`: the four motion planners and the
-    /// `plan`/`plan_into` contract.
+    /// `plan_into` contract.
     #[doc = include_str!("../docs/PLANNERS.md")]
     pub mod planners {}
 

@@ -1,11 +1,9 @@
 //! Integration tests of the reproduction's extensions beyond the paper's
-//! core experiments: the ablation/calibration experiment driver, the
-//! fault-model characterisation and the recurring-fault injector driving a
-//! full closed-loop mission.
+//! core experiments: the ablation/calibration experiment driver and the
+//! fault-model characterisation.
 
 use mavfi::experiments::ablation::{self, AblationConfig};
 use mavfi::experiments::fault_model::{self, FaultModelConfig};
-use mavfi::prelude::*;
 
 #[test]
 fn ablation_quick_run_produces_consistent_detector_rankings() {
@@ -14,7 +12,7 @@ fn ablation_quick_run_produces_consistent_detector_rankings() {
     assert!(result.evaluation_samples > 0);
     assert_eq!(result.nsigma_sweep.len(), AblationConfig::quick().n_sigmas.len());
     assert_eq!(result.margin_sweep.len(), AblationConfig::quick().aad_margins.len());
-    assert_eq!(result.detectors.len(), 5);
+    assert_eq!(result.detectors.len(), 3);
     assert_eq!(result.architectures.len(), 1);
 
     // Every AUC is a probability and every detector separates exponent-flip
@@ -31,7 +29,7 @@ fn ablation_quick_run_produces_consistent_detector_rankings() {
     }
     // The table renders every family.
     let table = result.to_table();
-    for name in ["Gaussian (GAD)", "EWMA", "Static range", "Mahalanobis", "Autoencoder (AAD)"] {
+    for name in ["Gaussian (GAD)", "Mahalanobis", "Autoencoder (AAD)"] {
         assert!(table.contains(name), "missing {name} in\n{table}");
     }
 }
@@ -47,56 +45,4 @@ fn fault_model_survey_reproduces_the_bit_field_finding() {
     );
     // Most random flips land in the mantissa (52 of 64 bits).
     assert!((result.survey.mantissa_share() - 52.0 / 64.0).abs() < 1e-9);
-}
-
-#[test]
-fn permanent_command_fault_prevents_mission_completion_unlike_transient() {
-    // Drive the closed loop by hand with the recurring injector: a permanent
-    // stuck-at-zero fault on the forward velocity command keeps the vehicle
-    // from ever reaching the goal, while the same fault as a one-shot
-    // transient is absorbed.
-    let spec = MissionSpec::new(EnvironmentKind::Farm, 9).with_time_budget(240.0);
-
-    let fly = |recurrence: Option<Recurrence>| {
-        let environment = spec.environment.build(spec.seed);
-        let config = PpcConfig::new(spec.planner, environment.bounds(), spec.seed);
-        let mut pipeline = PpcPipeline::new(config, environment.start(), environment.goal());
-        let camera = DepthCamera::default();
-        let mut world = World::new(environment, spec.vehicle, PowerModel::default(), spec.mission);
-        let base = FaultSpec {
-            target: InjectionTarget::State(StateField::CommandVx),
-            model: FaultModel::StuckAt { value: 0.0 },
-            trigger_tick: 5,
-            seed: 3,
-        };
-        let mut injector = recurrence
-            .map(|recurrence| RecurringInjector::new(RecurringFaultSpec { base, recurrence }));
-        while world.status() == MissionStatus::InProgress {
-            let frame = camera.capture(world.environment(), &world.vehicle().pose());
-            let command = match injector.as_mut() {
-                Some(injector) => {
-                    pipeline.tick(&frame, &world.vehicle().state(), 0.1, injector).command
-                }
-                None => pipeline.tick(&frame, &world.vehicle().state(), 0.1, &mut NoopTap).command,
-            };
-            world.step(&command, 0.1);
-        }
-        (world.status(), injector.map(|i| i.occurrence_count()).unwrap_or(0))
-    };
-
-    let (golden_status, _) = fly(None);
-    assert_eq!(golden_status, MissionStatus::Succeeded, "golden Farm mission should succeed");
-
-    let (transient_status, transient_hits) = fly(Some(Recurrence::Transient));
-    assert_eq!(transient_hits, 1);
-    // A single zeroed velocity command for one control period is absorbed.
-    assert_eq!(transient_status, MissionStatus::Succeeded);
-
-    let (permanent_status, permanent_hits) = fly(Some(Recurrence::Permanent));
-    assert!(permanent_hits > 100, "permanent fault should fire every tick");
-    assert_ne!(
-        permanent_status,
-        MissionStatus::Succeeded,
-        "a permanently zeroed forward velocity must not reach the goal"
-    );
 }

@@ -1,18 +1,19 @@
 //! Golden-run determinism regression for the scratch-buffer tick path.
 //!
 //! The `_into` scratch APIs (depth capture, point cloud, smoothing,
-//! trajectory resampling, AAD scoring) must be *bit-identical* to their
-//! allocating counterparts: a mission driven through the allocating calls
-//! produces exactly the same `MissionOutcome` (qof, trail, pipeline stats)
-//! as `MissionRunner`'s scratch-buffer loop, across seeds and environments.
+//! trajectory resampling, AAD scoring) must give *bit-identical* results
+//! whether their buffers are fresh or reused: a mission that captures into
+//! a fresh frame and scratch every tick produces exactly the same
+//! `MissionOutcome` (qof, trail, pipeline stats) as `MissionRunner`'s
+//! reused-buffer loop, across seeds and environments.
 
 use mavfi::prelude::*;
 use mavfi::qof::QofMetrics;
 use mavfi_ppc::pipeline::PpcPipeline;
 use mavfi_ppc::tap::NoopTap;
 
-/// Flies `spec` with the *allocating* per-tick APIs (`DepthCamera::capture`
-/// allocates a fresh frame every tick), mirroring `MissionRunner`'s loop.
+/// Flies `spec` capturing into a fresh frame and scratch every tick,
+/// mirroring `MissionRunner`'s loop.
 fn fly_with_allocating_capture(spec: MissionSpec) -> (QofMetrics, Vec<Vec3>, u64) {
     let environment = spec.environment.build(spec.seed);
     let ppc_config = PpcConfig::new(spec.planner, environment.bounds(), spec.seed);
@@ -21,7 +22,9 @@ fn fly_with_allocating_capture(spec: MissionSpec) -> (QofMetrics, Vec<Vec3>, u64
     let mut world = World::new(environment, spec.vehicle, PowerModel::default(), spec.mission);
     let dt = spec.control_period;
     while world.status() == MissionStatus::InProgress {
-        let frame = camera.capture(world.environment(), &world.vehicle().pose());
+        let mut frame = DepthFrame::default();
+        let pose = world.vehicle().pose();
+        camera.capture_into(world.environment(), &pose, &mut CaptureScratch::new(), &mut frame);
         let tick = pipeline.tick(&frame, &world.vehicle().state(), dt, &mut NoopTap);
         world.step(&tick.command, dt);
     }
@@ -44,11 +47,11 @@ fn scratch_path_outcomes_are_bit_identical_to_allocating_path() {
             let outcome = MissionRunner::new(spec).run_golden();
             assert_eq!(
                 qof, outcome.qof,
-                "qof diverged for {environment:?} seed {seed} (scratch vs allocating)"
+                "qof diverged for {environment:?} seed {seed} (reused vs fresh buffers)"
             );
             assert_eq!(
                 trail, outcome.trail,
-                "trail diverged for {environment:?} seed {seed} (scratch vs allocating)"
+                "trail diverged for {environment:?} seed {seed} (reused vs fresh buffers)"
             );
             assert_eq!(ticks, outcome.pipeline.ticks, "tick count diverged for seed {seed}");
         }
@@ -56,7 +59,7 @@ fn scratch_path_outcomes_are_bit_identical_to_allocating_path() {
 }
 
 #[test]
-fn capture_into_matches_capture_including_cull() {
+fn capture_into_reused_buffers_match_fresh_buffers_including_cull() {
     // Frames must be identical pose by pose, including poses that look away
     // from (behind-cull) and beyond (range-cull) the obstacles.
     for environment in [EnvironmentKind::Sparse, EnvironmentKind::Dense] {
@@ -68,10 +71,11 @@ fn capture_into_matches_capture_including_cull() {
             let angle = step as f64 * (std::f64::consts::TAU / 12.0);
             let offset = Vec3::new((step % 7) as f64 * 3.0, (step % 5) as f64 * 4.0, 2.0);
             let pose = Pose::new(env.start() + offset, angle);
-            let allocating = camera.capture(&env, &pose);
+            let mut fresh = DepthFrame::default();
+            camera.capture_into(&env, &pose, &mut CaptureScratch::new(), &mut fresh);
             camera.capture_into(&env, &pose, &mut scratch, &mut reused);
             assert_eq!(
-                allocating, reused,
+                fresh, reused,
                 "{environment:?} frame diverged at step {step} (pose {pose:?})"
             );
         }

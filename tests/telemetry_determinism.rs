@@ -95,6 +95,41 @@ fn campaign_rollup_is_deterministic_and_inert_across_worker_counts() {
     assert_eq!(views[0], views[1]);
     assert_eq!(views[0], views[2]);
 
+    // The work this campaign does, pinned: a change that keeps every result
+    // but flies more ticks, replans or recomputes more often, invokes more
+    // kernels or loses trunk sharing fails here.  Re-record the constants
+    // only for a deliberate change in mission behaviour or work.
+    let view = &views[0];
+    assert_eq!(
+        view.counters,
+        TelemetryCounters {
+            ticks: 1807,
+            replans: 27,
+            alarms: [3, 11, 0],
+            recomputations: [3, 11, 0],
+            abandonments: 0,
+            ray_hits: 3,
+            ray_misses: 1807,
+            scan_hits: 599,
+            scan_misses: 1211,
+        }
+    );
+    // Indexed by `KernelId::index`: point cloud, OctoMap, collision check,
+    // RRT, RRT-Connect, RRT*, A*, smoothing, mission planner, path tracking,
+    // PID.
+    assert_eq!(view.kernel_invocations, [1807, 1810, 1810, 0, 0, 38, 0, 38, 1807, 1807, 1807]);
+    assert_eq!(
+        view.trunks,
+        TrunkCounters {
+            ticks_flown: 1079,
+            ticks_shared: 728,
+            gaussian_branches: 3,
+            autoencoder_branches: 0,
+            faults_never_fired: 1,
+        }
+    );
+    assert_eq!(view.timeline_digest, 0x7790_3954_1170_0b81);
+
     // The rollup serialises and round-trips.
     let json = serde_json::to_string(&views[0]).unwrap();
     let back: TelemetryReport = serde_json::from_str(&json).unwrap();
