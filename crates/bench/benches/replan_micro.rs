@@ -1,18 +1,23 @@
 //! Microbenchmarks of the replan path: per-planner `plan_into` latency on a
 //! mission-observed occupancy grid (for the RRT family also vs the O(n)
-//! linear nearest/radius scans the pooled spatial index replaced), and the
-//! end-to-end throughput of a pipeline forced to replan on every tick — the
+//! linear nearest/radius scans the pooled spatial index replaced), the share
+//! of an RRT* replan spent answering map queries, and the end-to-end
+//! throughput of a pipeline forced to replan on every tick — the
 //! fault-triggered recovery workload of the paper's §VI-C.
 //!
-//! Prints `ns/replan` and `ticks/s` lines before the Criterion group.
+//! Prints `ns/replan`, `map queries` and `ticks/s` lines before the
+//! Criterion group.
 
-use std::time::Instant;
+use std::cell::RefCell;
+use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mavfi::prelude::*;
 use mavfi_ppc::perception::occupancy::OccupancyGrid;
 use mavfi_ppc::pipeline::{PpcConfig, PpcPipeline};
-use mavfi_ppc::planning::{MotionPlanner, PlannedPath, PlannerAlgorithm, PlannerConfig};
+use mavfi_ppc::planning::{
+    MotionPlanner, ObstacleModel, PlannedPath, PlannerAlgorithm, PlannerConfig,
+};
 use mavfi_ppc::states::Trajectory;
 use mavfi_ppc::tap::{NoopTap, StageTap, TapAction};
 use mavfi_sim::sensors::{CaptureScratch, DepthCamera, DepthFrame};
@@ -98,6 +103,81 @@ fn measure_planner_latency(grid: &OccupancyGrid, start: Vec3, goal: Vec3) {
     }
 }
 
+/// One obstacle query a planner made.
+#[derive(Debug, Clone, Copy)]
+enum MapQuery {
+    Point(Vec3, f64),
+    Segment(Vec3, Vec3, f64),
+}
+
+impl MapQuery {
+    fn answer(self, model: &dyn ObstacleModel) -> bool {
+        match self {
+            MapQuery::Point(point, margin) => model.point_free(point, margin),
+            MapQuery::Segment(a, b, margin) => model.segment_free(a, b, margin),
+        }
+    }
+}
+
+/// Answers from a grid and records every query, in order.
+struct RecordingModel<'a> {
+    grid: &'a OccupancyGrid,
+    queries: RefCell<Vec<MapQuery>>,
+}
+
+impl RecordingModel<'_> {
+    fn record(&self, query: MapQuery) -> bool {
+        self.queries.borrow_mut().push(query);
+        query.answer(self.grid)
+    }
+}
+
+impl ObstacleModel for RecordingModel<'_> {
+    fn point_free(&self, point: Vec3, margin: f64) -> bool {
+        self.record(MapQuery::Point(point, margin))
+    }
+
+    fn segment_free(&self, a: Vec3, b: Vec3, margin: f64) -> bool {
+        self.record(MapQuery::Segment(a, b, margin))
+    }
+}
+
+/// Times the map queries of one RRT* replan against the whole replan: the
+/// first `plan_into` of a fresh seed-8 planner is recorded, then that replan
+/// (on fresh planners, so each makes exactly the recorded queries) and a
+/// replay of its queries against the grid are timed.
+fn measure_map_query_share(grid: &OccupancyGrid, start: Vec3, goal: Vec3) {
+    const ITERS: u32 = 8;
+    let config = PlannerConfig::for_bounds(EnvironmentKind::Dense.build(8).bounds()).with_seed(8);
+    let mut out = PlannedPath::default();
+    let recorder = RecordingModel { grid, queries: RefCell::new(Vec::new()) };
+    PlannerAlgorithm::RrtStar.instantiate(config).plan_into(&recorder, start, goal, &mut out);
+    let queries = recorder.queries.into_inner();
+
+    // The recorded replan warmed the caches for both timings.
+    let plan: Duration = (0..ITERS)
+        .map(|_| {
+            let mut planner = PlannerAlgorithm::RrtStar.instantiate(config);
+            let begin = Instant::now();
+            std::hint::black_box(planner.plan_into(grid, start, goal, &mut out));
+            begin.elapsed()
+        })
+        .sum();
+    let replay = || queries.iter().filter(|query| query.answer(grid)).count();
+    let begin = Instant::now();
+    for _ in 0..ITERS {
+        std::hint::black_box(replay());
+    }
+    let query_ms = begin.elapsed().as_secs_f64() * 1e3 / f64::from(ITERS);
+    let plan_ms = plan.as_secs_f64() * 1e3 / f64::from(ITERS);
+    println!(
+        "observed Dense seed-8 grid: map queries: {query_ms:.2} of {plan_ms:.2} ms per \
+         `plan_into` ({} queries, {:.0}%)",
+        queries.len(),
+        100.0 * query_ms / plan_ms.max(1e-9)
+    );
+}
+
 /// A tap that requests a planning recomputation on every tick — the
 /// deterministic core of the detector's fault-triggered recovery replan.
 struct ReplanEveryTick;
@@ -147,6 +227,7 @@ fn measure_forced_replan_throughput() {
 fn bench(c: &mut Criterion) {
     let (grid, position, goal) = observed_replan_problem();
     measure_planner_latency(&grid, position, goal);
+    measure_map_query_share(&grid, position, goal);
     measure_forced_replan_throughput();
     let mut group = c.benchmark_group("replan");
     group.sample_size(10);

@@ -21,8 +21,6 @@ pub struct UavSpec {
     pub max_acceleration: f64,
     /// Hard ceiling on velocity from the airframe itself (m/s).
     pub max_velocity: f64,
-    /// Battery capacity (J).
-    pub battery_capacity_j: f64,
 }
 
 impl UavSpec {
@@ -36,7 +34,6 @@ impl UavSpec {
             drag_power_coeff: 2.5,
             max_acceleration: 5.0,
             max_velocity: 12.0,
-            battery_capacity_j: 120_000.0,
         }
     }
 
@@ -50,7 +47,6 @@ impl UavSpec {
             drag_power_coeff: 1.2,
             max_acceleration: 4.0,
             max_velocity: 13.9,
-            battery_capacity_j: 58_000.0,
         }
     }
 

@@ -14,7 +14,6 @@ fn arbitrary_uav() -> impl Strategy<Value = UavSpec> {
             drag_power_coeff: drag,
             max_acceleration: accel,
             max_velocity: vmax,
-            battery_capacity_j: 60_000.0,
         },
     )
 }

@@ -11,7 +11,7 @@
 use mavfi_sim::geometry::Vec3;
 use serde::{Deserialize, Serialize};
 
-use crate::perception::occupancy::OccupancyGrid;
+use crate::perception::occupancy::{NearProbe, OccupancyGrid};
 use crate::states::{CollisionEstimate, Trajectory};
 
 /// Configuration of the collision checker.
@@ -161,10 +161,10 @@ impl CollisionChecker {
             let direction = velocity / speed;
             let max_distance = speed * self.config.horizon;
             let steps = (max_distance / self.config.sample_step).ceil() as usize;
+            let mut probe = NearProbe::new(grid, self.config.safety_margin);
             for i in 1..=steps {
                 let distance = i as f64 * self.config.sample_step;
-                let sample = position + direction * distance;
-                if grid.is_occupied_near(sample, self.config.safety_margin) {
+                if probe.occupied_near(position + direction * distance) {
                     return (distance / speed, true);
                 }
             }
@@ -179,8 +179,9 @@ impl CollisionChecker {
         trajectory: &Trajectory,
         active_index: usize,
     ) -> (f64, bool) {
+        let mut probe = NearProbe::new(grid, self.config.safety_margin);
         for (offset, waypoint) in trajectory.waypoints.iter().enumerate().skip(active_index) {
-            if grid.is_occupied_near(waypoint.position, self.config.safety_margin) {
+            if probe.occupied_near(waypoint.position) {
                 return (offset as f64, true);
             }
         }

@@ -1,6 +1,6 @@
 //! Voxel occupancy map, the OctoMap stand-in.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use mavfi_sim::geometry::Vec3;
@@ -69,14 +69,57 @@ impl VoxelHasher {
 /// [`VoxelHasher`].
 type VoxelSet = HashSet<VoxelKey, BuildHasherDefault<VoxelHasher>>;
 
+/// The near-obstacle mask: a sparse map of 4×4×4-cell bricks, each one
+/// `u64` bit mask (the leaf layout of VDB, Museth, ACM TOG 2013).  Cell
+/// `(x, y, z)` lives in brick `(x >> 2, y >> 2, z >> 2)` at bit
+/// [`brick_bit`]; the arithmetic shift is floor division, so negative keys
+/// need no special case.
+type BrickMask = HashMap<VoxelKey, u64, BuildHasherDefault<VoxelHasher>>;
+
 /// Chebyshev radius (in voxels) of the near-obstacle mask kept alongside the
 /// occupied set: every cell within this many voxels of an occupied voxel is
-/// marked.  [`OccupancyGrid::is_occupied_near`] queries whose inflation cube
-/// fits inside this radius (`ceil(margin / resolution) <=` this) reject
-/// free-space points with a single set probe instead of scanning the whole
-/// cube.  Two voxels covers every margin the pipeline uses (planner margin
-/// 0.7 m at 0.5 m resolution); larger margins simply skip the fast path.
+/// marked.  [`NearProbe`] queries whose inflation cube fits inside this
+/// radius (`ceil(margin / resolution) <=` this) reject free-space points
+/// with one bit test, reading the brick map only when a point leaves the
+/// previous point's brick, instead of scanning the whole cube.  Two voxels
+/// covers every margin the pipeline uses (planner margin 0.7 m at 0.5 m
+/// resolution); larger margins simply skip the fast path.  The 5-cell cube
+/// of one voxel spans at most two bricks per axis, so marking it ORs at most
+/// eight words.
 const NEAR_MASK_STEPS: i64 = 2;
+
+/// Key of the brick holding cell `key`.
+fn brick_of(key: VoxelKey) -> VoxelKey {
+    VoxelKey { x: key.x >> 2, y: key.y >> 2, z: key.z >> 2 }
+}
+
+/// Bit of cell `key` inside its brick's word.
+fn brick_bit(key: VoxelKey) -> u32 {
+    ((key.x & 3) | (key.y & 3) << 2 | (key.z & 3) << 4) as u32
+}
+
+/// The cells of `lo..=hi` that lie in brick `brick` along one axis, placed
+/// at that axis's bit `stride` (1 for x, 4 for y, 16 for z): brick-local
+/// cells `a..=b` set bits `a * stride .. (b + 1) * stride`.
+fn axis_span(brick: i64, lo: i64, hi: i64, stride: u32) -> u64 {
+    let base = brick << 2;
+    let a = (lo.max(base) - base) as u32;
+    let b = (hi.min(base + 3) - base) as u32;
+    u64::MAX >> (64 - (b + 1 - a) * stride) << (a * stride)
+}
+
+/// `x.floor() as i64`, bit for bit, for every `f64` (NaN maps to 0 and
+/// out-of-range values saturate, as `as` does), without the libm call that
+/// `f64::floor` compiles to on baseline x86-64: truncate, then step down
+/// when truncation rounded a negative fraction up.
+pub(crate) fn floor_to_i64(x: f64) -> i64 {
+    let truncated = x as i64;
+    if truncated as f64 > x {
+        truncated.saturating_sub(1)
+    } else {
+        truncated
+    }
+}
 
 /// A sparse voxel occupancy grid built incrementally from point clouds.
 ///
@@ -102,14 +145,15 @@ pub struct OccupancyGrid {
     resolution: f64,
     voxels: VoxelSet,
     /// Cells within [`NEAR_MASK_STEPS`] voxels (Chebyshev) of any voxel that
-    /// has *ever* been occupied since the last [`OccupancyGrid::clear`].
-    /// Maintained on insertion only: removals leave stale marks, which keeps
-    /// the mask a superset of the true dilation — exactly what the
-    /// fast-reject in [`OccupancyGrid::is_occupied_near`] needs (an unmarked
-    /// cell provably has no occupied voxel in reach; a stale mark merely
-    /// falls through to the exact scan).  Derived state: excluded from
-    /// equality and the wire format, rebuilt on deserialization.
-    near_mask: VoxelSet,
+    /// has *ever* been occupied since the last [`OccupancyGrid::clear`],
+    /// stored as bricks of 64 bits (see [`BrickMask`]).  Maintained on
+    /// insertion only: removals leave stale marks, which keeps the mask a
+    /// superset of the true dilation — exactly what the fast reject of
+    /// [`NearProbe`] needs (an unmarked cell provably has no occupied voxel
+    /// in reach; a stale mark merely falls through to the exact scan).
+    /// Derived state: excluded from equality and the wire format, rebuilt on
+    /// deserialization.
+    near_mask: BrickMask,
     /// Monotonic mutation counter: bumped every time the occupied voxel set
     /// actually changes (inserting an already-occupied voxel or removing a
     /// free one does not count).  Consumers such as the
@@ -121,7 +165,10 @@ pub struct OccupancyGrid {
 
 /// `clone_from` reuses the target's hash tables whenever their bucket counts
 /// match the source's, so refreshing a mid-mission checkpoint of the map
-/// allocates only when the map has outgrown the copy.
+/// allocates only when the map has outgrown the copy.  Both tables hold
+/// plain `Copy` entries, so a same-size refresh is a table copy, and the
+/// bricked mask is a fraction of the size a per-cell set was (about 10×
+/// cheaper to copy on a Sparse mission's map).
 impl Clone for OccupancyGrid {
     fn clone(&self) -> Self {
         Self { voxels: self.voxels.clone(), near_mask: self.near_mask.clone(), ..*self }
@@ -169,7 +216,7 @@ impl<'de> Deserialize<'de> for OccupancyGrid {
         let mut grid = Self {
             resolution: serde::from_field(map, "resolution")?,
             voxels: serde::from_field(map, "voxels")?,
-            near_mask: VoxelSet::default(),
+            near_mask: BrickMask::default(),
             revision: 0,
         };
         for key in grid.voxels.iter().copied().collect::<Vec<_>>() {
@@ -190,23 +237,29 @@ impl OccupancyGrid {
         Self {
             resolution,
             voxels: VoxelSet::default(),
-            near_mask: VoxelSet::default(),
+            near_mask: BrickMask::default(),
             revision: 0,
         }
     }
 
     /// Marks every cell within [`NEAR_MASK_STEPS`] of a newly occupied voxel
     /// (saturating at the key range edge, matching the saturated probe cube
-    /// of [`OccupancyGrid::is_occupied_near`]).
+    /// of [`NearProbe`]).  Inside each brick it touches, the cube is the
+    /// product of three contiguous axis spans: replicating the x span across
+    /// every (y, z) row and the y span across every z layer turns the
+    /// product into an AND of three words.
     fn mark_near(&mut self, key: VoxelKey) {
-        for dx in -NEAR_MASK_STEPS..=NEAR_MASK_STEPS {
-            for dy in -NEAR_MASK_STEPS..=NEAR_MASK_STEPS {
-                for dz in -NEAR_MASK_STEPS..=NEAR_MASK_STEPS {
-                    self.near_mask.insert(VoxelKey {
-                        x: key.x.saturating_add(dx),
-                        y: key.y.saturating_add(dy),
-                        z: key.z.saturating_add(dz),
-                    });
+        let range = |k: i64| (k.saturating_sub(NEAR_MASK_STEPS), k.saturating_add(NEAR_MASK_STEPS));
+        let (x_lo, x_hi) = range(key.x);
+        let (y_lo, y_hi) = range(key.y);
+        let (z_lo, z_hi) = range(key.z);
+        for bx in (x_lo >> 2)..=(x_hi >> 2) {
+            let x_bits = axis_span(bx, x_lo, x_hi, 1) * 0x1111_1111_1111_1111;
+            for by in (y_lo >> 2)..=(y_hi >> 2) {
+                let xy_bits = x_bits & (axis_span(by, y_lo, y_hi, 4) * 0x0001_0001_0001_0001);
+                for bz in (z_lo >> 2)..=(z_hi >> 2) {
+                    let bits = xy_bits & axis_span(bz, z_lo, z_hi, 16);
+                    *self.near_mask.entry(VoxelKey { x: bx, y: by, z: bz }).or_insert(0) |= bits;
                 }
             }
         }
@@ -242,9 +295,9 @@ impl OccupancyGrid {
     /// Converts a world point to its voxel key.
     pub fn key_for(&self, point: Vec3) -> VoxelKey {
         VoxelKey {
-            x: (point.x / self.resolution).floor() as i64,
-            y: (point.y / self.resolution).floor() as i64,
-            z: (point.z / self.resolution).floor() as i64,
+            x: floor_to_i64(point.x / self.resolution),
+            y: floor_to_i64(point.y / self.resolution),
+            z: floor_to_i64(point.z / self.resolution),
         }
     }
 
@@ -299,75 +352,29 @@ impl OccupancyGrid {
     }
 
     /// Returns `true` if any voxel within `margin` meters of `point` is
-    /// occupied (a cheap obstacle-inflation query).
+    /// occupied (a cheap obstacle-inflation query): an occupied voxel within
+    /// `ceil(margin / resolution)` voxels (Chebyshev) of the point's cell
+    /// whose center lies within `margin + resolution` of the point.
     ///
-    /// This is the hottest query in the pipeline (the collision-check kernel
-    /// probes it for every marched sample, and the sampling-based planners
-    /// march hundreds of thousands of segment samples per replan).  Two
-    /// result-preserving cuts keep it cheap:
-    ///
-    /// * **Near-mask fast reject**: when the inflation cube fits inside the
-    ///   mask radius, a point whose cell is unmarked provably has no
-    ///   occupied voxel in reach — one set probe answers the common
-    ///   free-space case that otherwise scans the whole cube.
-    /// * **Spherical pruning**: candidate voxels are pruned by squared
-    ///   distance *before* the set lookup — most of the cubic neighbourhood
-    ///   lies outside the spherical reach, and a few float multiplies are
-    ///   far cheaper than hashing a key.  The pruning bound is slightly
-    ///   inflated so boundary candidates still reach the exact
-    ///   `distance <= margin + resolution` test below, keeping results
-    ///   bit-identical to the unpruned scan.
+    /// This is the hottest query in the pipeline: the collision-check kernel
+    /// asks it for every marched sample, and the sampling-based planners
+    /// march hundreds of thousands of segment samples per replan.  Each
+    /// march drives one probe cursor, which answers most free-space samples
+    /// with a bit test on a cached near-mask brick word; this one-point form
+    /// builds a cursor for a single query.
     pub fn is_occupied_near(&self, point: Vec3, margin: f64) -> bool {
-        if !point.is_finite() || self.voxels.is_empty() {
-            return false;
-        }
-        let steps = (margin / self.resolution).ceil() as i64;
-        let center = self.key_for(point);
-        if steps <= NEAR_MASK_STEPS && !self.near_mask.contains(&center) {
-            return false;
-        }
-        let reach = margin + self.resolution;
-        let prune_sq = (reach * reach) * (1.0 + 1e-9);
-        for dx in -steps..=steps {
-            // Saturate: fault injection can corrupt coordinates to the edge
-            // of the i64 key range, where plain addition overflows.
-            let x = center.x.saturating_add(dx);
-            let ox = (x as f64 + 0.5) * self.resolution - point.x;
-            let ox_sq = ox * ox;
-            if ox_sq > prune_sq {
-                continue;
-            }
-            for dy in -steps..=steps {
-                let y = center.y.saturating_add(dy);
-                let oy = (y as f64 + 0.5) * self.resolution - point.y;
-                let oxy_sq = ox_sq + oy * oy;
-                if oxy_sq > prune_sq {
-                    continue;
-                }
-                for dz in -steps..=steps {
-                    let z = center.z.saturating_add(dz);
-                    let oz = (z as f64 + 0.5) * self.resolution - point.z;
-                    if oxy_sq + oz * oz > prune_sq {
-                        continue;
-                    }
-                    let key = VoxelKey { x, y, z };
-                    if self.voxels.contains(&key) && self.voxel_center(key).distance(point) <= reach
-                    {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+        NearProbe::new(self, margin).occupied_near(point)
     }
 
     /// Returns `true` if the straight segment from `a` to `b`, inflated by
     /// `margin`, touches no occupied voxel.
     ///
     /// Samples [`OccupancyGrid::is_occupied_near`] every half resolution
-    /// along the segment; free-space samples cost one near-mask probe each,
-    /// so only the stretches of a segment that actually pass close to
-    /// obstacles pay for neighbourhood scans.
+    /// along the segment through one probe cursor: free-space samples cost a
+    /// bit test, plus a near-mask read each time the march enters a new
+    /// brick (every 2 m at 0.5 m resolution), so only the stretches of a
+    /// segment that actually pass close to obstacles pay for neighbourhood
+    /// scans.
     pub fn segment_free(&self, a: Vec3, b: Vec3, margin: f64) -> bool {
         if self.voxels.is_empty() {
             return true;
@@ -375,10 +382,10 @@ impl OccupancyGrid {
         let length = a.distance(b);
         let step = (self.resolution * 0.5).max(1e-3);
         let count = (length / step).ceil() as usize;
+        let mut probe = NearProbe::new(self, margin);
         for i in 0..=count {
             let t = if count == 0 { 0.0 } else { i as f64 / count as f64 };
-            let sample = a.lerp(b, t);
-            if self.is_occupied_near(sample, margin) {
+            if probe.occupied_near(a.lerp(b, t)) {
                 return false;
             }
         }
@@ -398,6 +405,104 @@ impl OccupancyGrid {
         }
         self.voxels.clear();
         self.near_mask.clear();
+    }
+}
+
+/// [`OccupancyGrid::is_occupied_near`] at one margin, for a run of points.
+///
+/// Everything that depends only on the margin (the cube radius, the reach
+/// and its pruning bound) is computed once.  The probe also keeps the last
+/// near-mask brick it read, so consecutive points in the same brick (a
+/// march's neighbouring samples) answer the free-space case with a bit test
+/// and no map read.  A marked cell falls through to the exact scan, which
+/// does two result-preserving cuts: the saturated cube walk and spherical
+/// pruning of candidates by squared distance *before* the set lookup, with
+/// the bound slightly inflated so boundary candidates still reach the exact
+/// `distance <= margin + resolution` test.
+pub(crate) struct NearProbe<'a> {
+    grid: &'a OccupancyGrid,
+    steps: i64,
+    reach: f64,
+    prune_sq: f64,
+    /// The cube fits the mask radius, so an unmarked cell answers `false`.
+    masked: bool,
+    /// Brick `word` was read from.  Brick keys are at most `i64::MAX >> 2`,
+    /// so the initial `i64::MAX` key names no brick.
+    brick: VoxelKey,
+    word: u64,
+}
+
+impl<'a> NearProbe<'a> {
+    /// A probe of `grid` at inflation `margin`.
+    pub(crate) fn new(grid: &'a OccupancyGrid, margin: f64) -> Self {
+        let steps = (margin / grid.resolution).ceil() as i64;
+        let reach = margin + grid.resolution;
+        Self {
+            grid,
+            steps,
+            reach,
+            prune_sq: (reach * reach) * (1.0 + 1e-9),
+            masked: steps <= NEAR_MASK_STEPS,
+            brick: VoxelKey { x: i64::MAX, y: i64::MAX, z: i64::MAX },
+            word: 0,
+        }
+    }
+
+    /// [`OccupancyGrid::is_occupied_near`] of `point` at this probe's margin.
+    pub(crate) fn occupied_near(&mut self, point: Vec3) -> bool {
+        if !point.is_finite() || self.grid.voxels.is_empty() {
+            return false;
+        }
+        let center = self.grid.key_for(point);
+        if self.masked {
+            let brick = brick_of(center);
+            if brick != self.brick {
+                self.brick = brick;
+                self.word = self.grid.near_mask.get(&brick).copied().unwrap_or(0);
+            }
+            if self.word >> brick_bit(center) & 1 == 0 {
+                return false;
+            }
+        }
+        self.scan(point, center)
+    }
+
+    /// The exact neighbourhood scan around `center`, the key of `point`.
+    fn scan(&self, point: Vec3, center: VoxelKey) -> bool {
+        let grid = self.grid;
+        let steps = self.steps;
+        for dx in -steps..=steps {
+            // Saturate: fault injection can corrupt coordinates to the edge
+            // of the i64 key range, where plain addition overflows.
+            let x = center.x.saturating_add(dx);
+            let ox = (x as f64 + 0.5) * grid.resolution - point.x;
+            let ox_sq = ox * ox;
+            if ox_sq > self.prune_sq {
+                continue;
+            }
+            for dy in -steps..=steps {
+                let y = center.y.saturating_add(dy);
+                let oy = (y as f64 + 0.5) * grid.resolution - point.y;
+                let oxy_sq = ox_sq + oy * oy;
+                if oxy_sq > self.prune_sq {
+                    continue;
+                }
+                for dz in -steps..=steps {
+                    let z = center.z.saturating_add(dz);
+                    let oz = (z as f64 + 0.5) * grid.resolution - point.z;
+                    if oxy_sq + oz * oz > self.prune_sq {
+                        continue;
+                    }
+                    let key = VoxelKey { x, y, z };
+                    if grid.voxels.contains(&key)
+                        && grid.voxel_center(key).distance(point) <= self.reach
+                    {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
     }
 }
 
@@ -541,24 +646,42 @@ mod tests {
     /// internal cut (near mask, spherical prune) answers: an occupied voxel
     /// within `ceil(margin/resolution)` voxels (Chebyshev) of the point's
     /// cell whose center lies within `margin + resolution` of the point.
+    /// Key distances use `abs_diff`, so voxels at the edge of the key range
+    /// cannot overflow the reference.
     fn occupied_near_reference(grid: &OccupancyGrid, point: Vec3, margin: f64) -> bool {
         if !point.is_finite() {
             return false;
         }
-        let steps = (margin / grid.resolution()).ceil() as i64;
+        let steps = (margin / grid.resolution()).ceil() as u64;
         let center = grid.key_for(point);
         let reach = margin + grid.resolution();
         grid.occupied_voxels().any(|voxel| {
-            (voxel.x - center.x).abs() <= steps
-                && (voxel.y - center.y).abs() <= steps
-                && (voxel.z - center.z).abs() <= steps
+            voxel.x.abs_diff(center.x) <= steps
+                && voxel.y.abs_diff(center.y) <= steps
+                && voxel.z.abs_diff(center.z) <= steps
                 && grid.voxel_center(voxel).distance(point) <= reach
         })
     }
 
-    /// A grid with scattered occupied voxels and a deterministic probe
-    /// sweep dense enough to land on mask boundaries, reach boundaries and
-    /// deep free space.
+    /// Occupied voxels on both sides of brick edges (multiples of 4) at
+    /// negative keys, probed on a lattice around each.
+    const BRICK_EDGE_VOXELS: [(i64, i64, i64); 4] =
+        [(-1, -1, -1), (-4, 0, 3), (-5, -8, -9), (3, -4, 4)];
+
+    /// Voxels at the edge of the key range, which fault-corrupted keys can
+    /// reach through `set_voxel`.
+    const KEY_EDGE_VOXELS: [(i64, i64, i64); 5] = [
+        (i64::MAX, 3, -5),
+        (i64::MIN, -1, 0),
+        (0, i64::MIN, i64::MAX),
+        (i64::MAX, i64::MAX, i64::MAX),
+        (i64::MIN, i64::MIN, i64::MIN),
+    ];
+
+    /// A grid with scattered occupied voxels, voxels straddling brick edges
+    /// at negative keys and voxels at the key range edges, and a
+    /// deterministic probe sweep dense enough to land on mask boundaries,
+    /// brick edges, reach boundaries and deep free space.
     fn probed_grid() -> (OccupancyGrid, Vec<Vec3>) {
         let mut grid = OccupancyGrid::new(0.5);
         for i in 0..40_i64 {
@@ -578,6 +701,32 @@ mod tests {
                 (f * 0.29).cos() * 5.0,
             ));
         }
+        let offsets = [-1.6, -1.1, -0.6, -0.35, 0.0, 0.3, 0.55, 1.05, 1.6];
+        for (x, y, z) in BRICK_EDGE_VOXELS {
+            let key = VoxelKey { x, y, z };
+            grid.set_voxel(key, true);
+            let center = grid.voxel_center(key);
+            for dx in offsets {
+                for dy in offsets {
+                    for dz in offsets {
+                        probes.push(center + Vec3::new(dx, dy, dz));
+                    }
+                }
+            }
+        }
+        for (x, y, z) in KEY_EDGE_VOXELS {
+            let key = VoxelKey { x, y, z };
+            grid.set_voxel(key, true);
+            // Offsets vanish against a coordinate of 2^62, so probes there
+            // move only along the small axes; 1e19 m saturates the key.
+            let center = grid.voxel_center(key);
+            for offset in offsets {
+                probes.push(center + Vec3::new(offset, offset, -offset));
+                probes.push(Vec3::new(center.x * 2.2, center.y + offset, center.z));
+            }
+        }
+        probes.push(Vec3::new(f64::INFINITY, 0.0, 0.0));
+        probes.push(Vec3::new(0.0, f64::NAN, 0.0));
         (grid, probes)
     }
 
@@ -652,6 +801,143 @@ mod tests {
         grid.insert_point(Vec3::ZERO);
         assert!(grid.is_occupied_near(Vec3::new(0.5, 0.5, 0.5), 0.7));
         assert!(!grid.is_occupied_near(Vec3::new(6.0, 6.0, 6.0), 0.7));
+    }
+
+    /// `segment_free` against a march kept here as the reference: one fresh
+    /// `is_occupied_near` call per sample, every half resolution.
+    fn segment_free_reference(grid: &OccupancyGrid, a: Vec3, b: Vec3, margin: f64) -> bool {
+        if grid.is_empty() {
+            return true;
+        }
+        let step = (grid.resolution() * 0.5).max(1e-3);
+        let count = (a.distance(b) / step).ceil() as usize;
+        (0..=count).all(|i| {
+            let t = if count == 0 { 0.0 } else { i as f64 / count as f64 };
+            !grid.is_occupied_near(a.lerp(b, t), margin)
+        })
+    }
+
+    /// A probe caches the last brick it read; reusing one across distant
+    /// points, repeated points and whole segment marches must answer
+    /// exactly what fresh calls do.
+    #[test]
+    fn probe_reuse_matches_fresh_calls() {
+        let (grid, probes) = probed_grid();
+        // Segments between the key-edge probes would be ~1e19 samples long.
+        let local: Vec<Vec3> = probes.iter().copied().filter(|p| p.norm() < 100.0).collect();
+        for margin in [0.4, 0.7, 1.0, 1.4] {
+            let mut probe = NearProbe::new(&grid, margin);
+            for &point in probes.iter().chain(probes.iter().rev()) {
+                assert_eq!(
+                    probe.occupied_near(point),
+                    occupied_near_reference(&grid, point, margin),
+                    "probe {point:?} margin {margin}"
+                );
+            }
+            for pair in local.windows(2) {
+                assert_eq!(
+                    grid.segment_free(pair[0], pair[1], margin),
+                    segment_free_reference(&grid, pair[0], pair[1], margin),
+                    "segment {pair:?} margin {margin}"
+                );
+            }
+        }
+    }
+
+    /// The cells the bricked mask marks, decoded back to keys.
+    fn marked_cells(grid: &OccupancyGrid) -> HashSet<VoxelKey> {
+        let mut cells = HashSet::new();
+        for (brick, &word) in &grid.near_mask {
+            for bit in (0..64).filter(|bit| word >> bit & 1 == 1) {
+                cells.insert(VoxelKey {
+                    x: brick.x << 2 | (bit & 3),
+                    y: brick.y << 2 | (bit >> 2 & 3),
+                    z: brick.z << 2 | (bit >> 4),
+                });
+            }
+        }
+        cells
+    }
+
+    /// `mark_near` marks exactly the saturated 5-cell cube of a voxel, at
+    /// every brick offset, across negative brick edges and at both ends of
+    /// the key range.
+    #[test]
+    fn near_mask_marks_exactly_the_saturated_cube() {
+        let mut axis_keys: Vec<i64> = (-9..=9).collect();
+        axis_keys.extend([
+            i64::MIN,
+            i64::MIN + 1,
+            i64::MIN + 2,
+            i64::MAX - 2,
+            i64::MAX - 1,
+            i64::MAX,
+        ]);
+        for (i, &x) in axis_keys.iter().enumerate() {
+            let y = axis_keys[(i * 7 + 3) % axis_keys.len()];
+            let z = axis_keys[(i * 11 + 5) % axis_keys.len()];
+            let key = VoxelKey { x, y, z };
+            let mut grid = OccupancyGrid::new(0.5);
+            grid.set_voxel(key, true);
+            let mut cube = HashSet::new();
+            for dx in -NEAR_MASK_STEPS..=NEAR_MASK_STEPS {
+                for dy in -NEAR_MASK_STEPS..=NEAR_MASK_STEPS {
+                    for dz in -NEAR_MASK_STEPS..=NEAR_MASK_STEPS {
+                        cube.insert(VoxelKey {
+                            x: x.saturating_add(dx),
+                            y: y.saturating_add(dy),
+                            z: z.saturating_add(dz),
+                        });
+                    }
+                }
+            }
+            assert_eq!(marked_cells(&grid), cube, "voxel {key:?}");
+            assert!(grid.near_mask.len() <= 8, "voxel {key:?} touched more than eight bricks");
+        }
+    }
+
+    fn assert_floor_matches(x: f64) {
+        assert_eq!(floor_to_i64(x), x.floor() as i64, "x = {x:e} (bits {:#018x})", x.to_bits());
+    }
+
+    #[test]
+    fn floor_to_i64_matches_floor_cast_on_edge_values() {
+        let two_53 = 2.0_f64.powi(53);
+        let two_63 = 2.0_f64.powi(63);
+        let values = [
+            0.0,
+            0.5,
+            1.0,
+            2.5,
+            f64::NAN,
+            f64::INFINITY,
+            two_53 + 0.5,
+            two_53 - 0.5,
+            two_53 + 2.0,
+            two_63,
+            two_63 * 2.0,
+            i64::MAX as f64,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            f64::from_bits(1),
+            f64::EPSILON,
+            1.0 - f64::EPSILON,
+        ];
+        for x in values {
+            assert_floor_matches(x);
+            assert_floor_matches(-x);
+        }
+        // The last f64 below -2^63 and the first above it.
+        assert_floor_matches(f64::from_bits((-two_63).to_bits() + 1));
+        assert_floor_matches(f64::from_bits((-two_63).to_bits() - 1));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn floor_to_i64_matches_floor_cast_on_any_bits(bits in proptest::prelude::any::<u64>()) {
+            assert_floor_matches(f64::from_bits(bits));
+        }
     }
 
     #[test]

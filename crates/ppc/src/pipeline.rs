@@ -717,8 +717,10 @@ impl PpcPipeline {
             self.pid.reset();
             true
         } else {
-            // Keep the previous trajectory (if any); the vehicle will
-            // brake on an empty one.
+            // Keep the previous trajectory: the vehicle goes on tracking
+            // it, even when this replan was triggered by a predicted
+            // collision on it.  Only a vehicle that has no trajectory yet
+            // holds position.
             false
         }
     }

@@ -46,7 +46,7 @@
 
 use mavfi_sim::geometry::{Aabb, Vec3};
 
-use crate::perception::occupancy::VoxelKey;
+use crate::perception::occupancy::{floor_to_i64, VoxelKey};
 
 /// Sentinel for "no node" in the intrusive bucket lists.
 const NONE: u32 = u32::MAX;
@@ -211,9 +211,9 @@ impl NnIndex {
 
     fn key_for(&self, point: Vec3) -> VoxelKey {
         VoxelKey {
-            x: (point.x / self.cell_size).floor() as i64,
-            y: (point.y / self.cell_size).floor() as i64,
-            z: (point.z / self.cell_size).floor() as i64,
+            x: floor_to_i64(point.x / self.cell_size),
+            y: floor_to_i64(point.y / self.cell_size),
+            z: floor_to_i64(point.z / self.cell_size),
         }
     }
 

@@ -2,7 +2,7 @@
 //! of the MAVFI reproduction.  It stands in for the Unreal Engine + AirSim +
 //! MAVBench host simulator of the paper: procedurally generated and
 //! hand-authored obstacle environments, a kinematic quadrotor, a depth
-//! camera and IMU, a power/energy model, and the [`world::World`] that ties
+//! camera, a power/energy model, and the [`world::World`] that ties
 //! them together into a steppable mission.
 //!
 //! # Examples
@@ -34,7 +34,7 @@ pub mod world;
 pub use energy::{EnergyMeter, PowerModel};
 pub use env::{Environment, EnvironmentGenerator, EnvironmentKind, Obstacle};
 pub use geometry::{Aabb, Pose, Vec3};
-pub use sensors::{CaptureScratch, DepthCamera, DepthFrame, Imu, ImuSample};
+pub use sensors::{CaptureScratch, DepthCamera, DepthFrame};
 pub use vehicle::{FlightCommand, Quadrotor, QuadrotorParams, QuadrotorState};
 pub use world::{MissionConfig, MissionStatus, World};
 
@@ -43,7 +43,7 @@ pub mod prelude {
     pub use crate::energy::{EnergyMeter, PowerModel};
     pub use crate::env::{Environment, EnvironmentGenerator, EnvironmentKind, Obstacle};
     pub use crate::geometry::{Aabb, Pose, Vec3};
-    pub use crate::sensors::{CaptureScratch, DepthCamera, DepthFrame, Imu, ImuSample};
+    pub use crate::sensors::{CaptureScratch, DepthCamera, DepthFrame};
     pub use crate::vehicle::{FlightCommand, Quadrotor, QuadrotorParams, QuadrotorState};
     pub use crate::world::{MissionConfig, MissionStatus, World};
 }

@@ -1,8 +1,6 @@
 //! Onboard sensors: a ray-casting depth camera (stand-in for the RGB-D
-//! camera) and a noisy IMU.
+//! camera).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::env::Environment;
@@ -256,87 +254,6 @@ impl DepthCamera {
     }
 }
 
-/// One IMU measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-pub struct ImuSample {
-    /// Measured linear acceleration in the world frame (m/s²), noise
-    /// included.
-    pub acceleration: Vec3,
-    /// Measured yaw rate (rad/s), noise included.
-    pub yaw_rate: f64,
-}
-
-/// A noisy inertial measurement unit.
-///
-/// The IMU differentiates consecutive velocity samples and adds zero-mean
-/// Gaussian-ish noise (sum of uniform samples) so that downstream kernels
-/// see realistic jitter.
-#[derive(Debug, Clone)]
-pub struct Imu {
-    accel_noise_std: f64,
-    gyro_noise_std: f64,
-    rng: StdRng,
-    previous_velocity: Option<Vec3>,
-    previous_yaw: Option<f64>,
-}
-
-impl Imu {
-    /// Creates an IMU with the given 1-sigma noise levels and RNG seed.
-    pub fn new(accel_noise_std: f64, gyro_noise_std: f64, seed: u64) -> Self {
-        Self {
-            accel_noise_std,
-            gyro_noise_std,
-            rng: StdRng::seed_from_u64(seed),
-            previous_velocity: None,
-            previous_yaw: None,
-        }
-    }
-
-    /// Creates a noise-free IMU (useful in tests).
-    pub fn ideal() -> Self {
-        Self::new(0.0, 0.0, 0)
-    }
-
-    /// Produces a measurement from the current velocity and yaw, given the
-    /// time since the previous measurement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is not positive and finite.
-    pub fn measure(&mut self, velocity: Vec3, yaw: f64, dt: f64) -> ImuSample {
-        assert!(dt > 0.0 && dt.is_finite(), "time step must be positive and finite");
-        let acceleration = match self.previous_velocity {
-            Some(previous) => (velocity - previous) / dt,
-            None => Vec3::ZERO,
-        };
-        let yaw_rate = match self.previous_yaw {
-            Some(previous) => crate::geometry::wrap_angle(yaw - previous) / dt,
-            None => 0.0,
-        };
-        self.previous_velocity = Some(velocity);
-        self.previous_yaw = Some(yaw);
-        ImuSample {
-            acceleration: acceleration
-                + Vec3::new(
-                    self.noise(self.accel_noise_std),
-                    self.noise(self.accel_noise_std),
-                    self.noise(self.accel_noise_std),
-                ),
-            yaw_rate: yaw_rate + self.noise(self.gyro_noise_std),
-        }
-    }
-
-    /// Approximately Gaussian zero-mean noise via the sum of three uniform
-    /// draws (Irwin–Hall), scaled to the requested standard deviation.
-    fn noise(&mut self, std: f64) -> f64 {
-        if std == 0.0 {
-            return 0.0;
-        }
-        let sum: f64 = (0..3).map(|_| self.rng.gen_range(-1.0..1.0)).sum::<f64>();
-        sum / 3.0_f64.sqrt() * std / (2.0 / 3.0_f64.sqrt())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,37 +325,5 @@ mod tests {
         let short = DepthCamera { max_range: 0.1, ..DepthCamera::default() };
         let frame = capture(&short, &env, &Pose::new(env.start(), 0.0));
         assert!(frame.points.is_empty());
-    }
-
-    #[test]
-    fn ideal_imu_differentiates_velocity() {
-        let mut imu = Imu::ideal();
-        let first = imu.measure(Vec3::new(1.0, 0.0, 0.0), 0.0, 0.1);
-        assert_eq!(first.acceleration, Vec3::ZERO);
-        let second = imu.measure(Vec3::new(2.0, 0.0, 0.0), 0.05, 0.1);
-        assert!((second.acceleration.x - 10.0).abs() < 1e-9);
-        assert!((second.yaw_rate - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn noisy_imu_is_deterministic_per_seed() {
-        let mut a = Imu::new(0.1, 0.01, 9);
-        let mut b = Imu::new(0.1, 0.01, 9);
-        for _ in 0..10 {
-            let sa = a.measure(Vec3::new(1.0, 2.0, 3.0), 0.2, 0.1);
-            let sb = b.measure(Vec3::new(1.0, 2.0, 3.0), 0.2, 0.1);
-            assert_eq!(sa, sb);
-        }
-    }
-
-    #[test]
-    fn noise_is_bounded_and_zero_mean_ish() {
-        let mut imu = Imu::new(0.5, 0.0, 3);
-        let mut sum = 0.0;
-        for _ in 0..500 {
-            let sample = imu.measure(Vec3::ZERO, 0.0, 0.1);
-            sum += sample.acceleration.x;
-        }
-        assert!((sum / 500.0).abs() < 0.2, "noise mean should be near zero");
     }
 }
