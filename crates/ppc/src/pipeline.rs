@@ -719,8 +719,9 @@ impl PpcPipeline {
         } else {
             // Keep the previous trajectory: the vehicle goes on tracking
             // it, even when this replan was triggered by a predicted
-            // collision on it.  Only a vehicle that has no trajectory yet
-            // holds position.
+            // collision on it.  It holds position only when no way-point is
+            // left to track (nothing planned yet, or the trajectory is
+            // finished).
             false
         }
     }
