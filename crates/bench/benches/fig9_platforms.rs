@@ -25,8 +25,8 @@ fn run_experiment() {
         },
         ..Table1Config::default()
     };
-    let (table1_result, _) = table1::run_environments(&config, &[EnvironmentKind::Sparse], None)
-        .expect("sparse campaign");
+    let (table1_result, _) =
+        table1::run_in(&config, &[EnvironmentKind::Sparse], None).expect("sparse campaign");
     let campaign = table1_result.campaign(EnvironmentKind::Sparse);
 
     let result = fig9::run(&Fig9Config::default(), campaign);

@@ -22,7 +22,7 @@ pub fn runs_per_target(default: usize) -> usize {
 /// the same configuration; this helper only exists so bench banners can
 /// report the fan-out that will be used.
 pub fn campaign_workers() -> usize {
-    mavfi::exec::CampaignExecutor::from_env().workers()
+    mavfi::exec::CampaignExecutor::new(0).workers()
 }
 
 /// Prints a banner followed by a pre-rendered table, so every bench target

@@ -2,17 +2,11 @@
 //! recovery runs over an environment, mirroring the paper's evaluation
 //! protocol (§VI).
 
-use std::sync::Arc;
-
-use mavfi_fault::injector::FaultSpec;
 use mavfi_ppc::states::Stage;
 use mavfi_sim::env::EnvironmentKind;
 use serde::{Deserialize, Serialize};
 
-use crate::error::MavfiError;
-use crate::exec::{CampaignExecutor, SchemeConfig, WorkerPool};
 use crate::qof::{QofMetrics, QofSummary};
-use crate::runner::TrainedDetectors;
 
 /// Configuration of one environment's campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -104,74 +98,14 @@ impl EnvironmentCampaign {
     }
 }
 
-/// Runs campaigns using a shared set of trained detectors.
-///
-/// This is a thin configuration wrapper around the
-/// [`CampaignExecutor`] engine: every run's seed is a pure function of the
-/// campaign base seed and the run index, the trained detectors are shared
-/// immutably across workers, and results are folded in run-index order — so
-/// campaign output is byte-identical for any worker count (see
-/// `tests/parallel_determinism.rs`).
-#[derive(Debug, Clone)]
-pub struct CampaignRunner {
-    detectors: Arc<TrainedDetectors>,
-    executor: CampaignExecutor,
-}
-
-impl CampaignRunner {
-    /// Creates a campaign runner around trained detectors, parallelised
-    /// according to `MAVFI_WORKERS` / available cores.
-    pub fn new(detectors: TrainedDetectors) -> Self {
-        Self { detectors: Arc::new(detectors), executor: CampaignExecutor::from_env() }
-    }
-
-    /// Overrides the worker pool used for mission fan-out.
-    #[must_use]
-    pub fn with_pool(mut self, pool: WorkerPool) -> Self {
-        self.executor = CampaignExecutor::with_pool(pool);
-        self
-    }
-
-    /// Convenience for [`with_pool`](Self::with_pool) with a fixed worker
-    /// count.
-    #[must_use]
-    pub fn with_workers(self, workers: usize) -> Self {
-        self.with_pool(WorkerPool::new(workers))
-    }
-
-    /// The engine running this campaign's missions.
-    pub fn executor(&self) -> CampaignExecutor {
-        self.executor
-    }
-
-    /// The trained detectors used for the D&R settings.
-    pub fn detectors(&self) -> &TrainedDetectors {
-        &self.detectors
-    }
-
-    /// Builds the per-stage fault specifications of a campaign.
-    pub fn plan_faults(config: &CampaignConfig) -> Vec<FaultSpec> {
-        CampaignExecutor::plan_faults(config).specs().to_vec()
-    }
-
-    /// Runs the golden, injection and both D&R settings for one
-    /// environment.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runner errors (none are expected with trained detectors).
-    pub fn run_environment(
-        &self,
-        config: &CampaignConfig,
-    ) -> Result<EnvironmentCampaign, MavfiError> {
-        self.executor.run_campaign(config, &SchemeConfig::shared(Arc::clone(&self.detectors)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::config::TrainingSpec;
+    use crate::exec::{CampaignExecutor, SchemeConfig};
+    use crate::runner::TrainedDetectors;
     use crate::training::train_detectors;
 
     fn quick_detectors() -> TrainedDetectors {
@@ -183,10 +117,10 @@ mod tests {
     #[test]
     fn fault_plan_covers_every_stage_equally() {
         let config = CampaignConfig::quick(EnvironmentKind::Sparse, 1);
-        let faults = CampaignRunner::plan_faults(&config);
+        let faults = CampaignExecutor::plan_faults(&config);
         assert_eq!(faults.len(), 3 * config.injections_per_stage);
         for stage in Stage::ALL {
-            let count = faults.iter().filter(|f| f.target.stage() == stage).count();
+            let count = faults.specs().iter().filter(|f| f.target.stage() == stage).count();
             assert_eq!(count, config.injections_per_stage);
         }
     }
@@ -194,7 +128,6 @@ mod tests {
     #[test]
     fn quick_campaign_produces_all_four_settings() {
         let detectors = quick_detectors();
-        let runner = CampaignRunner::new(detectors);
         let config = CampaignConfig {
             environment: EnvironmentKind::Farm,
             golden_runs: 1,
@@ -202,7 +135,9 @@ mod tests {
             base_seed: 5,
             mission_time_budget: 120.0,
         };
-        let campaign = runner.run_environment(&config).unwrap();
+        let campaign = CampaignExecutor::new(0)
+            .run_campaign(&config, &SchemeConfig::shared(Arc::new(detectors)))
+            .unwrap();
         assert_eq!(campaign.golden.runs.len(), 1);
         assert_eq!(campaign.injected.runs.len(), 3);
         assert_eq!(campaign.gaussian.runs.len(), 3);

@@ -30,7 +30,7 @@ use crate::runner::{Landing, MissionOutcome, MissionRunner, TrainedDetectors};
 
 /// Where a campaign's trained detectors come from.
 #[derive(Debug, Clone)]
-pub enum DetectorSource {
+enum DetectorSource {
     /// An already-trained bank, shared as-is.
     Shared(Arc<TrainedDetectors>),
     /// Train on demand (or reuse) via the global
@@ -53,11 +53,6 @@ pub struct SchemeConfig {
 }
 
 impl SchemeConfig {
-    /// Uses an already-trained detector bank.
-    pub fn trained(detectors: TrainedDetectors) -> Self {
-        Self::shared(Arc::new(detectors))
-    }
-
     /// Uses an already-shared detector bank without cloning it.
     pub fn shared(detectors: Arc<TrainedDetectors>) -> Self {
         Self { source: DetectorSource::Shared(detectors) }
@@ -68,12 +63,6 @@ impl SchemeConfig {
     /// configuration.
     pub fn cached(environment: EnvironmentKind, training: TrainingSpec) -> Self {
         Self { source: DetectorSource::Cached { environment, training } }
-    }
-
-    /// [`SchemeConfig::cached`] with the paper's randomized training
-    /// environments.
-    pub fn cached_default(training: TrainingSpec) -> Self {
-        Self::cached(EnvironmentKind::Randomized, training)
     }
 
     /// Resolves the detector bank, training it now if it is cache-sourced
@@ -103,9 +92,9 @@ pub struct InjectionSweep {
     pub golden_runs: usize,
     /// Injections per target in `plan` (used to derive each injection's
     /// mission seed from its position, exactly like the sequential loops).
-    /// Must divide `plan.len()`; [`CampaignExecutor::run_sweep`] checks
-    /// this, since a mismatch would silently skew seeds and per-target
-    /// grouping.
+    /// Must be non-zero and divide `plan.len()`;
+    /// [`CampaignExecutor::run_sweep`] rejects anything else, since a
+    /// mismatch would silently skew seeds and per-target grouping.
     pub runs_per_target: usize,
     /// The planned injections, grouped by target.
     pub plan: CampaignPlan,
@@ -293,16 +282,16 @@ fn accumulate_recomputations(outcome: &MissionOutcome, totals: &mut [(Stage, u64
 /// # Examples
 ///
 /// ```no_run
-/// use mavfi::exec::{run_campaign, SchemeConfig};
+/// use mavfi::exec::{CampaignExecutor, SchemeConfig};
 /// use mavfi::{CampaignConfig, TrainingSpec};
 /// use mavfi_sim::env::EnvironmentKind;
 ///
 /// let config = CampaignConfig::quick(EnvironmentKind::Sparse, 7);
-/// let scheme = SchemeConfig::cached_default(TrainingSpec::default());
-/// let campaign = run_campaign(&config, &scheme, 4).unwrap();
+/// let scheme = SchemeConfig::cached(EnvironmentKind::Randomized, TrainingSpec::default());
+/// let campaign = CampaignExecutor::new(4).run_campaign(&config, &scheme).unwrap();
 /// println!("{}", campaign.golden.summary.success_rate);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignExecutor {
     pool: WorkerPool,
     /// Campaign jobs per checkpointable chunk; `0` means the default of 8.
@@ -313,20 +302,7 @@ impl CampaignExecutor {
     /// Creates an executor with a fixed worker count; `0` means "auto"
     /// (`MAVFI_WORKERS`, falling back to the available parallelism).
     pub fn new(workers: usize) -> Self {
-        if workers == 0 {
-            Self::from_env()
-        } else {
-            Self::with_pool(WorkerPool::new(workers))
-        }
-    }
-
-    /// An executor configured from `MAVFI_WORKERS` / the available cores.
-    pub fn from_env() -> Self {
-        Self::with_pool(WorkerPool::from_env())
-    }
-
-    /// An executor around an existing worker pool.
-    pub fn with_pool(pool: WorkerPool) -> Self {
+        let pool = if workers == 0 { WorkerPool::from_env() } else { WorkerPool::new(workers) };
         Self { pool, chunk_jobs: 0 }
     }
 
@@ -346,11 +322,6 @@ impl CampaignExecutor {
         } else {
             self.chunk_jobs
         }
-    }
-
-    /// The underlying worker pool.
-    pub fn pool(&self) -> WorkerPool {
-        self.pool
     }
 
     /// The worker count missions fan out over.
@@ -512,7 +483,7 @@ impl CampaignExecutor {
         };
 
         let mut folded = (state, telemetry);
-        let pool_stats = self.pool.try_fold_ordered_with_stats(
+        let pool_stats = self.pool.fold_ordered(
             jobs,
             |_, job| -> Result<JobOutcome, MavfiError> {
                 match job {
@@ -578,19 +549,23 @@ impl CampaignExecutor {
     ///
     /// # Errors
     ///
-    /// Propagates mission-runner errors, lowest run index first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sweep.runs_per_target` does not divide `sweep.plan.len()`
-    /// — that always indicates a plan built for a different target list.
+    /// Returns [`MavfiError::InvalidConfig`] when the plan is non-empty and
+    /// `sweep.runs_per_target` is zero or does not divide its length — that
+    /// always indicates a plan built for a different target list — and
+    /// otherwise propagates mission-runner errors, lowest run index first.
     pub fn run_sweep(&self, sweep: &InjectionSweep) -> Result<SweepOutcome, MavfiError> {
-        assert!(
-            sweep.plan.len() % sweep.runs_per_target.max(1) == 0,
-            "runs_per_target ({}) must divide the plan length ({})",
-            sweep.runs_per_target,
-            sweep.plan.len()
-        );
+        let runs_per_target = sweep.runs_per_target;
+        if !sweep.plan.is_empty()
+            && (runs_per_target == 0 || sweep.plan.len() % runs_per_target != 0)
+        {
+            return Err(MavfiError::InvalidConfig {
+                reason: format!(
+                    "runs_per_target ({runs_per_target}) must be non-zero and divide the plan \
+                     length ({})",
+                    sweep.plan.len()
+                ),
+            });
+        }
         let mut jobs: Vec<CampaignJob> = Vec::new();
         jobs.extend((0..sweep.golden_runs as u64).map(CampaignJob::Golden));
         jobs.extend(
@@ -606,13 +581,12 @@ impl CampaignExecutor {
             MissionSpec::new(sweep.environment, sweep.base_seed + seed_offset)
                 .with_time_budget(sweep.mission_time_budget)
         };
-        let runs_per_target = sweep.runs_per_target.max(1);
 
         let mut outcome = SweepOutcome {
             golden: Vec::with_capacity(sweep.golden_runs),
             injected: Vec::with_capacity(sweep.plan.len()),
         };
-        self.pool.try_fold_ordered(
+        self.pool.fold_ordered(
             &jobs,
             |_, job| -> Result<(bool, QofMetrics), MavfiError> {
                 match job {
@@ -640,39 +614,6 @@ impl CampaignExecutor {
     }
 }
 
-/// Runs one environment's full campaign through a [`CampaignExecutor`] —
-/// the single entry point the experiment drivers route through.
-///
-/// `workers == 0` means "auto" (`MAVFI_WORKERS`, falling back to the
-/// available parallelism); any other value pins the worker count.  Results
-/// are byte-identical for every choice.
-///
-/// # Errors
-///
-/// Propagates runner errors, lowest run index first.
-pub fn run_campaign(
-    config: &CampaignConfig,
-    scheme: &SchemeConfig,
-    workers: usize,
-) -> Result<EnvironmentCampaign, MavfiError> {
-    CampaignExecutor::new(workers).run_campaign(config, scheme)
-}
-
-/// [`run_campaign`] with mission telemetry: also returns the campaign-wide
-/// [`TelemetryReport`] merged in deterministic run order.  The campaign
-/// results are bit-identical to [`run_campaign`] for any worker count.
-///
-/// # Errors
-///
-/// Propagates runner errors, lowest run index first.
-pub fn run_campaign_instrumented(
-    config: &CampaignConfig,
-    scheme: &SchemeConfig,
-    workers: usize,
-) -> Result<(EnvironmentCampaign, TelemetryReport), MavfiError> {
-    CampaignExecutor::new(workers).run_campaign_instrumented(config, scheme)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -688,7 +629,26 @@ mod tests {
     fn executor_defaults_resolve_to_at_least_one_worker() {
         assert!(CampaignExecutor::new(0).workers() >= 1);
         assert_eq!(CampaignExecutor::new(3).workers(), 3);
-        assert_eq!(CampaignExecutor::with_pool(WorkerPool::serial()).workers(), 1);
+    }
+
+    #[test]
+    fn sweep_rejects_runs_per_target_that_does_not_split_the_plan() {
+        let plan = CampaignPlan::per_stage(1, 0);
+        for runs_per_target in [2, 0] {
+            let sweep = InjectionSweep {
+                environment: EnvironmentKind::Farm,
+                base_seed: 1,
+                mission_time_budget: 10.0,
+                golden_runs: 0,
+                runs_per_target,
+                plan: plan.clone(),
+            };
+            let outcome = CampaignExecutor::new(1).run_sweep(&sweep);
+            assert!(
+                matches!(outcome, Err(MavfiError::InvalidConfig { .. })),
+                "runs_per_target {runs_per_target}: {outcome:?}"
+            );
+        }
     }
 
     #[test]
@@ -719,7 +679,7 @@ mod tests {
             base_seed: 9,
             mission_time_budget: 60.0,
         };
-        let scheme = SchemeConfig::trained(detectors);
+        let scheme = SchemeConfig::shared(Arc::new(detectors));
         let executor = CampaignExecutor::new(2).with_chunk_jobs(2);
         let full = executor.run_campaign(&config, &scheme).unwrap();
         let total = executor.campaign_chunk_count(&config);
@@ -833,7 +793,7 @@ mod tests {
     #[test]
     fn trunks_fold_exactly_what_independent_flights_fold() {
         let detectors = quick_detectors();
-        let scheme = SchemeConfig::trained(detectors.clone());
+        let scheme = SchemeConfig::shared(Arc::new(detectors.clone()));
         let mut covered = Vec::new();
         for (environment, base_seed, mission_time_budget) in [
             (EnvironmentKind::Dense, 9, 15.0),
@@ -870,7 +830,7 @@ mod tests {
 
     #[test]
     fn instrumented_campaign_reports_how_its_trunks_flew() {
-        let scheme = SchemeConfig::trained(quick_detectors());
+        let scheme = SchemeConfig::shared(Arc::new(quick_detectors()));
         let config = CampaignConfig {
             environment: EnvironmentKind::Sparse,
             golden_runs: 1,
@@ -911,9 +871,9 @@ mod tests {
             base_seed: 5,
             mission_time_budget: 60.0,
         };
-        let scheme = SchemeConfig::trained(detectors);
-        let serial = run_campaign(&config, &scheme, 1).unwrap();
-        let parallel = run_campaign(&config, &scheme, 4).unwrap();
+        let scheme = SchemeConfig::shared(Arc::new(detectors));
+        let serial = CampaignExecutor::new(1).run_campaign(&config, &scheme).unwrap();
+        let parallel = CampaignExecutor::new(4).run_campaign(&config, &scheme).unwrap();
         assert_eq!(serial, parallel);
         assert_eq!(serial.golden.runs.len(), 1);
         assert_eq!(serial.injected.runs.len(), 3);

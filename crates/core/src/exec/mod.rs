@@ -13,23 +13,20 @@
 //! * [`TrainedDetectorCache`] — one trained GAD/AAD bank per
 //!   `(environment, training config)`, shared across experiments instead of
 //!   retrained per driver.
-//! * [`CampaignExecutor`] / [`run_campaign`] — the engine the experiment
-//!   drivers route through: it builds a campaign's full run list (golden +
-//!   per-stage injections), derives every run's seed from
-//!   `(base_seed, run_index)` exactly as the sequential path does, and folds
-//!   outcomes in run order.
+//! * [`CampaignExecutor`] — the one entry point every campaign runs
+//!   through (the experiment drivers, the campaign server and the
+//!   benchmark): it builds a campaign's full run list (golden + per-stage
+//!   injections), derives every run's seed from `(base_seed, run_index)`
+//!   exactly as the sequential path does, and folds outcomes in run order.
 //!
-//! Worker counts come from the `MAVFI_WORKERS` environment variable by
-//! default (falling back to the machine's available parallelism), and can be
-//! pinned per executor.
+//! [`CampaignExecutor::new`] takes the worker count; `0` reads it from the
+//! `MAVFI_WORKERS` environment variable, falling back to the machine's
+//! available parallelism.
 
 mod cache;
 mod engine;
 mod pool;
 
 pub use cache::{CacheStats, TrainedDetectorCache};
-pub use engine::{
-    run_campaign, run_campaign_instrumented, CampaignExecutor, CampaignFoldState, DetectorSource,
-    InjectionSweep, SchemeConfig, SweepOutcome,
-};
+pub use engine::{CampaignExecutor, CampaignFoldState, InjectionSweep, SchemeConfig, SweepOutcome};
 pub use pool::{PoolStats, WorkerPool};

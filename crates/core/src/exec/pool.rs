@@ -16,7 +16,7 @@
 //!
 //! Workers pull the next job index from an atomic counter (work stealing),
 //! so long and short missions interleave without static partitioning skew.
-//! [`WorkerPool::fold_ordered`] additionally *streams* results through an
+//! [`WorkerPool::fold_ordered`] *streams* results through an
 //! order-restoring aggregator: completed results are folded in index order
 //! while later jobs are still running, so bulky per-run artifacts (full
 //! [`MissionOutcome`](crate::runner::MissionOutcome)s with sampled trails)
@@ -45,8 +45,12 @@ const CLAIM_WINDOW_MIN: usize = 64;
 /// use mavfi::exec::WorkerPool;
 ///
 /// let pool = WorkerPool::new(4);
-/// let squares = pool.run_ordered(&[1u64, 2, 3, 4, 5], |_, &n| n * n);
+/// let square = |_, &n: &u64| Ok::<u64, ()>(n * n);
+/// let push = |squares: &mut Vec<u64>, _, n| squares.push(n);
+/// let mut squares = Vec::new();
+/// let stats = pool.fold_ordered(&[1, 2, 3, 4, 5], square, &mut squares, push).unwrap();
 /// assert_eq!(squares, vec![1, 4, 9, 16, 25]);
+/// assert_eq!(stats.total_jobs(), 5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerPool {
@@ -74,12 +78,6 @@ impl PoolStats {
     /// Total jobs executed across workers.
     pub fn total_jobs(&self) -> u64 {
         self.worker_jobs.iter().sum()
-    }
-}
-
-impl Default for WorkerPool {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 
@@ -117,14 +115,9 @@ impl WorkerPool {
         Self { workers: workers.max(1) }
     }
 
-    /// A single-worker pool: jobs run inline on the calling thread.
-    pub fn serial() -> Self {
-        Self::new(1)
-    }
-
     /// Reads the worker count from the `MAVFI_WORKERS` environment variable,
     /// falling back to the machine's available parallelism.
-    pub fn from_env() -> Self {
+    pub(crate) fn from_env() -> Self {
         let workers = std::env::var("MAVFI_WORKERS")
             .ok()
             .and_then(|value| value.parse::<usize>().ok())
@@ -140,161 +133,16 @@ impl WorkerPool {
         self.workers
     }
 
-    /// Runs `job` for every element of `jobs`, returning results in input
-    /// order.  `job` receives the element's index and a reference to it.
+    /// Runs `job` for every element of `jobs` and streams the results
+    /// through an order-restoring aggregator: `fold` receives each
+    /// successful result exactly once, in strict job-index order, while
+    /// later jobs may still be running on other workers.  `job` receives the
+    /// element's index and a reference to it.
     ///
     /// With one worker (or one job) everything runs inline on the calling
     /// thread; otherwise scoped worker threads pull indices from a shared
-    /// counter.  Results are identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from any job after all workers have stopped.
-    pub fn run_ordered<T, R, F>(&self, jobs: &[T], job: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let mut results = Vec::with_capacity(jobs.len());
-        self.fold_ordered(jobs, job, &mut results, |results, _, result| results.push(result));
-        results
-    }
-
-    /// Like [`run_ordered`](Self::run_ordered) for fallible jobs: returns the
-    /// first error by job order (not completion order), so error reporting is
-    /// as deterministic as success output.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the lowest-indexed failing job; jobs above that
-    /// index are skipped (see [`try_fold_ordered`](Self::try_fold_ordered)).
-    pub fn try_run_ordered<T, R, E, F>(&self, jobs: &[T], job: F) -> Result<Vec<R>, E>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(usize, &T) -> Result<R, E> + Sync,
-    {
-        let mut results = Vec::with_capacity(jobs.len());
-        self.try_fold_ordered(jobs, job, &mut results, |results, _, result| {
-            results.push(result);
-        })?;
-        Ok(results)
-    }
-
-    /// [`fold_ordered`](Self::fold_ordered) for fallible jobs with early
-    /// abort: `fold` receives successful results in strict job-index order
-    /// until the lowest-indexed failure, whose error is returned.
-    ///
-    /// After a job fails, jobs with a *higher* index are skipped instead of
-    /// run, so a failure early in a long campaign does not cost the whole
-    /// campaign's compute.  Jobs below an observed failure always still run
-    /// (a failure can only skip indices above itself), which makes the
-    /// returned error — and the folded prefix, exactly the results a serial
-    /// `?` loop would have folded before stopping — independent of the
-    /// worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the lowest-indexed failing job.
-    pub fn try_fold_ordered<T, R, E, S, F, G>(
-        &self,
-        jobs: &[T],
-        job: F,
-        state: &mut S,
-        fold: G,
-    ) -> Result<(), E>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(usize, &T) -> Result<R, E> + Sync,
-        G: FnMut(&mut S, usize, R),
-    {
-        self.try_fold_ordered_impl(jobs, job, state, fold, None)
-    }
-
-    /// [`try_fold_ordered`](Self::try_fold_ordered) that additionally
-    /// reports scheduling statistics ([`PoolStats`]) for telemetry.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the lowest-indexed failing job, exactly like
-    /// [`try_fold_ordered`](Self::try_fold_ordered).
-    pub fn try_fold_ordered_with_stats<T, R, E, S, F, G>(
-        &self,
-        jobs: &[T],
-        job: F,
-        state: &mut S,
-        fold: G,
-    ) -> Result<PoolStats, E>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(usize, &T) -> Result<R, E> + Sync,
-        G: FnMut(&mut S, usize, R),
-    {
-        let mut stats = PoolStats::default();
-        self.try_fold_ordered_impl(jobs, job, state, fold, Some(&mut stats))?;
-        Ok(stats)
-    }
-
-    fn try_fold_ordered_impl<T, R, E, S, F, G>(
-        &self,
-        jobs: &[T],
-        job: F,
-        state: &mut S,
-        mut fold: G,
-        stats: Option<&mut PoolStats>,
-    ) -> Result<(), E>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(usize, &T) -> Result<R, E> + Sync,
-        G: FnMut(&mut S, usize, R),
-    {
-        let lowest_failure = AtomicUsize::new(usize::MAX);
-        let mut combined = (state, None::<E>);
-        self.fold_ordered_impl(
-            jobs,
-            |index, item| {
-                // Skip only indices *above* a recorded failure: a job below
-                // it (which could be an even lower failure) always runs, so
-                // which error wins never depends on scheduling.
-                if index > lowest_failure.load(Ordering::Relaxed) {
-                    return None;
-                }
-                let result = job(index, item);
-                if result.is_err() {
-                    lowest_failure.fetch_min(index, Ordering::Relaxed);
-                }
-                Some(result)
-            },
-            &mut combined,
-            |(state, error), index, outcome| match outcome {
-                Some(Ok(result)) if error.is_none() => fold(state, index, result),
-                Some(Err(e)) if error.is_none() => *error = Some(e),
-                _ => {}
-            },
-            stats,
-        );
-        match combined.1 {
-            Some(error) => Err(error),
-            None => Ok(()),
-        }
-    }
-
-    /// Streams results through an order-restoring aggregator: `fold` is
-    /// called exactly once per job, in strict job-index order, while later
-    /// jobs may still be running on other workers.
-    ///
-    /// This is the memory-friendly sibling of
-    /// [`run_ordered`](Self::run_ordered): instead of materialising every
-    /// result, only the out-of-order completion window is buffered, and the
-    /// caller reduces each result to aggregate state as soon as its turn
+    /// counter.  Only the out-of-order completion window is buffered, and
+    /// the caller reduces each result to aggregate state as soon as its turn
     /// comes.  Workers may claim jobs only a fixed window ahead of the
     /// aggregator's fold position, so the buffer stays bounded even under
     /// pathological skew (for example a head-of-line golden run flying its
@@ -304,74 +152,56 @@ impl WorkerPool {
     /// serial loop, any aggregation — including floating-point sums — is
     /// byte-identical to sequential execution.
     ///
+    /// After a job fails, jobs with a *higher* index are skipped instead of
+    /// run, so a failure early in a long campaign does not cost the whole
+    /// campaign's compute.  Jobs below an observed failure always still run
+    /// (a failure can only skip indices above itself), which makes the
+    /// returned error — and the folded prefix, exactly the results a serial
+    /// `?` loop would have folded before stopping — independent of the
+    /// worker count.
+    ///
+    /// On success, returns the run's scheduling statistics ([`PoolStats`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of the lowest-indexed failing job.
+    ///
     /// # Panics
     ///
     /// Propagates a panic from any job after all workers have stopped.
-    pub fn fold_ordered<T, R, S, F, G>(&self, jobs: &[T], job: F, state: &mut S, fold: G)
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-        G: FnMut(&mut S, usize, R),
-    {
-        self.fold_ordered_impl(jobs, job, state, fold, None);
-    }
-
-    /// [`fold_ordered`](Self::fold_ordered) that additionally reports
-    /// scheduling statistics ([`PoolStats`]) for telemetry.
-    pub fn fold_ordered_with_stats<T, R, S, F, G>(
-        &self,
-        jobs: &[T],
-        job: F,
-        state: &mut S,
-        fold: G,
-    ) -> PoolStats
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-        G: FnMut(&mut S, usize, R),
-    {
-        let mut stats = PoolStats::default();
-        self.fold_ordered_impl(jobs, job, state, fold, Some(&mut stats));
-        stats
-    }
-
-    fn fold_ordered_impl<T, R, S, F, G>(
+    pub fn fold_ordered<T, R, E, S, F, G>(
         &self,
         jobs: &[T],
         job: F,
         state: &mut S,
         mut fold: G,
-        stats: Option<&mut PoolStats>,
-    ) where
+    ) -> Result<PoolStats, E>
+    where
         T: Sync,
         R: Send,
-        F: Fn(usize, &T) -> R + Sync,
+        E: Send,
+        F: Fn(usize, &T) -> Result<R, E> + Sync,
         G: FnMut(&mut S, usize, R),
     {
         let workers = self.workers.min(jobs.len()).max(1);
         if workers == 1 {
             for (index, item) in jobs.iter().enumerate() {
-                fold(state, index, job(index, item));
+                fold(state, index, job(index, item)?);
             }
-            if let Some(stats) = stats {
-                stats.worker_jobs = vec![jobs.len() as u64];
-                stats.fold_stalls = 0;
-            }
-            return;
+            return Ok(PoolStats { worker_jobs: vec![jobs.len() as u64], fold_stalls: 0 });
         }
 
         let next_job = AtomicUsize::new(0);
         let folded = AtomicUsize::new(0);
+        let lowest_failure = AtomicUsize::new(usize::MAX);
         let aborted = AtomicBool::new(false);
         let window = (workers * CLAIM_WINDOW_PER_WORKER).max(CLAIM_WINDOW_MIN);
         // Per-worker job tallies and the shared stall counter cost a few
-        // relaxed increments per job — cheap enough to collect
-        // unconditionally and only read back when stats were requested.
+        // relaxed increments per job — cheap enough to collect on every run.
         let job_counts: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
         let stall_count = AtomicU64::new(0);
-        let (sender, receiver) = mpsc::channel::<Pending<R>>();
+        let (sender, receiver) = mpsc::channel::<Pending<Result<R, E>>>();
+        let mut outcome = Ok(());
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|worker| {
@@ -379,6 +209,7 @@ impl WorkerPool {
                     scope.spawn({
                         let next_job = &next_job;
                         let folded = &folded;
+                        let lowest_failure = &lowest_failure;
                         let aborted = &aborted;
                         let job = &job;
                         let job_counts = &job_counts;
@@ -400,10 +231,19 @@ impl WorkerPool {
                                 }
                             }
                             let _guard = AbortOnPanic(aborted);
+                            // Skip only indices *above* a recorded failure: a
+                            // job below it (which could be an even lower
+                            // failure) always runs, so which error wins never
+                            // depends on scheduling.  Claims only grow, so a
+                            // worker past the failure has nothing left to run.
+                            // Skipped jobs never reach the aggregator, so the
+                            // fold position may stop short of a worker parked
+                            // on the claim window; it leaves on the same test.
+                            let stop = |index: usize| {
+                                aborted.load(Ordering::Acquire)
+                                    || index > lowest_failure.load(Ordering::Relaxed)
+                            };
                             loop {
-                                if aborted.load(Ordering::Acquire) {
-                                    break;
-                                }
                                 let index = next_job.fetch_add(1, Ordering::Relaxed);
                                 let Some(item) = jobs.get(index) else { break };
                                 // Claim-window backpressure: never run more than
@@ -412,18 +252,24 @@ impl WorkerPool {
                                 // always inside the window, so the pool as a
                                 // whole keeps making progress.
                                 while index >= folded.load(Ordering::Acquire) + window {
-                                    if aborted.load(Ordering::Acquire) {
+                                    if stop(index) {
                                         return;
                                     }
                                     stall_count.fetch_add(1, Ordering::Relaxed);
                                     std::thread::sleep(Duration::from_micros(200));
                                 }
+                                if stop(index) {
+                                    break;
+                                }
                                 job_counts[worker].fetch_add(1, Ordering::Relaxed);
+                                let result = job(index, item);
+                                if result.is_err() {
+                                    lowest_failure.fetch_min(index, Ordering::Relaxed);
+                                }
                                 // A send only fails when the aggregator side was
                                 // torn down early, which scoped lifetimes rule
                                 // out short of a panic already in flight.
-                                if sender.send(Pending { index, result: job(index, item) }).is_err()
-                                {
+                                if sender.send(Pending { index, result }).is_err() {
                                     break;
                                 }
                             }
@@ -435,13 +281,17 @@ impl WorkerPool {
             // every worker is done.
             drop(sender);
 
-            let mut pending: BinaryHeap<Pending<R>> = BinaryHeap::new();
+            let mut pending = BinaryHeap::new();
             let mut next_expected = 0usize;
             while let Ok(done) = receiver.recv() {
                 pending.push(done);
                 while pending.peek().is_some_and(|entry| entry.index == next_expected) {
                     let entry = pending.pop().expect("peeked entry");
-                    fold(state, entry.index, entry.result);
+                    match (entry.result, &outcome) {
+                        (Ok(result), Ok(())) => fold(state, entry.index, result),
+                        (Err(error), Ok(())) => outcome = Err(error),
+                        _ => {}
+                    }
                     next_expected += 1;
                 }
                 folded.store(next_expected, Ordering::Release);
@@ -453,11 +303,10 @@ impl WorkerPool {
                 }
             }
         });
-        if let Some(stats) = stats {
-            stats.worker_jobs =
-                job_counts.iter().map(|count| count.load(Ordering::Relaxed)).collect();
-            stats.fold_stalls = stall_count.load(Ordering::Relaxed);
-        }
+        outcome.map(|()| PoolStats {
+            worker_jobs: job_counts.iter().map(|count| count.load(Ordering::Relaxed)).collect(),
+            fold_stalls: stall_count.load(Ordering::Relaxed),
+        })
     }
 }
 
@@ -466,12 +315,30 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Collects every result of a [`WorkerPool::fold_ordered`] run in fold
+    /// order.
+    fn collect<T, R, E>(
+        pool: WorkerPool,
+        jobs: &[T],
+        job: impl Fn(usize, &T) -> Result<R, E> + Sync,
+    ) -> Result<Vec<R>, E>
+    where
+        T: Sync,
+        R: Send,
+        E: Send,
+    {
+        let mut results = Vec::new();
+        pool.fold_ordered(jobs, job, &mut results, |results, _, result| results.push(result))?;
+        Ok(results)
+    }
+
     #[test]
     fn results_preserve_input_order_for_any_worker_count() {
         let jobs: Vec<usize> = (0..37).collect();
-        let serial = WorkerPool::serial().run_ordered(&jobs, |i, &n| i * 1000 + n);
+        let job = |i, &n: &usize| Ok::<_, ()>(i * 1000 + n);
+        let serial = collect(WorkerPool::new(1), &jobs, job).unwrap();
         for workers in [2, 3, 8, 64] {
-            let parallel = WorkerPool::new(workers).run_ordered(&jobs, |i, &n| i * 1000 + n);
+            let parallel = collect(WorkerPool::new(workers), &jobs, job).unwrap();
             assert_eq!(parallel, serial, "worker count {workers}");
         }
     }
@@ -480,15 +347,17 @@ mod tests {
     fn every_job_runs_exactly_once() {
         let counter = AtomicUsize::new(0);
         let jobs: Vec<u32> = (0..100).collect();
-        let results =
-            WorkerPool::new(8).run_ordered(&jobs, |_, _| counter.fetch_add(1, Ordering::Relaxed));
+        let results = collect(WorkerPool::new(8), &jobs, |_, _| {
+            Ok::<_, ()>(counter.fetch_add(1, Ordering::Relaxed))
+        })
+        .unwrap();
         assert_eq!(results.len(), 100);
         assert_eq!(counter.load(Ordering::Relaxed), 100);
     }
 
     #[test]
     fn empty_job_list_yields_empty_results() {
-        let results = WorkerPool::new(4).run_ordered(&[] as &[u8], |_, &b| b);
+        let results = collect(WorkerPool::new(4), &[] as &[u8], |_, &b| Ok::<_, ()>(b)).unwrap();
         assert!(results.is_empty());
     }
 
@@ -496,8 +365,7 @@ mod tests {
     fn try_run_reports_lowest_indexed_error() {
         let jobs: Vec<usize> = (0..50).collect();
         let outcome =
-            WorkerPool::new(8)
-                .try_run_ordered(&jobs, |i, _| if i % 7 == 3 { Err(i) } else { Ok(i) });
+            collect(WorkerPool::new(8), &jobs, |i, _| if i % 7 == 3 { Err(i) } else { Ok(i) });
         assert_eq!(outcome.unwrap_err(), 3);
     }
 
@@ -510,8 +378,10 @@ mod tests {
     #[test]
     fn shared_state_is_borrowed_not_cloned() {
         let shared = [1u64, 2, 3];
-        let sums = WorkerPool::new(4)
-            .run_ordered(&[10u64, 20], |_, &base| base + shared.iter().sum::<u64>());
+        let sums = collect(WorkerPool::new(4), &[10u64, 20], |_, &base| {
+            Ok::<_, ()>(base + shared.iter().sum::<u64>())
+        })
+        .unwrap();
         assert_eq!(sums, vec![16, 26]);
     }
 
@@ -520,23 +390,25 @@ mod tests {
         let jobs: Vec<u64> = (0..200).collect();
         for workers in [1, 2, 8] {
             let mut seen = Vec::new();
-            WorkerPool::new(workers).fold_ordered(
-                &jobs,
-                |index, &n| {
-                    // Uneven job durations force out-of-order completion.
-                    let spin = (n % 13) * 500;
-                    let mut acc = 0u64;
-                    for i in 0..spin {
-                        acc = acc.wrapping_add(std::hint::black_box(i));
-                    }
-                    (index, n.wrapping_add(acc.wrapping_mul(0)))
-                },
-                &mut seen,
-                |seen, index, (job_index, n)| {
-                    assert_eq!(index, job_index);
-                    seen.push((index, n));
-                },
-            );
+            WorkerPool::new(workers)
+                .fold_ordered(
+                    &jobs,
+                    |index, &n| {
+                        // Uneven job durations force out-of-order completion.
+                        let spin = (n % 13) * 500;
+                        let mut acc = 0u64;
+                        for i in 0..spin {
+                            acc = acc.wrapping_add(std::hint::black_box(i));
+                        }
+                        Ok::<_, ()>((index, n.wrapping_add(acc.wrapping_mul(0))))
+                    },
+                    &mut seen,
+                    |seen, index, (job_index, n)| {
+                        assert_eq!(index, job_index);
+                        seen.push((index, n));
+                    },
+                )
+                .unwrap();
             let expected: Vec<(usize, u64)> = (0..200).map(|n| (n as usize, n)).collect();
             assert_eq!(seen, expected, "worker count {workers}");
         }
@@ -554,21 +426,16 @@ mod tests {
         let jobs: Vec<u64> = (0..500).collect();
         let head_done = AtomicBool::new(false);
         let max_before_head = AtomicUsize::new(0);
-        let mut seen = Vec::new();
-        WorkerPool::new(4).fold_ordered(
-            &jobs,
-            |index, &n| {
-                if index == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                    head_done.store(true, Ordering::Release);
-                } else if !head_done.load(Ordering::Acquire) {
-                    max_before_head.fetch_max(index, Ordering::Relaxed);
-                }
-                n
-            },
-            &mut seen,
-            |seen: &mut Vec<u64>, _, n| seen.push(n),
-        );
+        let seen = collect(WorkerPool::new(4), &jobs, |index, &n| {
+            if index == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                head_done.store(true, Ordering::Release);
+            } else if !head_done.load(Ordering::Acquire) {
+                max_before_head.fetch_max(index, Ordering::Relaxed);
+            }
+            Ok::<_, ()>(n)
+        })
+        .unwrap();
         assert_eq!(seen, jobs);
         let max_index = max_before_head.load(Ordering::Relaxed);
         assert!(max_index < 64, "job {max_index} ran beyond the claim window while job 0 stalled");
@@ -576,35 +443,29 @@ mod tests {
 
     #[test]
     fn errors_stop_the_pool_from_claiming_the_tail() {
+        let jobs: Vec<usize> = (0..1_000).collect();
+        let run = |workers| {
+            let executed = AtomicUsize::new(0);
+            let outcome = collect(WorkerPool::new(workers), &jobs, |i, _| {
+                executed.fetch_add(1, Ordering::Relaxed);
+                if i == 3 {
+                    Err(i)
+                } else {
+                    Ok(i)
+                }
+            });
+            assert_eq!(outcome.unwrap_err(), 3, "worker count {workers}");
+            executed.into_inner()
+        };
         // Serial pool: execution order is the job order, so everything after
-        // the first error must be skipped, deterministically.
-        let executed = AtomicUsize::new(0);
-        let jobs: Vec<usize> = (0..100).collect();
-        let outcome = WorkerPool::serial().try_run_ordered(&jobs, |i, _| {
-            executed.fetch_add(1, Ordering::Relaxed);
-            if i == 3 {
-                Err(i)
-            } else {
-                Ok(i)
-            }
-        });
-        assert_eq!(outcome.unwrap_err(), 3);
-        assert_eq!(executed.load(Ordering::Relaxed), 4, "jobs after the error must not run");
-
-        // Parallel pool: the skipped tail depends on timing, but the
-        // reported error is still the lowest-indexed one and at least the
-        // far tail is never claimed once the failure has been observed.
-        let executed = AtomicUsize::new(0);
-        let outcome = WorkerPool::new(8).try_run_ordered(&jobs, |i, _| {
-            executed.fetch_add(1, Ordering::Relaxed);
-            if i % 7 == 3 {
-                Err(i)
-            } else {
-                Ok(i)
-            }
-        });
-        assert_eq!(outcome.unwrap_err(), 3);
-        assert!(executed.load(Ordering::Relaxed) <= 100);
+        // the error is skipped, deterministically.
+        assert_eq!(run(1), 4, "jobs after the error must not run");
+        // Parallel pool: the skipped tail depends on timing, but a job at
+        // index 3 + CLAIM_WINDOW_MIN (the window of 8 workers) or above can
+        // only be claimed once job 3 has folded, and by then every worker
+        // sees the failure — so for any schedule at most jobs 0..=66 run.
+        let executed = run(8);
+        assert!(executed <= 3 + CLAIM_WINDOW_MIN, "{executed} jobs ran past the failure");
     }
 
     #[test]
@@ -614,12 +475,12 @@ mod tests {
         // the claim window (200 > 64); without the abort flag they would
         // sleep forever waiting for a fold position that can never advance.
         let jobs: Vec<u64> = (0..200).collect();
-        WorkerPool::new(4).run_ordered(&jobs, |i, &n| {
+        let _ = collect(WorkerPool::new(4), &jobs, |i, &n| {
             if i == 0 {
                 std::thread::sleep(Duration::from_millis(20));
                 panic!("job 0 exploded");
             }
-            n
+            Ok::<_, ()>(n)
         });
     }
 
@@ -628,42 +489,33 @@ mod tests {
         let jobs: Vec<u64> = (0..120).collect();
         for workers in [1, 2, 8] {
             let mut sum = 0u64;
-            let stats = WorkerPool::new(workers).fold_ordered_with_stats(
-                &jobs,
-                |_, &n| n,
-                &mut sum,
-                |sum, _, n| *sum += n,
-            );
+            let stats = WorkerPool::new(workers)
+                .fold_ordered(&jobs, |_, &n| Ok::<_, ()>(n), &mut sum, |sum, _, n| *sum += n)
+                .unwrap();
             assert_eq!(sum, jobs.iter().sum::<u64>(), "worker count {workers}");
             assert_eq!(stats.total_jobs(), jobs.len() as u64, "worker count {workers}");
             assert_eq!(stats.worker_jobs.len(), workers.min(jobs.len()));
         }
+        let stats = WorkerPool::new(1)
+            .fold_ordered(&jobs, |_, &n| Ok::<_, ()>(n), &mut (), |(), _, _| {})
+            .unwrap();
+        assert_eq!(stats.fold_stalls, 0);
     }
 
     #[test]
     fn try_fold_with_stats_reports_error_and_partial_counts() {
         let jobs: Vec<usize> = (0..50).collect();
-        let mut folded = Vec::new();
-        let outcome = WorkerPool::new(4).try_fold_ordered_with_stats(
-            &jobs,
-            |i, _| if i == 10 { Err(i) } else { Ok(i) },
-            &mut folded,
-            |folded, _, i| folded.push(i),
-        );
-        assert_eq!(outcome.unwrap_err(), 10);
-        assert_eq!(folded, (0..10).collect::<Vec<_>>());
-
-        let mut folded = Vec::new();
-        let stats = WorkerPool::serial()
-            .try_fold_ordered_with_stats(
+        for workers in [1, 4] {
+            let mut folded = Vec::new();
+            let outcome = WorkerPool::new(workers).fold_ordered(
                 &jobs,
-                |i, _| Ok::<usize, ()>(i),
+                |i, _| if i == 10 { Err(i) } else { Ok(i) },
                 &mut folded,
                 |folded, _, i| folded.push(i),
-            )
-            .unwrap();
-        assert_eq!(stats.total_jobs(), 50);
-        assert_eq!(stats.fold_stalls, 0);
+            );
+            assert_eq!(outcome.unwrap_err(), 10, "worker count {workers}");
+            assert_eq!(folded, (0..10).collect::<Vec<_>>(), "worker count {workers}");
+        }
     }
 
     #[test]
@@ -671,18 +523,20 @@ mod tests {
         // Summation order changes floating-point results; identical sums
         // prove the aggregator restored the serial order bit for bit.
         let jobs: Vec<u64> = (0..500).collect();
-        let sum = |pool: WorkerPool| {
+        let sum = |workers| {
             let mut total = 0.0f64;
-            pool.fold_ordered(
-                &jobs,
-                |_, &n| 1.0 / (n as f64 + 1.0),
-                &mut total,
-                |total, _, term| *total += term,
-            );
+            WorkerPool::new(workers)
+                .fold_ordered(
+                    &jobs,
+                    |_, &n| Ok::<_, ()>(1.0 / (n as f64 + 1.0)),
+                    &mut total,
+                    |total, _, term| *total += term,
+                )
+                .unwrap();
             total.to_bits()
         };
-        let serial = sum(WorkerPool::serial());
-        assert_eq!(sum(WorkerPool::new(2)), serial);
-        assert_eq!(sum(WorkerPool::new(8)), serial);
+        let serial = sum(1);
+        assert_eq!(sum(2), serial);
+        assert_eq!(sum(8), serial);
     }
 }

@@ -150,7 +150,7 @@ pub fn run(config: &Fig3Config) -> Result<Fig3Result, MavfiError> {
             config.base_seed ^ 0xf163,
         ),
     };
-    let outcome = CampaignExecutor::from_env().run_sweep(&sweep)?;
+    let outcome = CampaignExecutor::new(0).run_sweep(&sweep)?;
 
     let kernels = KernelId::FIG3_KERNELS
         .iter()

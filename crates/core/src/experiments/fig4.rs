@@ -126,7 +126,7 @@ pub fn run(config: &Fig4Config) -> Result<Fig4Result, MavfiError> {
             config.base_seed ^ 0xf164,
         ),
     };
-    let outcome = CampaignExecutor::from_env().run_sweep(&sweep)?;
+    let outcome = CampaignExecutor::new(0).run_sweep(&sweep)?;
 
     let states = StateField::ALL
         .iter()

@@ -84,7 +84,7 @@ impl Table1Result {
 /// # Errors
 ///
 /// Propagates campaign errors.
-pub fn run_environments(
+pub fn run_in(
     config: &Table1Config,
     environments: &[EnvironmentKind],
     detectors: Option<TrainedDetectors>,
@@ -102,7 +102,7 @@ pub fn run_environments(
             .get_or_train(EnvironmentKind::Randomized, &config.training),
     };
     let scheme = SchemeConfig::shared(Arc::clone(&detectors));
-    let executor = CampaignExecutor::from_env();
+    let executor = CampaignExecutor::new(0);
     let mut campaigns = Vec::with_capacity(environments.len());
     for (index, &environment) in environments.iter().enumerate() {
         let campaign_config = CampaignConfig {
@@ -123,7 +123,7 @@ pub fn run_environments(
 ///
 /// Propagates campaign errors.
 pub fn run(config: &Table1Config) -> Result<(Table1Result, Arc<TrainedDetectors>), MavfiError> {
-    run_environments(config, &EnvironmentKind::EVALUATION, None)
+    run_in(config, &EnvironmentKind::EVALUATION, None)
 }
 
 #[cfg(test)]

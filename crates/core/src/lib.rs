@@ -47,12 +47,11 @@ pub mod serve;
 pub mod trace;
 pub mod training;
 
-pub use campaign::{CampaignConfig, CampaignRunner, EnvironmentCampaign, SettingResult};
+pub use campaign::{CampaignConfig, EnvironmentCampaign, SettingResult};
 pub use config::{MissionSpec, Protection, TrainingSpec};
 pub use error::MavfiError;
 pub use exec::{
-    run_campaign, run_campaign_instrumented, CampaignExecutor, CampaignFoldState, SchemeConfig,
-    TrainedDetectorCache, WorkerPool,
+    CampaignExecutor, CampaignFoldState, SchemeConfig, TrainedDetectorCache, WorkerPool,
 };
 pub use qof::{QofMetrics, QofSummary};
 pub use replay::{ReplayDivergence, ReplayHarness, ReplayReport};
@@ -66,12 +65,11 @@ pub use training::{train_detectors, train_detectors_in};
 
 /// Commonly used items, suitable for glob import.
 pub mod prelude {
-    pub use crate::campaign::{CampaignConfig, CampaignRunner, EnvironmentCampaign, SettingResult};
+    pub use crate::campaign::{CampaignConfig, EnvironmentCampaign, SettingResult};
     pub use crate::config::{MissionSpec, Protection, TrainingSpec};
     pub use crate::error::MavfiError;
     pub use crate::exec::{
-        run_campaign, run_campaign_instrumented, CampaignExecutor, CampaignFoldState, SchemeConfig,
-        TrainedDetectorCache, WorkerPool,
+        CampaignExecutor, CampaignFoldState, SchemeConfig, TrainedDetectorCache, WorkerPool,
     };
     pub use crate::qof::{QofMetrics, QofSummary};
     pub use crate::replay::{ReplayDivergence, ReplayHarness, ReplayReport};

@@ -14,7 +14,6 @@
 
 use mavfi_fault::injector::FaultInjector;
 use mavfi_middleware::trace::{fold_digest, TraceError, TraceReader, DIGEST_SEED};
-use mavfi_ppc::pipeline::{PpcConfig, PpcPipeline};
 use mavfi_sim::geometry::Pose;
 use mavfi_sim::sensors::{DepthFrame, RayHits};
 use mavfi_sim::world::MissionStatus;
@@ -23,7 +22,7 @@ use crate::config::Protection;
 use crate::error::MavfiError;
 use crate::exec::TrainedDetectorCache;
 use crate::qof::QofMetrics;
-use crate::runner::{detector_tap, MissionTap, TrainedDetectors};
+use crate::runner::{detector_tap, mission_pipeline, MissionTap, TrainedDetectors};
 use crate::trace::{decode_mission_end, InputCodec, MissionTrace, OutputTracker, TraceTopic};
 
 /// The first point at which a replay's outputs stopped matching the
@@ -124,13 +123,10 @@ impl<'a> ReplayHarness<'a> {
         };
         let detector = detector_tap(meta.protection, detectors)?;
 
-        // Rebuild the deterministic half of the closed loop exactly as the
-        // runner does — environment build is pure configuration (bounds,
-        // start, goal); the world itself is never constructed.
+        // Rebuild the deterministic half of the closed loop through the
+        // runner's own setup; the world itself is never constructed.
         let spec = meta.spec;
-        let environment = spec.environment.build(spec.seed);
-        let ppc_config = PpcConfig::new(spec.planner, environment.bounds(), spec.seed);
-        let mut pipeline = PpcPipeline::new(ppc_config, environment.start(), environment.goal());
+        let (_, mut pipeline) = mission_pipeline(&spec);
         let mut tap = MissionTap {
             injector: meta.fault.map(FaultInjector::new),
             detector,

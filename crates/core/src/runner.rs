@@ -13,6 +13,7 @@ use mavfi_ppc::pipeline::{PipelineStats, PpcConfig, PpcPipeline, PpcTick};
 use mavfi_ppc::states::{CollisionEstimate, PointCloud, Trajectory};
 use mavfi_ppc::tap::{StageTap, TapAction};
 use mavfi_sim::energy::PowerModel;
+use mavfi_sim::env::Environment;
 use mavfi_sim::geometry::Vec3;
 use mavfi_sim::sensors::{CaptureScratch, DepthCamera, DepthFrame, RayHits};
 use mavfi_sim::vehicle::FlightCommand;
@@ -290,14 +291,22 @@ impl Landing {
     }
 }
 
+/// The environment `spec` flies in and its PPC pipeline at tick 0: the
+/// deterministic setup the runner and the replay harness share.  Building the
+/// environment is pure configuration (bounds, start, goal, obstacles).
+pub(crate) fn mission_pipeline(spec: &MissionSpec) -> (Environment, PpcPipeline) {
+    let environment = spec.environment.build(spec.seed);
+    let ppc_config = PpcConfig::new(spec.planner, environment.bounds(), spec.seed);
+    let pipeline = PpcPipeline::new(ppc_config, environment.start(), environment.goal());
+    (environment, pipeline)
+}
+
 impl Flight {
     /// A flight of `spec` at tick 0.  With `sink`, every setting it carries
     /// is instrumented: the live one feeds `sink`, each shadow a fresh sink
     /// of its own.
     fn new(spec: MissionSpec, tap: MissionTap, sink: Option<MissionTelemetry>) -> Self {
-        let environment = spec.environment.build(spec.seed);
-        let ppc_config = PpcConfig::new(spec.planner, environment.bounds(), spec.seed);
-        let mut pipeline = PpcPipeline::new(ppc_config, environment.start(), environment.goal());
+        let (environment, mut pipeline) = mission_pipeline(&spec);
         pipeline.set_timing_enabled(sink.is_some());
         let shadow_sinks = match sink {
             Some(_) => tap.shadows.iter().map(|_| MissionTelemetry::new()).collect(),
@@ -620,17 +629,6 @@ impl MissionRunner {
         [injected, next(), next()]
     }
 
-    /// Runs an error-free, unprotected mission while recording its full
-    /// closed-loop topic traffic into a [`MissionTrace`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MavfiError::Serialization`] if the trace metadata cannot
-    /// be encoded (never expected for well-formed specs).
-    pub fn run_golden_recorded(&self) -> Result<(MissionOutcome, MissionTrace), MavfiError> {
-        self.run_recorded(None, Protection::None, None, None)
-    }
-
     /// Runs a mission — optionally fault-injected and protected — while
     /// recording its closed-loop topic traffic into a [`MissionTrace`]:
     /// per-tick vehicle states and depth rays (inputs), commands, monitored
@@ -730,7 +728,8 @@ mod tests {
     #[test]
     fn recorded_golden_run_is_bit_identical_and_replays() {
         let spec = quick_spec(EnvironmentKind::Sparse, 3);
-        let (outcome, trace) = MissionRunner::new(spec).run_golden_recorded().unwrap();
+        let (outcome, trace) =
+            MissionRunner::new(spec).run_recorded(None, Protection::None, None, None).unwrap();
         // Recording is observational: same outcome as the unrecorded run.
         let baseline = MissionRunner::new(spec).run_golden();
         assert_eq!(outcome.qof, baseline.qof);

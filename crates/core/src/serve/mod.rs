@@ -1,7 +1,7 @@
 //! Campaign-as-a-service: a sharded, checkpointing campaign server over
 //! the in-repo middleware.
 //!
-//! [`CampaignServer`] promotes [`run_campaign`](crate::exec::run_campaign)
+//! [`CampaignServer`] promotes [`run_campaign`](crate::exec::CampaignExecutor::run_campaign)
 //! from a library call into a long-running service: clients submit
 //! [`CampaignRequest`]s over a bus service, the server shards each
 //! campaign across its persistent worker pool in *chunks* of consecutive

@@ -151,7 +151,7 @@ fn validate_config(config: &CampaignConfig) -> Result<(), ServerError> {
 /// directory re-admits every checkpointed job and continues folding from
 /// the last persisted chunk, and the final [`EnvironmentCampaign`] is
 /// byte-identical to an uninterrupted serve and to library
-/// [`run_campaign`](crate::exec::run_campaign) (see
+/// [`run_campaign`](crate::exec::CampaignExecutor::run_campaign) (see
 /// `tests/server_faults.rs`, `docs/SERVING.md`).
 pub struct CampaignServer {
     shared: Arc<Mutex<ServerState>>,

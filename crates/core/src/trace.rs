@@ -604,7 +604,7 @@ impl TraceCapture {
 /// use mavfi::replay::ReplayHarness;
 ///
 /// let spec = MissionSpec::new(EnvironmentKind::Sparse, 3);
-/// let (outcome, trace) = MissionRunner::new(spec).run_golden_recorded().unwrap();
+/// let (outcome, trace) = MissionRunner::new(spec).run_recorded(None, Protection::None, None, None).unwrap();
 /// let report = ReplayHarness::new(&trace).replay().unwrap();
 /// assert!(report.is_match());
 /// assert_eq!(report.ticks, outcome.pipeline.ticks);

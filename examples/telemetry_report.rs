@@ -83,7 +83,8 @@ fn main() -> Result<(), MavfiError> {
         base_seed: 7,
         mission_time_budget: 60.0,
     };
-    let (campaign, rollup) = run_campaign_instrumented(&config, &scheme, 0)?;
+    let (campaign, rollup) =
+        CampaignExecutor::new(0).run_campaign_instrumented(&config, &scheme)?;
 
     println!("\n=== Campaign rollup (1 golden + 3 injections x 3 settings) ===");
     println!(

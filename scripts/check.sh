@@ -6,7 +6,9 @@
 # (`perfbench/` calls the crates' public API, so an API change that breaks
 # it fails here), a smoke run of the instrumented-telemetry example, a
 # bit-identical replay of the golden-trace store (`retrace --verify`), a
-# kill/resume smoke run of the campaign server, and a relative-link
+# kill/resume smoke run of the campaign server, a worker-count
+# determinism check on the injection-sweep path (the `resilience_sweep`
+# example's stdout at 1 and at 3 workers must match), and a relative-link
 # existence check over the repository's markdown documentation.
 #
 # Usage: ./scripts/check.sh
@@ -37,6 +39,15 @@ cargo run --release --offline -q --example retrace -- --verify >/dev/null
 
 echo "==> campaign server kill/resume smoke (campaign_server --smoke)"
 cargo run --release --offline -q --example campaign_server -- --smoke >/dev/null
+
+echo "==> sweep output is identical at 1 and 3 workers (resilience_sweep, MAVFI_RUNS=1)"
+sweep_serial=$(MAVFI_RUNS=1 MAVFI_WORKERS=1 cargo run --release --offline -q --example resilience_sweep)
+sweep_parallel=$(MAVFI_RUNS=1 MAVFI_WORKERS=3 cargo run --release --offline -q --example resilience_sweep)
+if [ "$sweep_serial" != "$sweep_parallel" ]; then
+  diff <(printf '%s\n' "$sweep_serial") <(printf '%s\n' "$sweep_parallel") || true
+  echo "resilience_sweep output depends on the worker count."
+  exit 1
+fi
 
 echo "==> markdown relative links resolve (README.md, docs/, CHANGES.md)"
 broken=0

@@ -40,10 +40,9 @@ fn campaign_plans_have_paper_shape() {
 fn quick_campaign_produces_consistent_summaries() {
     let training =
         TrainingSpec { missions: 1, base_seed: 321, mission_time_budget: 25.0, epochs: 5 };
-    let detectors = (*TrainedDetectorCache::global()
-        .get_or_train(EnvironmentKind::Randomized, &training))
-    .clone();
-    let runner = CampaignRunner::new(detectors);
+    let scheme = SchemeConfig::shared(
+        TrainedDetectorCache::global().get_or_train(EnvironmentKind::Randomized, &training),
+    );
     let config = CampaignConfig {
         environment: EnvironmentKind::Farm,
         golden_runs: 2,
@@ -51,7 +50,8 @@ fn quick_campaign_produces_consistent_summaries() {
         base_seed: 17,
         mission_time_budget: 150.0,
     };
-    let campaign = runner.run_environment(&config).expect("campaign should run");
+    let campaign =
+        CampaignExecutor::new(0).run_campaign(&config, &scheme).expect("campaign should run");
 
     assert_eq!(campaign.golden.runs.len(), 2);
     assert_eq!(campaign.injected.runs.len(), 3);

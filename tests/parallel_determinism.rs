@@ -8,11 +8,11 @@ use std::sync::{Arc, OnceLock};
 use mavfi_suite::prelude::*;
 use proptest::prelude::*;
 
-fn quick_detectors() -> TrainedDetectors {
+fn quick_detectors() -> Arc<TrainedDetectors> {
     // Shared across this binary's tests through the process-wide cache.
     let training =
         TrainingSpec { missions: 1, base_seed: 4_242, mission_time_budget: 25.0, epochs: 5 };
-    (*TrainedDetectorCache::global().get_or_train(EnvironmentKind::Randomized, &training)).clone()
+    TrainedDetectorCache::global().get_or_train(EnvironmentKind::Randomized, &training)
 }
 
 fn quick_config() -> CampaignConfig {
@@ -46,34 +46,30 @@ fn assert_campaigns_identical(a: &EnvironmentCampaign, b: &EnvironmentCampaign, 
 
 #[test]
 fn worker_count_does_not_change_campaign_results() {
-    let detectors = quick_detectors();
+    let scheme = SchemeConfig::shared(quick_detectors());
     let config = quick_config();
 
-    let serial = CampaignRunner::new(detectors.clone())
-        .with_workers(1)
-        .run_environment(&config)
-        .expect("serial campaign");
+    let serial = CampaignExecutor::new(1).run_campaign(&config, &scheme).expect("serial campaign");
     assert_eq!(serial.golden.runs.len(), config.golden_runs);
     assert_eq!(serial.injected.runs.len(), 3 * config.injections_per_stage);
 
     for workers in [2, 8] {
-        let parallel = CampaignRunner::new(detectors.clone())
-            .with_workers(workers)
-            .run_environment(&config)
+        let parallel = CampaignExecutor::new(workers)
+            .run_campaign(&config, &scheme)
             .expect("parallel campaign");
         assert_campaigns_identical(&serial, &parallel, &format!("{workers} workers"));
     }
 
     // The env-configured default executor is a plain worker count, so the
     // equalities above cover it; just confirm it resolves sanely.
-    assert!(CampaignRunner::new(detectors).executor().workers() >= 1);
+    assert!(CampaignExecutor::new(0).workers() >= 1);
 }
 
 #[test]
 fn fault_plans_are_pure_functions_of_the_config() {
     let config = quick_config();
-    let first = CampaignRunner::plan_faults(&config);
-    let second = CampaignRunner::plan_faults(&config);
+    let first = CampaignExecutor::plan_faults(&config);
+    let second = CampaignExecutor::plan_faults(&config);
     assert_eq!(first, second, "fault planning must not depend on ambient state");
 }
 
@@ -84,7 +80,7 @@ fn property_baseline() -> &'static (Arc<TrainedDetectors>, CampaignConfig, Envir
     static BASELINE: OnceLock<(Arc<TrainedDetectors>, CampaignConfig, EnvironmentCampaign)> =
         OnceLock::new();
     BASELINE.get_or_init(|| {
-        let detectors = Arc::new(quick_detectors());
+        let detectors = quick_detectors();
         let mut config = CampaignConfig::quick(EnvironmentKind::Sparse, 2_029);
         // One golden + one injection per stage with a short budget keeps a
         // campaign cheap enough to re-run per generated case; truncated
@@ -115,24 +111,5 @@ proptest! {
             prop_assert_eq!(&ours.summary, &reference.summary, "summary of {}", &ours.label);
         }
         prop_assert_eq!(&parallel, sequential);
-    }
-}
-
-#[test]
-fn executor_fan_out_preserves_order_under_contention() {
-    let executor = WorkerPool::new(8);
-    let jobs: Vec<u64> = (0..64).collect();
-    let results = executor.run_ordered(&jobs, |index, &seed| {
-        // Uneven job durations force out-of-order completion.
-        let spin = (seed % 7) * 1_000;
-        let mut acc = 0u64;
-        for i in 0..spin {
-            acc = acc.wrapping_add(std::hint::black_box(i));
-        }
-        (index as u64, seed, acc.wrapping_mul(0).wrapping_add(seed * 2))
-    });
-    for (index, result) in results.iter().enumerate() {
-        assert_eq!(result.0, index as u64);
-        assert_eq!(result.2, result.1 * 2);
     }
 }

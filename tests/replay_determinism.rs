@@ -28,7 +28,8 @@ fn record_replay_is_bit_identical_across_seeds_environments_and_faults() {
         for seed in [3u64, 8, 21] {
             let runner = MissionRunner::new(quick_spec(environment, seed));
 
-            let (golden, golden_trace) = runner.run_golden_recorded().unwrap();
+            let (golden, golden_trace) =
+                runner.run_recorded(None, Protection::None, None, None).unwrap();
             let report = ReplayHarness::new(&golden_trace).replay().unwrap();
             assert!(
                 report.is_match(),
@@ -91,20 +92,26 @@ fn trace_digests_are_identical_across_worker_counts() {
     let seeds: Vec<u64> = vec![3, 8, 21, 34];
     let record = |_, seed: &u64| {
         let runner = MissionRunner::new(quick_spec(EnvironmentKind::Sparse, *seed));
-        let (_, trace) = runner.run_golden_recorded().unwrap();
-        trace.stream_digest().unwrap()
+        let (_, trace) = runner.run_recorded(None, Protection::None, None, None)?;
+        trace.stream_digest()
     };
-    let serial = WorkerPool::new(1).run_ordered(&seeds, record);
-    let dual = WorkerPool::new(2).run_ordered(&seeds, record);
-    let wide = WorkerPool::new(8).run_ordered(&seeds, record);
-    assert_eq!(serial, dual);
-    assert_eq!(serial, wide);
+    let digests = |workers| {
+        let mut digests = Vec::new();
+        WorkerPool::new(workers)
+            .fold_ordered(&seeds, record, &mut digests, |digests, _, digest| digests.push(digest))
+            .unwrap();
+        digests
+    };
+    let serial = digests(1);
+    assert_eq!(serial.len(), seeds.len());
+    assert_eq!(serial, digests(2));
+    assert_eq!(serial, digests(8));
 }
 
 #[test]
 fn trace_io_round_trips_and_rejects_damage_with_typed_errors() {
     let runner = MissionRunner::new(quick_spec(EnvironmentKind::Sparse, 3));
-    let (_, trace) = runner.run_golden_recorded().unwrap();
+    let (_, trace) = runner.run_recorded(None, Protection::None, None, None).unwrap();
 
     // Save/load round trip through a temp file.
     let path = std::env::temp_dir().join(format!("mavfi_replay_rt_{}.mvt", std::process::id()));

@@ -75,11 +75,12 @@ fn campaign_rollup_is_deterministic_and_inert_across_worker_counts() {
     let config = quick_campaign();
 
     // The reference: no telemetry at all.
-    let plain = run_campaign(&config, &scheme, 4).unwrap();
+    let plain = CampaignExecutor::new(4).run_campaign(&config, &scheme).unwrap();
 
     let mut views = Vec::new();
     for workers in [1usize, 2, 8] {
-        let (campaign, report) = run_campaign_instrumented(&config, &scheme, workers).unwrap();
+        let (campaign, report) =
+            CampaignExecutor::new(workers).run_campaign_instrumented(&config, &scheme).unwrap();
         // Inert: campaign results identical to the uninstrumented run.
         assert_eq!(campaign, plain, "telemetry must not change results ({workers} workers)");
         // 1 golden + 3 faults x 3 protection settings.
