@@ -12,10 +12,12 @@
 //! [`TraceMeta`]: crate::trace::TraceMeta
 //! [`World`]: mavfi_sim::world::World
 
+use std::ops::Range;
+
 use mavfi_fault::injector::FaultInjector;
 use mavfi_middleware::trace::{fold_digest, TraceError, TraceReader, DIGEST_SEED};
 use mavfi_sim::geometry::Pose;
-use mavfi_sim::sensors::{DepthFrame, RayHits};
+use mavfi_sim::sensors::{CaptureScratch, DepthFrame, RayHits};
 use mavfi_sim::world::MissionStatus;
 
 use crate::config::Protection;
@@ -138,8 +140,12 @@ impl<'a> ReplayHarness<'a> {
         let mut reader = TraceReader::new(self.trace.stream())?;
         let mut inputs = InputCodec::default();
         let mut tracker = OutputTracker::default();
-        let mut expected: Vec<(TraceTopic, Vec<u8>)> = Vec::new();
+        // The outputs the replay produced this tick: payload bytes
+        // concatenated in one buffer, and each record's topic and range.
+        let mut expected_bytes: Vec<u8> = Vec::new();
+        let mut expected: Vec<(TraceTopic, Range<usize>)> = Vec::new();
         let mut rays = RayHits::default();
+        let mut scratch = CaptureScratch::new();
         let mut frame = DepthFrame::default();
 
         let mut ticks = 0u64;
@@ -169,12 +175,26 @@ impl<'a> ReplayHarness<'a> {
                         }));
                     }
                     inputs.decode_rays(rays_record.payload, &mut rays)?;
+                    // `decode_rays` keeps every index below the frame's
+                    // `rays_cast`; holding the frame to the recorded
+                    // camera's ray count keeps it inside the ray tables
+                    // `resolve_rays` indexes.
+                    if rays.rays_cast != camera.ray_count() {
+                        return Err(MavfiError::Trace(TraceError::Malformed {
+                            reason: format!(
+                                "tick {tick}: depth_rays frame casts {} rays, the camera {}",
+                                rays.rays_cast,
+                                camera.ray_count()
+                            ),
+                        }));
+                    }
 
                     // Re-drive the pipeline from the recorded inputs.
                     let pose = Pose::new(state.position, state.yaw);
-                    camera.resolve_rays(&pose, &rays, &mut frame);
+                    camera.resolve_rays(&pose, &rays, &mut scratch, &mut frame);
                     let ppc_tick = pipeline.tick(&frame, &state, dt, &mut tap);
 
+                    expected_bytes.clear();
                     expected.clear();
                     tracker.emit(
                         &ppc_tick,
@@ -182,9 +202,14 @@ impl<'a> ReplayHarness<'a> {
                         pipeline.trajectory_revision(),
                         tap.detector.as_ref().map(|detector| detector.stats()),
                         tap.injector.as_ref().and_then(|injector| injector.record()),
-                        |topic, payload| expected.push((topic, payload.to_vec())),
+                        |topic, payload| {
+                            let start = expected_bytes.len();
+                            expected_bytes.extend_from_slice(payload);
+                            expected.push((topic, start..expected_bytes.len()));
+                        },
                     );
-                    for (expected_topic, expected_payload) in &expected {
+                    for (expected_topic, range) in &expected {
+                        let expected_payload = &expected_bytes[range.clone()];
                         replayed_output_digest =
                             fold_output(replayed_output_digest, *expected_topic, expected_payload);
                         let Some(recorded) = reader.next_record()? else {
@@ -212,7 +237,7 @@ impl<'a> ReplayHarness<'a> {
                             });
                             break 'stream;
                         }
-                        if recorded.payload != expected_payload.as_slice() {
+                        if recorded.payload != expected_payload {
                             divergence = Some(ReplayDivergence {
                                 tick,
                                 topic: *expected_topic,

@@ -351,14 +351,20 @@ impl Flight {
                 // pipeline consumes exactly the point cloud a replay will
                 // reconstruct from the trace, so both sides are
                 // bit-identical by construction (`resolve_rays` is itself
-                // bit-identical to `capture_into`).
+                // bit-identical to `capture_into`, and keeps the capture's
+                // ray tables).
                 self.camera.capture_rays_into(
                     self.world.environment(),
                     &pose,
                     &mut self.capture_scratch,
                     &mut self.ray_hits,
                 );
-                self.camera.resolve_rays(&pose, &self.ray_hits, &mut self.frame);
+                self.camera.resolve_rays(
+                    &pose,
+                    &self.ray_hits,
+                    &mut self.capture_scratch,
+                    &mut self.frame,
+                );
                 capture.record_inputs(self.tick_index, sim_time, &state, &self.ray_hits);
             }
             None => self.camera.capture_into(

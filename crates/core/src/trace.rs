@@ -254,8 +254,15 @@ impl InputCodec {
         let hits = reader.read_varint()? as usize;
         let mut prev_ray = 0u64;
         for _ in 0..hits {
-            let ray = prev_ray + reader.read_varint()?;
+            let ray = prev_ray.checked_add(reader.read_varint()?).ok_or_else(|| {
+                TraceError::Malformed { reason: "ray index delta overflows u64".into() }
+            })?;
             prev_ray = ray;
+            if ray >= rays.rays_cast as u64 {
+                return Err(TraceError::Malformed {
+                    reason: format!("ray index {ray} is not below rays_cast {}", rays.rays_cast),
+                });
+            }
             let ray = u32::try_from(ray)
                 .map_err(|_| TraceError::Malformed { reason: "ray index exceeds u32".into() })?;
             rays.hits.push((ray, self.ray_t.decode(&mut reader)?));
@@ -527,6 +534,8 @@ pub(crate) struct TraceCapture {
     writer: TraceWriter,
     inputs: InputCodec,
     outputs: OutputTracker,
+    /// Input payload buffer, reused every tick.
+    payload: Vec<u8>,
     last_tick: u64,
     last_sim_time: f64,
 }
@@ -538,6 +547,7 @@ impl TraceCapture {
             writer: TraceWriter::new(meta_json.as_bytes(), &TraceTopic::declarations()),
             inputs: InputCodec::default(),
             outputs: OutputTracker::default(),
+            payload: Vec::new(),
             last_tick: 0,
             last_sim_time: 0.0,
         })
@@ -554,11 +564,10 @@ impl TraceCapture {
     ) {
         self.last_tick = tick;
         self.last_sim_time = sim_time;
-        let mut payload = Vec::new();
-        self.inputs.encode_state(&mut payload, state);
-        self.writer.record(TraceTopic::VehicleState.id(), tick, sim_time, &payload);
-        self.inputs.encode_rays(&mut payload, rays);
-        self.writer.record(TraceTopic::DepthRays.id(), tick, sim_time, &payload);
+        self.inputs.encode_state(&mut self.payload, state);
+        self.writer.record(TraceTopic::VehicleState.id(), tick, sim_time, &self.payload);
+        self.inputs.encode_rays(&mut self.payload, rays);
+        self.writer.record(TraceTopic::DepthRays.id(), tick, sim_time, &self.payload);
     }
 
     /// Records the tick's pipeline outputs (same tick-start stamp as the
@@ -582,13 +591,13 @@ impl TraceCapture {
 
     /// Appends the mission-end record and returns the finished trace.
     pub(crate) fn finish(mut self, qof: &QofMetrics, ticks: u64) -> MissionTrace {
-        let mut payload = Vec::new();
-        encode_mission_end(&mut payload, qof, ticks);
+        self.payload.clear();
+        encode_mission_end(&mut self.payload, qof, ticks);
         self.writer.record(
             TraceTopic::MissionEnd.id(),
             self.last_tick,
             self.last_sim_time,
-            &payload,
+            &self.payload,
         );
         MissionTrace { stream: self.writer.finish() }
     }
@@ -732,6 +741,36 @@ mod tests {
             assert_eq!(ray_a, ray_b);
             assert_eq!(t_a.to_bits(), t_b.to_bits());
         }
+    }
+
+    #[test]
+    fn decode_rays_rejects_overflowing_deltas_and_out_of_range_indices() {
+        let rays_payload = |rays_cast: u64, deltas: &[u64]| {
+            let mut payload = Vec::new();
+            write_varint(&mut payload, rays_cast);
+            write_varint(&mut payload, deltas.len() as u64);
+            for &delta in deltas {
+                write_varint(&mut payload, delta);
+                write_varint(&mut payload, 4.5f64.to_bits());
+            }
+            payload
+        };
+        let decode =
+            |payload: &[u8]| InputCodec::default().decode_rays(payload, &mut RayHits::default());
+        assert!(decode(&rays_payload(256, &[3, 14, 238])).is_ok());
+
+        // The second delta wraps `u64`: a typed error, not an overflow.
+        let err = decode(&rays_payload(256, &[5, u64::MAX])).unwrap_err();
+        assert!(matches!(err, TraceError::Malformed { .. }), "{err}");
+        // Index 256 is past the frame's last ray, 255.
+        let err = decode(&rays_payload(256, &[3, 253])).unwrap_err();
+        assert!(matches!(err, TraceError::Malformed { .. }), "{err}");
+        // A frame of no rays holds no hit.
+        let err = decode(&rays_payload(0, &[0])).unwrap_err();
+        assert!(matches!(err, TraceError::Malformed { .. }), "{err}");
+        // In range of a huge frame, but not a `u32` ray index.
+        let err = decode(&rays_payload(u64::MAX, &[1 << 40])).unwrap_err();
+        assert!(matches!(err, TraceError::Malformed { .. }), "{err}");
     }
 
     #[test]

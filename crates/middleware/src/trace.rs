@@ -659,6 +659,28 @@ fn lz_hash(bytes: &[u8]) -> usize {
     (key.wrapping_mul(2_654_435_761) >> (32 - LZ_HASH_BITS)) as usize
 }
 
+/// Length of the common prefix of `input[earlier..]` and `input[pos..]`, at
+/// most `limit` bytes (`pos + limit` must not pass the end of `input`),
+/// compared eight bytes at a time.
+#[inline]
+fn match_length(input: &[u8], earlier: usize, pos: usize, limit: usize) -> usize {
+    let word = |at: usize| {
+        u64::from_le_bytes(input[at..at + 8].try_into().expect("the range is eight bytes long"))
+    };
+    let mut length = 0;
+    while length + 8 <= limit {
+        let diff = word(earlier + length) ^ word(pos + length);
+        if diff != 0 {
+            return length + (diff.trailing_zeros() / 8) as usize;
+        }
+        length += 8;
+    }
+    while length < limit && input[earlier + length] == input[pos + length] {
+        length += 1;
+    }
+    length
+}
+
 /// LZSS-compresses `input`.  Deterministic: identical input yields identical
 /// output on every platform.
 pub fn compress(input: &[u8]) -> Vec<u8> {
@@ -677,24 +699,24 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
         let mut best_len = 0;
         let mut best_offset = 0;
         if pos + LZ_MIN_MATCH <= input.len() {
+            let limit = (input.len() - pos).min(LZ_MAX_MATCH);
             let mut candidate = head[lz_hash(&input[pos..])];
             let mut steps = 0;
-            while candidate != usize::MAX && steps < LZ_MAX_CHAIN {
-                if pos - candidate <= LZ_WINDOW {
-                    let limit = (input.len() - pos).min(LZ_MAX_MATCH);
-                    let mut length = 0;
-                    while length < limit && input[candidate + length] == input[pos + length] {
-                        length += 1;
-                    }
+            // The first longest match in chain order wins.  A candidate
+            // whose byte at `best_len` differs from ours matches fewer than
+            // `best_len + 1` bytes, so it cannot win and is skipped without
+            // a scan (deflate's `longest_match` test); once `best_len`
+            // reaches `limit` no later candidate can win either.
+            while candidate != usize::MAX && steps < LZ_MAX_CHAIN && best_len < limit {
+                if pos - candidate > LZ_WINDOW {
+                    break;
+                }
+                if input[candidate + best_len] == input[pos + best_len] {
+                    let length = match_length(input, candidate, pos, limit);
                     if length > best_len {
                         best_len = length;
                         best_offset = pos - candidate;
-                        if length == LZ_MAX_MATCH {
-                            break;
-                        }
                     }
-                } else {
-                    break;
                 }
                 candidate = chain[candidate];
                 steps += 1;

@@ -82,14 +82,23 @@ impl Default for DepthCamera {
     }
 }
 
-/// Reusable buffers for [`DepthCamera::capture_into`]: the indices of the
-/// obstacles that survive the per-frame broad-phase cull.
+/// Reusable buffers for [`DepthCamera::capture_into`] and
+/// [`DepthCamera::resolve_rays`]: the indices of the obstacles that survive
+/// the per-frame broad-phase cull, and the frame's ray tables — the
+/// `(cos, sin)` of each column's yaw and of each row's pitch.
 ///
 /// Scratches hold no semantic state — a fresh scratch produces the same
-/// frame as a reused one; reuse only avoids the per-frame allocation.
+/// frame as a reused one; reuse only avoids the per-frame allocation, and
+/// lets a resolve right after a capture from the same pose keep the
+/// capture's tables.
 #[derive(Debug, Clone, Default)]
 pub struct CaptureScratch {
     visible: Vec<usize>,
+    columns: Vec<(f64, f64)>,
+    rows: Vec<(f64, f64)>,
+    /// Bit patterns of the pose yaw, the fields of view and the ray counts
+    /// the tables were built for.
+    tables_for: Option<[u64; 5]>,
 }
 
 impl CaptureScratch {
@@ -151,26 +160,84 @@ impl DepthCamera {
     }
 
     /// Reconstructs the point cloud a capture from `pose` produced, given
-    /// its hit parameters.  Because the ray direction is recomputed by the
-    /// same function the capture used, the points are **bit-identical** to
-    /// [`DepthCamera::capture_into`]'s — this is the replay path that takes
-    /// the simulator (and its obstacle set) out of the loop.
-    pub fn resolve_rays(&self, pose: &Pose, rays: &RayHits, frame: &mut DepthFrame) {
+    /// its hit parameters.  Because each ray direction is formed from the
+    /// same per-frame ray tables the capture used, the points are
+    /// **bit-identical** to [`DepthCamera::capture_into`]'s — this is the
+    /// replay path that takes the simulator (and its obstacle set) out of
+    /// the loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a hit's ray index is not below [`DepthCamera::ray_count`];
+    /// callers holding untrusted hits (a trace decoder) validate them first.
+    pub fn resolve_rays(
+        &self,
+        pose: &Pose,
+        rays: &RayHits,
+        scratch: &mut CaptureScratch,
+        frame: &mut DepthFrame,
+    ) {
         frame.points.clear();
         frame.rays_cast = rays.rays_cast;
+        if rays.hits.is_empty() {
+            // Most frames of a clear flight see nothing: skip the tables.
+            return;
+        }
         let origin = pose.position;
+        self.fill_ray_tables(pose.yaw, scratch);
         for &(ray, t) in &rays.hits {
-            let hi = ray as usize % self.horizontal_rays;
-            let vi = ray as usize / self.horizontal_rays;
-            let direction = self.ray_direction(pose.yaw, hi, vi);
+            let (yaw_cos, yaw_sin) = scratch.columns[ray as usize % self.horizontal_rays];
+            let (pitch_cos, pitch_sin) = scratch.rows[ray as usize / self.horizontal_rays];
+            let direction = Vec3::new(yaw_cos * pitch_cos, yaw_sin * pitch_cos, pitch_sin);
             frame.points.push(origin + direction * t);
         }
     }
 
-    /// Direction of the ray at scan position (`hi`, `vi`) for a camera yawed
-    /// to `pose_yaw` — the single source of truth shared by capture and
-    /// replay so both produce bit-identical geometry.
-    #[inline]
+    /// Fills `scratch`'s ray tables for a camera yawed to `pose_yaw`: one
+    /// `(cos, sin)` per column yaw and per row pitch, so a frame makes
+    /// `2 × (horizontal_rays + vertical_rays)` trig calls instead of four per
+    /// ray.  The ray at (`hi`, `vi`) points along
+    /// `(yaw_cos·pitch_cos, yaw_sin·pitch_cos, pitch_sin)` — the operands and
+    /// operations of the closed form, so every direction is bit-identical to
+    /// it.  Tables already built for this camera and yaw are kept.
+    fn fill_ray_tables(&self, pose_yaw: f64, scratch: &mut CaptureScratch) {
+        let key = [
+            pose_yaw.to_bits(),
+            self.horizontal_fov.to_bits(),
+            self.vertical_fov.to_bits(),
+            self.horizontal_rays as u64,
+            self.vertical_rays as u64,
+        ];
+        if scratch.tables_for == Some(key) {
+            return;
+        }
+        scratch.columns.clear();
+        scratch.columns.extend((0..self.horizontal_rays).map(|hi| {
+            let h_frac = if self.horizontal_rays > 1 {
+                hi as f64 / (self.horizontal_rays - 1) as f64 - 0.5
+            } else {
+                0.0
+            };
+            let yaw = pose_yaw + h_frac * self.horizontal_fov;
+            (yaw.cos(), yaw.sin())
+        }));
+        scratch.rows.clear();
+        scratch.rows.extend((0..self.vertical_rays).map(|vi| {
+            let v_frac = if self.vertical_rays > 1 {
+                vi as f64 / (self.vertical_rays - 1) as f64 - 0.5
+            } else {
+                0.0
+            };
+            let pitch = v_frac * self.vertical_fov;
+            (pitch.cos(), pitch.sin())
+        }));
+        scratch.tables_for = Some(key);
+    }
+
+    /// The closed-form direction of the ray at scan position (`hi`, `vi`) for
+    /// a camera yawed to `pose_yaw`: the reference the ray tables are checked
+    /// against.
+    #[cfg(test)]
     fn ray_direction(&self, pose_yaw: f64, hi: usize, vi: usize) -> Vec3 {
         let v_frac = if self.vertical_rays > 1 {
             vi as f64 / (self.vertical_rays - 1) as f64 - 0.5
@@ -234,10 +301,11 @@ impl DepthCamera {
             scratch.visible.push(index);
         }
 
+        self.fill_ray_tables(pose.yaw, scratch);
         let obstacles = env.obstacles();
-        for vi in 0..self.vertical_rays {
-            for hi in 0..self.horizontal_rays {
-                let direction = self.ray_direction(pose.yaw, hi, vi);
+        for (vi, &(pitch_cos, pitch_sin)) in scratch.rows.iter().enumerate() {
+            for (hi, &(yaw_cos, yaw_sin)) in scratch.columns.iter().enumerate() {
+                let direction = Vec3::new(yaw_cos * pitch_cos, yaw_sin * pitch_cos, pitch_sin);
                 let mut nearest: Option<f64> = None;
                 for &index in &scratch.visible {
                     if let Some(t) = obstacles[index].aabb.ray_intersection(origin, direction) {
@@ -309,12 +377,162 @@ mod tests {
             assert_eq!(rays.hits.len(), direct.points.len());
 
             let mut resolved = DepthFrame::default();
-            camera.resolve_rays(&pose, &rays, &mut resolved);
+            camera.resolve_rays(&pose, &rays, &mut scratch, &mut resolved);
             assert_eq!(resolved.rays_cast, direct.rays_cast);
-            for (a, b) in resolved.points.iter().zip(&direct.points) {
-                assert_eq!(a.x.to_bits(), b.x.to_bits());
-                assert_eq!(a.y.to_bits(), b.y.to_bits());
-                assert_eq!(a.z.to_bits(), b.z.to_bits());
+            assert_eq!(point_bits(&resolved), point_bits(&direct));
+        }
+    }
+
+    fn point_bits(frame: &DepthFrame) -> Vec<[u64; 3]> {
+        frame.points.iter().map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()]).collect()
+    }
+
+    /// The frame a capture produces with every direction from the closed-form
+    /// [`DepthCamera::ray_direction`] and no broad-phase cull.
+    fn reference_capture(camera: &DepthCamera, env: &Environment, pose: &Pose) -> DepthFrame {
+        let origin = pose.position;
+        let mut frame = DepthFrame { points: Vec::new(), rays_cast: camera.ray_count() };
+        for vi in 0..camera.vertical_rays {
+            for hi in 0..camera.horizontal_rays {
+                let direction = camera.ray_direction(pose.yaw, hi, vi);
+                let mut nearest: Option<f64> = None;
+                for obstacle in env.obstacles() {
+                    if let Some(t) = obstacle.aabb.ray_intersection(origin, direction) {
+                        if t <= camera.max_range && nearest.map_or(true, |best| t < best) {
+                            nearest = Some(t);
+                        }
+                    }
+                }
+                if let Some(t) = nearest {
+                    frame.points.push(origin + direction * t);
+                }
+            }
+        }
+        frame
+    }
+
+    /// Rays per axis the properties sweep: the single-ray branch, the two
+    /// field edges, an odd count and the default 32.
+    const RAYS_PER_AXIS: [usize; 4] = [1, 2, 7, 32];
+
+    /// A field of view in (0, π], with π itself drawn a quarter of the time.
+    fn field_of_view() -> impl Strategy<Value = f64> {
+        (0usize..4, 0.0f64..1.0).prop_map(|(pick, unit)| {
+            if pick == 0 {
+                std::f64::consts::PI
+            } else {
+                std::f64::consts::PI * (1.0 - unit)
+            }
+        })
+    }
+
+    /// A yaw within one turn half the time, else of magnitude up to 1e3.
+    fn any_yaw() -> impl Strategy<Value = f64> {
+        (0usize..2, -1.0f64..1.0)
+            .prop_map(|(pick, unit)| unit * if pick == 0 { std::f64::consts::PI } else { 1.0e3 })
+    }
+
+    /// A pose `aim.1` metres from an obstacle's centre (the obstacle picked
+    /// by `aim.0`), seen from bearing `aim.2` and facing it up to `aim.3`
+    /// radians off, so most frames have hits.  `aim.4` adds whole turns
+    /// (none half the time, else up to ±159: a yaw of magnitude up to 1e3,
+    /// negative ones included).
+    fn pose_facing(env: &Environment, aim: (usize, f64, f64, f64, i32)) -> Pose {
+        let (obstacle, distance, bearing, deviation, turns) = aim;
+        let obstacles = env.obstacles();
+        let centre = match obstacles.len() {
+            0 => env.goal(),
+            count => obstacles[obstacle % count].aabb.center(),
+        };
+        let origin = centre - Vec3::new(bearing.cos(), bearing.sin(), 0.0) * distance;
+        Pose::new(origin, bearing + deviation + f64::from(turns) * std::f64::consts::TAU)
+    }
+
+    /// Inputs of [`pose_facing`].
+    fn aim() -> impl Strategy<Value = (usize, f64, f64, f64, i32)> {
+        let angle = std::f64::consts::PI;
+        (0usize..64, 2.0f64..15.0, -angle..angle, -0.8f64..0.8, 0usize..2, -159i32..160).prop_map(
+            |(obstacle, distance, bearing, deviation, pick, turns)| {
+                (obstacle, distance, bearing, deviation, if pick == 0 { 0 } else { turns })
+            },
+        )
+    }
+
+    fn camera_of(rays: (usize, usize), fovs: (f64, f64)) -> DepthCamera {
+        DepthCamera {
+            horizontal_fov: fovs.0,
+            vertical_fov: fovs.1,
+            horizontal_rays: RAYS_PER_AXIS[rays.0],
+            vertical_rays: RAYS_PER_AXIS[rays.1],
+            ..DepthCamera::default()
+        }
+    }
+
+    fn environment_of(kind: usize, seed: u64) -> Environment {
+        [EnvironmentKind::Sparse, EnvironmentKind::Dense, EnvironmentKind::Randomized][kind]
+            .build(seed)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The ray tables give every point of the closed form bit for bit,
+        /// at any yaw, ray count per axis and field of view, from a fresh
+        /// scratch and from one whose tables hold another frame's.
+        #[test]
+        fn table_capture_matches_closed_form(
+            kind in 0usize..3,
+            seed in 0u64..40,
+            aim in aim(),
+            rays in (0usize..4, 0usize..4),
+            fovs in (field_of_view(), field_of_view()),
+            previous in (any_yaw(), 0usize..4, field_of_view()),
+        ) {
+            let env = environment_of(kind, seed);
+            let camera = camera_of(rays, fovs);
+            let pose = pose_facing(&env, aim);
+            let expected = reference_capture(&camera, &env, &pose);
+            let frame = capture(&camera, &env, &pose);
+            prop_assert_eq!(frame.rays_cast, expected.rays_cast);
+            prop_assert_eq!(point_bits(&frame), point_bits(&expected));
+
+            // Tables left by another camera, then by this camera at another yaw.
+            let mut scratch = CaptureScratch::new();
+            let mut reused = DepthFrame::default();
+            let other = camera_of((previous.1, rays.1), (previous.2, fovs.1));
+            let previous_pose = Pose::new(pose.position, previous.0);
+            other.capture_into(&env, &previous_pose, &mut scratch, &mut reused);
+            camera.capture_into(&env, &previous_pose, &mut scratch, &mut reused);
+            camera.capture_into(&env, &pose, &mut scratch, &mut reused);
+            prop_assert_eq!(point_bits(&reused), point_bits(&expected));
+        }
+
+        /// Resolving a hit-parameter capture — with a fresh scratch, so the
+        /// tables are rebuilt, and with the capture's own — gives the direct
+        /// capture's frame bit for bit.
+        #[test]
+        fn resolved_rays_match_direct_capture(
+            kind in 0usize..3,
+            seed in 0u64..40,
+            aim in aim(),
+            rays in (0usize..4, 0usize..4),
+            fovs in (field_of_view(), field_of_view()),
+        ) {
+            let env = environment_of(kind, seed);
+            let camera = camera_of(rays, fovs);
+            let pose = pose_facing(&env, aim);
+            let direct = capture(&camera, &env, &pose);
+
+            let mut scratch = CaptureScratch::new();
+            let mut hits = RayHits::default();
+            camera.capture_rays_into(&env, &pose, &mut scratch, &mut hits);
+            for resolve_scratch in [&mut scratch, &mut CaptureScratch::new()] {
+                let mut resolved = DepthFrame::default();
+                camera.resolve_rays(&pose, &hits, resolve_scratch, &mut resolved);
+                prop_assert_eq!(resolved.rays_cast, direct.rays_cast);
+                prop_assert_eq!(point_bits(&resolved), point_bits(&direct));
             }
         }
     }

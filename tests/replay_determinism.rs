@@ -1,9 +1,11 @@
 //! Replay determinism: record→replay bit-equality across seeds,
 //! environments and fault settings; identical trace digests regardless of
 //! worker count; and typed-error (never panic) handling of damaged or
-//! foreign trace files.
+//! foreign trace files and of damaged depth frames inside a valid stream.
 
-use mavfi_suite::mavfi_middleware::trace::{compress_container, TraceError};
+use mavfi_suite::mavfi_middleware::trace::{
+    compress_container, write_varint, TraceError, TraceReader, TraceWriter,
+};
 use mavfi_suite::prelude::*;
 
 fn quick_detectors() -> TrainedDetectors {
@@ -142,4 +144,77 @@ fn trace_io_round_trips_and_rejects_damage_with_typed_errors() {
     stream[index] ^= 0x10;
     let err = MissionTrace::from_bytes(&compress_container(&stream)).unwrap_err();
     assert!(matches!(err, MavfiError::Trace(_)), "{err}");
+}
+
+/// Re-emits `trace`'s stream through a fresh [`TraceWriter`] with the
+/// payload of its `index`-th `DepthRays` record replaced by `payload`, so
+/// the stream's digests verify and only replay sees the damage.
+fn with_depth_rays_payload(trace: &MissionTrace, index: usize, payload: &[u8]) -> MissionTrace {
+    let mut reader = TraceReader::new(trace.stream()).unwrap();
+    let mut writer = TraceWriter::new(reader.meta(), reader.topics());
+    let mut seen = 0;
+    while let Some(record) = reader.next_record().unwrap() {
+        let mut bytes = record.payload;
+        if record.topic == TraceTopic::DepthRays.id() {
+            if seen == index {
+                bytes = payload;
+            }
+            seen += 1;
+        }
+        writer.record(record.topic, record.tick, record.sim_time, bytes);
+    }
+    assert!(seen > index, "the trace has only {seen} depth frames");
+    MissionTrace::from_bytes(&compress_container(&writer.finish())).unwrap()
+}
+
+/// A `DepthRays` payload: `rays_cast`, then one `(index delta, t)` per delta.
+fn depth_rays_payload(rays_cast: u64, deltas: &[u64]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    write_varint(&mut payload, rays_cast);
+    write_varint(&mut payload, deltas.len() as u64);
+    for &delta in deltas {
+        write_varint(&mut payload, delta);
+        write_varint(&mut payload, 7.25f64.to_bits());
+    }
+    payload
+}
+
+#[test]
+fn replay_rejects_damaged_depth_rays_with_typed_errors() {
+    let runner = MissionRunner::new(quick_spec(EnvironmentKind::Sparse, 3));
+    let (_, trace) = runner.run_recorded(None, Protection::None, None, None).unwrap();
+    let ray_count = trace.meta().unwrap().camera.ray_count() as u64;
+
+    // Re-emitting a frame unchanged still replays bit-identically.
+    let mut reader = TraceReader::new(trace.stream()).unwrap();
+    let first_rays = std::iter::from_fn(|| reader.next_record().unwrap())
+        .find(|record| record.topic == TraceTopic::DepthRays.id())
+        .unwrap()
+        .payload
+        .to_vec();
+    let report =
+        ReplayHarness::new(&with_depth_rays_payload(&trace, 0, &first_rays)).replay().unwrap();
+    assert!(report.is_match(), "{:?}", report.divergence);
+
+    let damaged = [
+        // An index delta that wraps `u64`.
+        depth_rays_payload(ray_count, &[5, u64::MAX]),
+        // An index past the frame's last ray.
+        depth_rays_payload(ray_count, &[ray_count]),
+        // A frame of more rays than the camera casts, with a hit in range of
+        // the frame but past the camera's ray tables.
+        depth_rays_payload(ray_count * 4, &[ray_count * 3]),
+        // A frame of fewer rays than the camera casts.
+        depth_rays_payload(ray_count - 1, &[]),
+    ];
+    for (case, payload) in damaged.iter().enumerate() {
+        for frame in [0, 9] {
+            let damaged = with_depth_rays_payload(&trace, frame, payload);
+            let err = ReplayHarness::new(&damaged).replay().unwrap_err();
+            assert!(
+                matches!(err, MavfiError::Trace(TraceError::Malformed { .. })),
+                "case {case}, frame {frame}: {err}"
+            );
+        }
+    }
 }

@@ -1,7 +1,8 @@
 //! Tier-1 gate on the committed golden-trace store: every trace in
 //! `tests/golden/` must load, carry the metadata the manifest promises,
 //! and replay bit-identically without the sim in the loop; re-recording
-//! the unprotected missions must reproduce the committed bytes exactly.
+//! every mission, protected ones with detectors from the process-wide cache,
+//! must reproduce the committed bytes exactly.
 //!
 //! Regenerate the store with `scripts/retrace.sh` after an intentional
 //! behaviour change (see `docs/REPLAY.md`).
@@ -47,6 +48,28 @@ fn golden_store_is_complete_and_replays_bit_identically() {
 #[test]
 fn rerecording_unprotected_missions_reproduces_committed_bytes() {
     for spec in manifest().into_iter().filter(|spec| spec.protection == Protection::None) {
+        let committed = std::fs::read(spec.path()).unwrap_or_else(|err| {
+            panic!("missing golden trace {}: {err}; run scripts/retrace.sh", spec.path())
+        });
+        let (_, trace) = spec.record().unwrap();
+        assert_eq!(
+            trace.to_bytes(),
+            committed,
+            "re-recording {} produced different bytes; if the behaviour change is \
+             intentional, regenerate the store with scripts/retrace.sh",
+            spec.file
+        );
+    }
+}
+
+/// The protected traces' detectors come from the process-wide cache, trained
+/// per the manifest's provenance, just as a replay of them retrains them.
+#[test]
+fn rerecording_protected_missions_reproduces_committed_bytes() {
+    let protected: Vec<_> =
+        manifest().into_iter().filter(|spec| spec.protection != Protection::None).collect();
+    assert!(!protected.is_empty(), "the manifest lists no protected mission");
+    for spec in protected {
         let committed = std::fs::read(spec.path()).unwrap_or_else(|err| {
             panic!("missing golden trace {}: {err}; run scripts/retrace.sh", spec.path())
         });
