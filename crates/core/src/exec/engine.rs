@@ -1,14 +1,15 @@
 //! The campaign execution engine: one sharded, order-restoring pass over a
 //! campaign's full run list.
 //!
-//! [`CampaignExecutor`] builds the complete run list of a campaign — golden
-//! runs plus every planned per-stage injection — and shards it across a
-//! [`WorkerPool`], one campaign job per pool unit.  Each run's seed is
-//! derived from `(base_seed, run_index)` exactly as in the sequential path,
-//! and [`MissionOutcome`]s stream through the pool's order-restoring
-//! aggregator, so the assembled [`EnvironmentCampaign`] is byte-identical to
-//! sequential execution for any worker count while bulky per-run artifacts
-//! (sampled trails) are dropped as soon as their statistics are folded in.
+//! [`CampaignExecutor`] builds the complete run list of a campaign — one job
+//! per seed index, flying that seed's golden run and its planned per-stage
+//! injection on one trunk — and shards it across a [`WorkerPool`], one
+//! campaign job per pool unit.  Each run's seed is derived from
+//! `(base_seed, run_index)` exactly as in the sequential path, and
+//! [`MissionOutcome`]s stream through the pool's order-restoring aggregator,
+//! so the assembled [`EnvironmentCampaign`] is byte-identical to sequential
+//! execution for any worker count while bulky per-run artifacts (sampled
+//! trails) are dropped as soon as their statistics are folded in.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -17,7 +18,7 @@ use mavfi_fault::campaign::CampaignPlan;
 use mavfi_fault::injector::FaultSpec;
 use mavfi_ppc::states::Stage;
 use mavfi_sim::env::EnvironmentKind;
-use mavfi_telemetry::{MissionReport, MissionTelemetry, TelemetryReport, TrunkCounters};
+use mavfi_telemetry::{MissionReport, TelemetryReport, TrunkCounters};
 use serde::{Deserialize, Serialize};
 
 use crate::campaign::{CampaignConfig, EnvironmentCampaign, SettingResult};
@@ -124,45 +125,76 @@ pub(crate) struct FaultSettingOutcomes {
     pub(crate) injected: QofMetrics,
     pub(crate) gaussian: MissionOutcome,
     pub(crate) autoencoder: MissionOutcome,
-    /// How the job's trunk was flown (reported by instrumented campaigns).
-    pub(crate) trunks: TrunkCounters,
 }
 
-impl FaultSettingOutcomes {
-    fn new(landings: [Landing; 3]) -> Self {
-        let [injected, gaussian, autoencoder] = landings;
-        let mut trunks = TrunkCounters {
-            ticks_flown: injected.outcome.pipeline.ticks,
-            gaussian_branches: u64::from(gaussian.branched()),
-            autoencoder_branches: u64::from(autoencoder.branched()),
-            faults_never_fired: u64::from(injected.outcome.fault.is_none()),
-            ..TrunkCounters::default()
-        };
-        for shadow in [&gaussian, &autoencoder] {
-            trunks.ticks_flown += shadow.outcome.pipeline.ticks - shadow.shared_ticks;
-            trunks.ticks_shared += shadow.shared_ticks;
-        }
+/// A golden run, trimmed to what aggregation needs.
+pub(crate) struct GoldenOutcome {
+    qof: QofMetrics,
+    ticks: u64,
+    compute_ms: f64,
+}
+
+impl GoldenOutcome {
+    fn new(outcome: &MissionOutcome) -> Self {
         Self {
-            injected: injected.outcome.qof,
-            gaussian: gaussian.outcome,
-            autoencoder: autoencoder.outcome,
-            trunks,
+            qof: outcome.qof,
+            ticks: outcome.pipeline.ticks,
+            compute_ms: outcome.pipeline.total_compute_ms(),
         }
     }
 }
 
-/// One entry of a campaign's unified run list.
-pub(crate) enum CampaignJob {
-    Golden(u64),
-    Fault(usize, FaultSpec),
+/// One entry of a campaign's run list: seed index `index`'s golden run
+/// (when `golden`) and its planned fault's three settings (when `fault` is
+/// set), flown on one trunk.
+pub(crate) struct CampaignJob {
+    index: u64,
+    golden: bool,
+    fault: Option<FaultSpec>,
 }
 
 /// What one campaign job produced (trimmed to what aggregation needs).
 /// `reports` carries the job's mission telemetry (one report per mission,
-/// in mission order) and stays empty on uninstrumented runs.
-pub(crate) enum JobOutcome {
-    Golden { qof: QofMetrics, ticks: u64, compute_ms: f64, reports: Vec<MissionReport> },
-    Fault(Box<FaultSettingOutcomes>, Vec<MissionReport>),
+/// golden run first, then the fault's settings in Table I order) and stays
+/// empty on uninstrumented runs.
+pub(crate) struct JobOutcome {
+    golden: Option<GoldenOutcome>,
+    fault: Option<Box<FaultSettingOutcomes>>,
+    reports: Vec<MissionReport>,
+    /// How the job's flights were flown (reported by instrumented
+    /// campaigns).
+    trunks: TrunkCounters,
+}
+
+impl JobOutcome {
+    fn new(golden: Option<Landing>, settings: Option<[Landing; 3]>) -> Self {
+        let mut trunks = TrunkCounters::default();
+        let mut reports = Vec::new();
+        let mut land = |landing: &mut Landing| {
+            trunks.ticks_flown += landing.outcome.pipeline.ticks - landing.shared_ticks;
+            trunks.ticks_shared += landing.shared_ticks;
+            if let Some(sink) = landing.sink.take() {
+                reports.push(sink.into_report(&landing.outcome.pipeline));
+            }
+        };
+        let golden = golden.map(|mut landing| {
+            land(&mut landing);
+            GoldenOutcome::new(&landing.outcome)
+        });
+        let fault = settings.map(|mut settings| {
+            settings.iter_mut().for_each(&mut land);
+            let [injected, gaussian, autoencoder] = settings;
+            trunks.gaussian_branches = u64::from(gaussian.branched());
+            trunks.autoencoder_branches = u64::from(autoencoder.branched());
+            trunks.faults_never_fired = u64::from(injected.outcome.fault.is_none());
+            Box::new(FaultSettingOutcomes {
+                injected: injected.outcome.qof,
+                gaussian: gaussian.outcome,
+                autoencoder: autoencoder.outcome,
+            })
+        });
+        Self { golden, fault, reports, trunks }
+    }
 }
 
 /// Streaming aggregate of a campaign; folded in run-index order, so every
@@ -212,10 +244,11 @@ impl CampaignFoldState {
         }
     }
 
-    /// Number of campaign jobs folded so far (a fault job counts once,
-    /// covering its injected/Gaussian/autoencoder triple).
+    /// Number of campaign jobs folded so far.  Job `j` folds golden run `j`
+    /// and fault `j`'s injected/Gaussian/autoencoder triple, each when the
+    /// campaign has it, so this is the longer of the two run lists.
     pub fn jobs_folded(&self) -> usize {
-        self.golden_runs.len() + self.injected_runs.len()
+        self.golden_runs.len().max(self.injected_runs.len())
     }
 
     /// Incremental QoF summaries of the four settings in Table I row order
@@ -231,23 +264,19 @@ impl CampaignFoldState {
         ]
     }
 
+    /// Folds one job: its golden run first, then its fault triple.
     pub(crate) fn fold(&mut self, outcome: JobOutcome) {
-        match outcome {
-            JobOutcome::Golden { qof, ticks, compute_ms, .. } => {
-                self.golden_ticks += ticks;
-                self.golden_compute_ms += compute_ms;
-                self.golden_runs.push(qof);
-            }
-            JobOutcome::Fault(outcomes, _) => {
-                self.injected_runs.push(outcomes.injected);
-                accumulate_recomputations(&outcomes.gaussian, &mut self.gaussian_recomputations);
-                self.gaussian_runs.push(outcomes.gaussian.qof);
-                accumulate_recomputations(
-                    &outcomes.autoencoder,
-                    &mut self.autoencoder_recomputations,
-                );
-                self.autoencoder_runs.push(outcomes.autoencoder.qof);
-            }
+        if let Some(golden) = outcome.golden {
+            self.golden_ticks += golden.ticks;
+            self.golden_compute_ms += golden.compute_ms;
+            self.golden_runs.push(golden.qof);
+        }
+        if let Some(outcomes) = outcome.fault {
+            self.injected_runs.push(outcomes.injected);
+            accumulate_recomputations(&outcomes.gaussian, &mut self.gaussian_recomputations);
+            self.gaussian_runs.push(outcomes.gaussian.qof);
+            accumulate_recomputations(&outcomes.autoencoder, &mut self.autoencoder_recomputations);
+            self.autoencoder_runs.push(outcomes.autoencoder.qof);
         }
     }
 
@@ -340,32 +369,37 @@ impl CampaignExecutor {
             .with_time_budget(config.mission_time_budget)
     }
 
-    /// One unified run list: golden runs first, then every planned fault —
-    /// the same order the sequential loops used, so folding in index order
-    /// reproduces their output exactly, while the pool is free to
-    /// interleave long and short missions across workers.
+    /// One run list of one job per seed index: job `j` flies golden run `j`
+    /// and fault `j`, each when the campaign has it.  Golden run `j` and
+    /// fault `j` fly the same mission, so the fault's trunk carries the
+    /// golden flight up to the tick where the fault fires.  Folding the jobs
+    /// in index order keeps the golden runs in run order and the faults in
+    /// plan order, while the pool is free to interleave long and short
+    /// missions across workers.
     fn campaign_jobs(config: &CampaignConfig) -> Vec<CampaignJob> {
-        let mut jobs: Vec<CampaignJob> = Vec::new();
-        jobs.extend((0..config.golden_runs as u64).map(CampaignJob::Golden));
-        jobs.extend(
-            Self::plan_faults(config)
-                .into_iter()
-                .enumerate()
-                .map(|(index, fault)| CampaignJob::Fault(index, fault)),
-        );
-        jobs
+        let faults = Self::plan_faults(config);
+        let faults = faults.specs();
+        (0..config.golden_runs.max(faults.len()))
+            .map(|index| CampaignJob {
+                index: index as u64,
+                golden: index < config.golden_runs,
+                fault: faults.get(index).copied(),
+            })
+            .collect()
     }
 
     /// Runs the golden, injection and both D&R settings of one
     /// environment's campaign as a single sharded run list.
     ///
-    /// Every campaign job is its own pool unit: a golden job flies one
-    /// mission; a fault job flies its injected/Gaussian/autoencoder triple
-    /// as one trunk that forks a protected flight only where its detector
-    /// first acts (see [`Flight`](crate::runner::Flight)), bit-identical to
-    /// flying the three settings apart.  Outcomes fold in run order, so the
-    /// assembled campaign is bit-identical for every worker count and chunk
-    /// size.
+    /// Every campaign job is its own pool unit.  A job with a fault flies
+    /// its injected/Gaussian/autoencoder triple, and its seed's golden run
+    /// if the campaign has one, as one trunk that forks the golden flight
+    /// only where the fault first fires and a protected flight only where
+    /// its detector first acts (see [`Flight`](crate::runner::Flight)),
+    /// bit-identical to flying the four settings apart.  A job past the
+    /// last fault flies its golden run alone.  Outcomes fold in run order,
+    /// so the assembled campaign is bit-identical for every worker count
+    /// and chunk size.
     ///
     /// # Errors
     ///
@@ -388,7 +422,7 @@ impl CampaignExecutor {
     /// [`run_campaign_chunks`](Self::run_campaign_chunks) ranges and of the
     /// campaign server's checkpoint stride.
     pub fn campaign_chunk_count(&self, config: &CampaignConfig) -> usize {
-        let jobs = config.golden_runs + config.injections_per_stage * Stage::ALL.len();
+        let jobs = config.golden_runs.max(config.injections_per_stage * Stage::ALL.len());
         jobs.div_ceil(self.chunk_jobs())
     }
 
@@ -425,9 +459,10 @@ impl CampaignExecutor {
     }
 
     /// [`run_campaign`](Self::run_campaign) with mission telemetry: every
-    /// mission flies with a [`MissionTelemetry`] sink attached (wall-clock
-    /// kernel timing on) and the per-mission reports are merged — in
-    /// deterministic run order — into one campaign-wide
+    /// mission flies with a
+    /// [`MissionTelemetry`](mavfi_telemetry::MissionTelemetry) sink
+    /// attached (wall-clock kernel timing on) and the per-mission reports
+    /// are merged — in deterministic run order — into one campaign-wide
     /// [`TelemetryReport`].
     ///
     /// The campaign results are bit-identical to the uninstrumented path
@@ -465,68 +500,30 @@ impl CampaignExecutor {
         telemetry: Option<&mut TelemetryReport>,
     ) -> Result<(), MavfiError> {
         let detectors = scheme.detectors();
-        let instrument = telemetry.is_some();
-
-        // Instrumented missions: a fresh sink per mission (constructing it
+        // Instrumented missions: a fresh sink per trunk (constructing it
         // preallocates the telemetry buffers; the mission itself then runs
-        // allocation-free), reduced to a report as soon as the mission
-        // lands.
-        let run_golden = |runner: &MissionRunner| -> (MissionOutcome, Option<MissionReport>) {
-            if instrument {
-                let mut sink = MissionTelemetry::new();
-                let outcome = runner.run_golden_instrumented(&mut sink);
-                let report = sink.into_report(&outcome.pipeline);
-                (outcome, Some(report))
-            } else {
-                (runner.run_golden(), None)
-            }
-        };
+        // allocation-free), reduced to a report as soon as the job lands.
+        let instrument = telemetry.is_some();
 
         let mut folded = (state, telemetry);
         let pool_stats = self.pool.fold_ordered(
             jobs,
             |_, job| -> Result<JobOutcome, MavfiError> {
-                match job {
-                    CampaignJob::Golden(index) => {
-                        let spec = Self::mission_spec(config, *index);
-                        let (outcome, report) = run_golden(&MissionRunner::new(spec));
-                        Ok(JobOutcome::Golden {
-                            qof: outcome.qof,
-                            ticks: outcome.pipeline.ticks,
-                            compute_ms: outcome.pipeline.total_compute_ms(),
-                            reports: report.into_iter().collect(),
-                        })
+                let runner = MissionRunner::new(Self::mission_spec(config, job.index));
+                Ok(match job.fault {
+                    Some(fault) => {
+                        let landings =
+                            runner.fly_fault_settings(fault, &detectors, instrument, job.golden);
+                        JobOutcome::new(landings.golden, Some(landings.settings))
                     }
-                    CampaignJob::Fault(index, fault) => {
-                        let spec = Self::mission_spec(config, *index as u64);
-                        let mut landings = MissionRunner::new(spec)
-                            .fly_fault_settings(*fault, &detectors, instrument);
-                        let reports = landings
-                            .iter_mut()
-                            .filter_map(|landing| {
-                                let sink = landing.sink.take()?;
-                                Some(sink.into_report(&landing.outcome.pipeline))
-                            })
-                            .collect();
-                        let outcomes = FaultSettingOutcomes::new(landings);
-                        Ok(JobOutcome::Fault(Box::new(outcomes), reports))
-                    }
-                }
+                    None => JobOutcome::new(Some(runner.fly_golden(instrument)), None),
+                })
             },
             &mut folded,
             |(state, telemetry), _, outcome| {
                 if let Some(rollup) = telemetry.as_deref_mut() {
-                    let reports = match &outcome {
-                        JobOutcome::Golden { ticks, reports, .. } => {
-                            rollup.trunks.ticks_flown += ticks;
-                            reports
-                        }
-                        JobOutcome::Fault(outcomes, reports) => {
-                            rollup.trunks.merge(&outcomes.trunks);
-                            reports
-                        }
-                    };
-                    for report in reports {
+                    rollup.trunks.merge(&outcome.trunks);
+                    for report in &outcome.reports {
                         rollup.merge_mission(report);
                     }
                 }
@@ -566,44 +563,30 @@ impl CampaignExecutor {
                 ),
             });
         }
-        let mut jobs: Vec<CampaignJob> = Vec::new();
-        jobs.extend((0..sweep.golden_runs as u64).map(CampaignJob::Golden));
-        jobs.extend(
-            sweep
-                .plan
-                .specs()
-                .iter()
-                .enumerate()
-                .map(|(position, fault)| CampaignJob::Fault(position, *fault)),
-        );
-
-        let spec_for = |seed_offset: u64| {
-            MissionSpec::new(sweep.environment, sweep.base_seed + seed_offset)
-                .with_time_budget(sweep.mission_time_budget)
-        };
+        // Each run as its seed offset and, for an injection, its fault.
+        let injections = sweep.plan.specs().iter().enumerate();
+        let runs: Vec<(u64, Option<FaultSpec>)> = (0..sweep.golden_runs as u64)
+            .map(|index| (index, None))
+            .chain(
+                injections
+                    .map(|(position, fault)| ((position % runs_per_target) as u64, Some(*fault))),
+            )
+            .collect();
 
         let mut outcome = SweepOutcome {
             golden: Vec::with_capacity(sweep.golden_runs),
             injected: Vec::with_capacity(sweep.plan.len()),
         };
         self.pool.fold_ordered(
-            &jobs,
-            |_, job| -> Result<(bool, QofMetrics), MavfiError> {
-                match job {
-                    CampaignJob::Golden(index) => {
-                        Ok((true, MissionRunner::new(spec_for(*index)).run_golden().qof))
-                    }
-                    CampaignJob::Fault(position, fault) => {
-                        let spec = spec_for((position % runs_per_target) as u64);
-                        MissionRunner::new(spec)
-                            .run(Some(*fault), Protection::None, None)
-                            .map(|run| (false, run.qof))
-                    }
-                }
+            &runs,
+            |_, (seed_offset, fault)| -> Result<QofMetrics, MavfiError> {
+                let spec = MissionSpec::new(sweep.environment, sweep.base_seed + seed_offset)
+                    .with_time_budget(sweep.mission_time_budget);
+                Ok(MissionRunner::new(spec).run(*fault, Protection::None, None)?.qof)
             },
             &mut outcome,
-            |outcome, _, (is_golden, qof)| {
-                if is_golden {
+            |outcome, index, qof| {
+                if index < sweep.golden_runs {
                     outcome.golden.push(qof);
                 } else {
                     outcome.injected.push(qof);
@@ -674,7 +657,7 @@ mod tests {
         let detectors = quick_detectors();
         let config = CampaignConfig {
             environment: EnvironmentKind::Farm,
-            golden_runs: 2,
+            golden_runs: 5,
             injections_per_stage: 1,
             base_seed: 9,
             mission_time_budget: 60.0,
@@ -709,65 +692,79 @@ mod tests {
         TripsAfterTheFault,
     }
 
+    /// How a job's golden run was flown.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum GoldenCase {
+        Alone,
+        ForkedWhereTheFaultFired,
+        FaultNeverFired,
+    }
+
     /// Flies every setting of `config`'s campaign on its own through
-    /// `MissionRunner::run`, checks each fault job's trunk against those
-    /// flights outcome for outcome, and returns the independent fold and the
-    /// trip cases the trunks covered.
+    /// `MissionRunner::run` and `run_golden`, checks each job's trunk
+    /// against those flights outcome for outcome, and returns the
+    /// independent fold, the trip cases the trunks covered and how each
+    /// golden run was flown.
     fn independent_fold(
         config: &CampaignConfig,
         detectors: &TrainedDetectors,
-    ) -> (EnvironmentCampaign, Vec<TripCase>) {
+    ) -> (EnvironmentCampaign, Vec<TripCase>, Vec<GoldenCase>) {
         let mut state = CampaignFoldState::new(config);
         let mut cases = Vec::new();
+        let mut golden_cases = Vec::new();
         for job in CampaignExecutor::campaign_jobs(config) {
-            let outcome = match job {
-                CampaignJob::Golden(index) => {
-                    let run = MissionRunner::new(CampaignExecutor::mission_spec(config, index))
-                        .run_golden();
-                    JobOutcome::Golden {
-                        qof: run.qof,
-                        ticks: run.pipeline.ticks,
-                        compute_ms: run.pipeline.total_compute_ms(),
-                        reports: Vec::new(),
-                    }
+            let spec = CampaignExecutor::mission_spec(config, job.index);
+            let runner = MissionRunner::new(spec);
+            let golden_run = job.golden.then(|| runner.run_golden());
+            let fault = job.fault.map(|fault| {
+                let flights = [Protection::None, Protection::Gaussian, Protection::Autoencoder]
+                    .map(|protection| {
+                        runner.run(Some(fault), protection, Some(detectors)).unwrap()
+                    });
+                let landings = runner.fly_fault_settings(fault, detectors, false, job.golden);
+                for (landing, flight) in landings.settings.iter().zip(&flights) {
+                    assert_eq!(&landing.outcome, flight, "seed {} fault {fault:?}", spec.seed);
                 }
-                CampaignJob::Fault(index, fault) => {
-                    let spec = CampaignExecutor::mission_spec(config, index as u64);
-                    let runner = MissionRunner::new(spec);
-                    let flights = [Protection::None, Protection::Gaussian, Protection::Autoencoder]
-                        .map(|protection| {
-                            runner.run(Some(fault), protection, Some(detectors)).unwrap()
-                        });
-                    let landings = runner.fly_fault_settings(fault, detectors, false);
-                    for (landing, flight) in landings.iter().zip(&flights) {
-                        assert_eq!(&landing.outcome, flight, "seed {} fault {fault:?}", spec.seed);
-                    }
-                    let [injected, gaussian, autoencoder] = &landings;
-                    let fired = injected.outcome.fault.as_ref().map(|record| record.tick);
-                    for shadow in [gaussian, autoencoder] {
-                        cases.push(match (shadow.branched(), fired) {
-                            (false, _) => TripCase::NeverTrips,
-                            (true, Some(tick)) if shadow.shared_ticks >= tick => {
-                                TripCase::TripsAfterTheFault
+                let [injected, gaussian, autoencoder] = &landings.settings;
+                let fired = injected.outcome.fault.as_ref().map(|record| record.tick);
+                for shadow in [gaussian, autoencoder] {
+                    cases.push(match (shadow.branched(), fired) {
+                        (false, _) => TripCase::NeverTrips,
+                        (true, Some(tick)) if shadow.shared_ticks >= tick => {
+                            TripCase::TripsAfterTheFault
+                        }
+                        (true, _) => TripCase::TripsBeforeTheFault,
+                    });
+                }
+                match (&landings.golden, &golden_run) {
+                    (Some(golden), Some(run)) => {
+                        assert_eq!(&golden.outcome, run, "seed {} golden run", spec.seed);
+                        assert_eq!(golden.branched(), fired.is_some(), "seed {}", spec.seed);
+                        golden_cases.push(match fired {
+                            Some(tick) => {
+                                assert_eq!(golden.shared_ticks, tick, "seed {}", spec.seed);
+                                GoldenCase::ForkedWhereTheFaultFired
                             }
-                            (true, _) => TripCase::TripsBeforeTheFault,
+                            None => GoldenCase::FaultNeverFired,
                         });
                     }
-                    let [injected, gaussian, autoencoder] = flights;
-                    JobOutcome::Fault(
-                        Box::new(FaultSettingOutcomes {
-                            injected: injected.qof,
-                            gaussian,
-                            autoencoder,
-                            trunks: TrunkCounters::default(),
-                        }),
-                        Vec::new(),
-                    )
+                    (None, None) => {}
+                    _ => panic!("seed {}: golden landing without its job's golden run", spec.seed),
                 }
-            };
-            state.fold(outcome);
+                let [injected, gaussian, autoencoder] = flights;
+                Box::new(FaultSettingOutcomes { injected: injected.qof, gaussian, autoencoder })
+            });
+            if fault.is_none() && golden_run.is_some() {
+                golden_cases.push(GoldenCase::Alone);
+            }
+            state.fold(JobOutcome {
+                golden: golden_run.as_ref().map(GoldenOutcome::new),
+                fault,
+                reports: Vec::new(),
+                trunks: TrunkCounters::default(),
+            });
         }
-        (state.finish(config), cases)
+        (state.finish(config), cases, golden_cases)
     }
 
     /// The reference equivalence: every campaign job's settings flown on
@@ -807,7 +804,7 @@ mod tests {
                 base_seed,
                 mission_time_budget,
             };
-            let (reference, cases) = independent_fold(&config, &detectors);
+            let (reference, cases, _) = independent_fold(&config, &detectors);
             covered.extend(cases);
             for workers in [1, 2] {
                 for chunk_jobs in [1, 8] {
@@ -825,6 +822,57 @@ mod tests {
         assert_eq!(
             covered,
             [TripCase::NeverTrips, TripCase::TripsBeforeTheFault, TripCase::TripsAfterTheFault]
+        );
+    }
+
+    /// Paired golden runs: every golden run a fault's trunk carries lands
+    /// exactly `run_golden`'s outcome, and campaigns with more golden runs
+    /// than faults (golden-only jobs) and fewer fold exactly what
+    /// independent flights fold, at 1 and 2 workers and chunks of 1 and 3
+    /// jobs.
+    ///
+    /// Golden cases covered (with `quick_detectors`, one injection per
+    /// stage, jobs numbered in seed order):
+    /// - flown alone: Sparse base seed 4 jobs 3 and 4;
+    /// - forked where its paired fault fires mid-mission: Sparse base seed 4
+    ///   jobs 0 and 2, and Farm base seed 9 jobs 0 and 1;
+    /// - paired with a fault whose trigger tick lies past the mission end,
+    ///   so the whole trunk is golden: Sparse base seed 4 job 1 (trigger
+    ///   tick 292, mission end 185).
+    #[test]
+    fn paired_golden_runs_fold_exactly_what_run_golden_folds() {
+        let detectors = quick_detectors();
+        let scheme = SchemeConfig::shared(Arc::new(detectors.clone()));
+        let mut covered = Vec::new();
+        for (environment, golden_runs, base_seed, mission_time_budget) in
+            [(EnvironmentKind::Sparse, 5, 4, 30.0), (EnvironmentKind::Farm, 2, 9, 40.0)]
+        {
+            let config = CampaignConfig {
+                environment,
+                golden_runs,
+                injections_per_stage: 1,
+                base_seed,
+                mission_time_budget,
+            };
+            let (reference, _, cases) = independent_fold(&config, &detectors);
+            assert_eq!(reference.golden.runs.len(), golden_runs);
+            covered.extend(cases);
+            for workers in [1, 2] {
+                for chunk_jobs in [1, 3] {
+                    let executor = CampaignExecutor::new(workers).with_chunk_jobs(chunk_jobs);
+                    assert_eq!(
+                        executor.run_campaign(&config, &scheme).unwrap(),
+                        reference,
+                        "{environment:?}: {workers} workers, chunks of {chunk_jobs}"
+                    );
+                }
+            }
+        }
+        covered.sort();
+        covered.dedup();
+        assert_eq!(
+            covered,
+            [GoldenCase::Alone, GoldenCase::ForkedWhereTheFaultFired, GoldenCase::FaultNeverFired]
         );
     }
 

@@ -9,7 +9,6 @@
 //! otherwise.  See `docs/REPLAY.md` for the determinism contract and the
 //! divergence triage workflow.
 //!
-//! [`TraceMeta`]: crate::trace::TraceMeta
 //! [`World`]: mavfi_sim::world::World
 
 use std::ops::Range;
@@ -25,7 +24,9 @@ use crate::error::MavfiError;
 use crate::exec::TrainedDetectorCache;
 use crate::qof::QofMetrics;
 use crate::runner::{detector_tap, mission_pipeline, MissionTap, TrainedDetectors};
-use crate::trace::{decode_mission_end, InputCodec, MissionTrace, OutputTracker, TraceTopic};
+use crate::trace::{
+    decode_mission_end, InputCodec, MissionTrace, OutputTracker, TraceMeta, TraceTopic,
+};
 
 /// The first point at which a replay's outputs stopped matching the
 /// recording.
@@ -109,8 +110,25 @@ impl<'a> ReplayHarness<'a> {
     /// supplied via [`ReplayHarness::with_detectors`].
     pub fn replay(&self) -> Result<ReplayReport, MavfiError> {
         let meta = self.trace.meta()?;
-        let summary = self.trace.verify()?;
+        let mut reader = TraceReader::new(self.trace.stream())?;
+        let replayed = self.replay_records(meta, &mut reader);
+        // One pass over the stream checks its digests: finish it whatever
+        // the replay made of the records, so a damaged stream reports the
+        // error a full verification gives (the reader repeats its first
+        // error), ahead of anything the replay found.
+        while reader.next_record()?.is_some() {}
+        let summary = reader.summary().expect("summary is set once next_record returns None");
+        Ok(ReplayReport { stream_digest: summary.stream_digest, ..replayed? })
+    }
 
+    /// Re-drives the recorded records from `reader` until the mission end
+    /// or the first divergence.  The report's `stream_digest` is left for
+    /// the caller, which finishes the digest pass.
+    fn replay_records(
+        &self,
+        meta: TraceMeta,
+        reader: &mut TraceReader<'_>,
+    ) -> Result<ReplayReport, MavfiError> {
         // Detectors: explicit override, else retrain bit-identical ones
         // from the trace's provenance via the shared cache.
         let cached;
@@ -137,7 +155,6 @@ impl<'a> ReplayHarness<'a> {
         let camera = meta.camera;
         let dt = spec.control_period;
 
-        let mut reader = TraceReader::new(self.trace.stream())?;
         let mut inputs = InputCodec::default();
         let mut tracker = OutputTracker::default();
         // The outputs the replay produced this tick: payload bytes
@@ -269,7 +286,7 @@ impl<'a> ReplayHarness<'a> {
         Ok(ReplayReport {
             ticks,
             divergence,
-            stream_digest: summary.stream_digest,
+            stream_digest: 0,
             recorded_output_digest,
             replayed_output_digest,
             status: end.map(|(qof, _)| qof.status),

@@ -1,8 +1,9 @@
 //! The mission runner: one closed-loop flight of the PPC pipeline in the
 //! simulated world, optionally with a fault injected and a detection and
 //! recovery scheme supervising the inter-kernel states — and the fault-job
-//! trunk, which flies a fault's unprotected and protected settings as one
-//! flight until a detector first acts.
+//! trunk, which flies a seed's golden run and a fault's unprotected and
+//! protected settings as one flight until the fault first fires or a
+//! detector first acts.
 
 use mavfi_detect::detector_node::{DetectionScheme, DetectorStats, DetectorTap, ShadowDetector};
 use mavfi_detect::training::TelemetrySet;
@@ -204,10 +205,12 @@ impl StageTap for MissionTap {
 /// A *trunk* ([`MissionRunner::trunk`]) is the unprotected flight of a fault
 /// carrying the D&R(G) and D&R(A) detectors as [`ShadowDetector`]s: up to
 /// the first tick where a detector would act, each protected flight is
-/// bit-identical to the unprotected one, so the campaign engine flies the
-/// three settings of a fault job as one trunk and forks a protected flight
-/// only from there (see `docs/ARCHITECTURE.md`).  [`Flight::step`] flies
-/// single ticks; shadows observe them but never fork.
+/// bit-identical to the unprotected one, and up to the tick where the fault
+/// fires, so is the golden flight of the same seed.  The campaign engine
+/// therefore flies a seed's golden run and the three settings of its fault
+/// as one trunk, and forks the golden flight and each protected flight only
+/// from there (see `docs/ARCHITECTURE.md`).  [`Flight::step`] flies single
+/// ticks; shadows observe them but never fork.
 #[derive(Debug)]
 pub struct Flight {
     world: World,
@@ -284,11 +287,29 @@ pub(crate) struct Landing {
 }
 
 impl Landing {
-    /// For a shadow's landing: whether its setting forked off the trunk (a
-    /// branch flies at least its fork tick).
+    /// For a shadow's or the golden flight's landing: whether it forked off
+    /// the trunk (a branch flies at least its fork tick).
     pub(crate) fn branched(&self) -> bool {
         self.shared_ticks < self.outcome.pipeline.ticks
     }
+}
+
+/// Everything one [`Flight::fly`] lands.
+struct Landings {
+    /// The flight's own setting.
+    live: Landing,
+    /// One landing per shadow, in shadow order.
+    shadows: Vec<Landing>,
+    /// The fault-free flight of the same mission, when it was asked for.
+    golden: Option<Landing>,
+}
+
+/// What [`MissionRunner::fly_fault_settings`] lands.
+pub(crate) struct FaultJobLandings {
+    /// The seed's golden flight, when it was asked for.
+    pub(crate) golden: Option<Landing>,
+    /// Unprotected, D&R(G) and D&R(A), in that order.
+    pub(crate) settings: [Landing; 3],
 }
 
 /// The environment `spec` flies in and its PPC pipeline at tick 0: the
@@ -433,23 +454,36 @@ impl Flight {
     }
 
     /// Flies to the end of the mission — the one mission loop, for single
-    /// flights and trunks alike.  Returns the flight's own landing and one
-    /// per shadow, in shadow order.
+    /// flights and trunks alike.  Lands the flight's own setting, one
+    /// setting per shadow, in shadow order, and with `fork_golden` the
+    /// fault-free flight of the same mission.
     ///
-    /// While a shadow is pending, the flight copies itself into a reused
-    /// checkpoint before each tick.  A shadow that trips in a tick forks a
-    /// branch: the checkpoint taken before that tick, with the shadow made
-    /// live, flies to the end through this same loop.  A shadow that never
-    /// trips takes the flight's outcome with its own detector statistics.
+    /// While a shadow or the golden flight is pending, the flight copies
+    /// itself into a reused checkpoint before each tick.  A shadow that
+    /// trips in a tick forks a branch: the checkpoint taken before that
+    /// tick, with the shadow made live, flies to the end through this same
+    /// loop.  A shadow that never trips takes the flight's outcome with its
+    /// own detector statistics.
+    ///
+    /// The golden flight forks the same way in the tick where the injector
+    /// first fires: the checkpoint flies on with no injector, detector or
+    /// shadows.  Until then the injector writes no value and draws no
+    /// random number and shadows never write, so the flight so far *is* the
+    /// golden flight; one whose fault never fires takes the flight's
+    /// outcome.  `fork_golden` is for trunks, which carry no live detector.
     fn fly(
         mut self,
         mut capture: Option<&mut TraceCapture>,
         mut telemetry: Option<&mut TelemetrySet>,
-    ) -> (Landing, Vec<Landing>) {
+        fork_golden: bool,
+    ) -> Landings {
         let mut branches: Vec<Option<Landing>> = self.tap.shadows.iter().map(|_| None).collect();
+        let mut golden: Option<Landing> = None;
+        let mut golden_pending = fork_golden;
         let mut checkpoint: Option<Flight> = None;
         while self.is_in_progress() {
-            let pending = self.tap.shadows.iter().any(|shadow| !shadow.is_tripped());
+            let pending =
+                golden_pending || self.tap.shadows.iter().any(|shadow| !shadow.is_tripped());
             if pending {
                 match &mut checkpoint {
                     Some(checkpoint) => checkpoint.clone_from(&self),
@@ -461,11 +495,17 @@ impl Flight {
                 telemetry.record(&tick.monitored);
             }
             if pending {
+                let start = checkpoint.as_ref().expect("checkpointed while pending");
                 for (index, shadow) in self.tap.shadows.iter().enumerate() {
                     if shadow.is_tripped() && branches[index].is_none() {
-                        let start = checkpoint.as_ref().expect("checkpointed while pending");
                         branches[index] = Some(start.branch(index));
                     }
+                }
+                if golden_pending
+                    && self.tap.injector.as_ref().is_some_and(FaultInjector::has_fired)
+                {
+                    golden = Some(start.golden_branch());
+                    golden_pending = false;
                 }
             }
         }
@@ -473,7 +513,16 @@ impl Flight {
         let trunk_ticks = self.tick_index;
         let shadows = std::mem::take(&mut self.tap.shadows);
         let mut shadow_sinks = std::mem::take(&mut self.shadow_sinks).into_iter();
-        let landing = Landing { outcome: self.outcome(), sink: self.sink.take(), shared_ticks: 0 };
+        let live = Landing { outcome: self.outcome(), sink: self.sink.take(), shared_ticks: 0 };
+        // A fault that never fired leaves the whole flight golden: its
+        // outcome already has no fault record and no detector statistics.
+        let golden = fork_golden.then(|| {
+            golden.unwrap_or_else(|| Landing {
+                outcome: live.outcome.clone(),
+                sink: live.sink.clone(),
+                shared_ticks: trunk_ticks,
+            })
+        });
         let shadows = shadows
             .into_iter()
             .zip(branches)
@@ -482,14 +531,14 @@ impl Flight {
                 branch.unwrap_or_else(|| Landing {
                     outcome: MissionOutcome {
                         detector: Some(shadow.tap().stats().clone()),
-                        ..landing.outcome.clone()
+                        ..live.outcome.clone()
                     },
                     sink,
                     shared_ticks: trunk_ticks,
                 })
             })
             .collect();
-        (landing, shadows)
+        Landings { live, shadows, golden }
     }
 
     /// Forks shadow `index` off this checkpoint: a copy with that shadow
@@ -500,8 +549,24 @@ impl Flight {
         branch.tap.detector = Some(shadow.into_live());
         let mut sinks = std::mem::take(&mut branch.shadow_sinks);
         branch.sink = (index < sinks.len()).then(|| sinks.swap_remove(index));
-        let (landing, _) = branch.fly(None, None);
-        Landing { shared_ticks: self.tick_index, ..landing }
+        branch.land_from(self)
+    }
+
+    /// Forks the golden flight off this checkpoint: a copy with no
+    /// injector, detector or shadows (and the live sink as it stands) flies
+    /// to the end.
+    fn golden_branch(&self) -> Landing {
+        let mut golden = self.clone();
+        golden.tap = MissionTap { injector: None, detector: None, shadows: Vec::new() };
+        golden.shadow_sinks = Vec::new();
+        golden.land_from(self)
+    }
+
+    /// Flies a branch forked off `checkpoint` to the end; the ticks before
+    /// the fork count as shared.
+    fn land_from(self, checkpoint: &Flight) -> Landing {
+        let live = self.fly(None, None, false).live;
+        Landing { shared_ticks: checkpoint.tick_index, ..live }
     }
 }
 
@@ -617,22 +682,35 @@ impl MissionRunner {
     }
 
     /// Flies one planned fault in the three settings of Table I —
-    /// unprotected, D&R(G) and D&R(A), in that order — as one trunk that
-    /// forks a protected flight only where its detector first acts.  Each
-    /// outcome is bit-identical to [`Self::run`]'s for that setting, and so
-    /// is each sink's content when `instrument` gives every setting one.
+    /// unprotected, D&R(G) and D&R(A), in that order — and, with `golden`,
+    /// the mission's golden run, as one trunk that forks the golden flight
+    /// only where the fault first fires and a protected flight only where
+    /// its detector first acts.  Each outcome is bit-identical to
+    /// [`Self::run`]'s for that setting (to [`Self::run_golden`]'s for the
+    /// golden flight), and so is each sink's content when `instrument` gives
+    /// every setting one.
     pub(crate) fn fly_fault_settings(
         &self,
         fault: FaultSpec,
         detectors: &TrainedDetectors,
         instrument: bool,
-    ) -> [Landing; 3] {
+        golden: bool,
+    ) -> FaultJobLandings {
         let sink = instrument.then(MissionTelemetry::new);
         let trunk = Flight::new(self.spec, Self::trunk_tap(fault, detectors), sink);
-        let (injected, shadows) = trunk.fly(None, None);
-        let mut shadows = shadows.into_iter();
+        let landings = trunk.fly(None, None, golden);
+        let mut shadows = landings.shadows.into_iter();
         let mut next = || shadows.next().expect("a trunk carries two shadows");
-        [injected, next(), next()]
+        FaultJobLandings { golden: landings.golden, settings: [landings.live, next(), next()] }
+    }
+
+    /// Flies the mission's golden run on its own, with a sink of its own
+    /// when `instrument` is set.  The outcome is [`Self::run_golden`]'s.
+    pub(crate) fn fly_golden(&self, instrument: bool) -> Landing {
+        let tap = MissionTap { injector: None, detector: None, shadows: Vec::new() };
+        Flight::new(self.spec, tap, instrument.then(MissionTelemetry::new))
+            .fly(None, None, false)
+            .live
     }
 
     /// Runs a mission — optionally fault-injected and protected — while
@@ -691,7 +769,7 @@ impl MissionRunner {
             .as_deref_mut()
             .map(|sink| std::mem::replace(sink, MissionTelemetry::with_timeline_capacity(0)));
         let tap = MissionTap { injector, detector, shadows: Vec::new() };
-        let (landing, _) = Flight::new(self.spec, tap, flight_sink).fly(capture, telemetry);
+        let landing = Flight::new(self.spec, tap, flight_sink).fly(capture, telemetry, false).live;
         if let (Some(sink), Some(flown)) = (sink, landing.sink) {
             *sink = flown;
         }
@@ -792,7 +870,8 @@ mod tests {
             detector: None,
             shadows: vec![ShadowDetector::new(gaussian.clone()), ShadowDetector::new(gaussian)],
         };
-        let (injected, shadows) = Flight::new(spec, tap, None).fly(None, None);
+        let Landings { live: injected, shadows, .. } =
+            Flight::new(spec, tap, None).fly(None, None, false);
 
         assert_eq!(injected.outcome, runner.run(Some(fault), Protection::None, None).unwrap());
         let protected = runner.run(Some(fault), Protection::Gaussian, Some(&detectors)).unwrap();
@@ -818,7 +897,7 @@ mod tests {
         let fault = crate::exec::CampaignExecutor::plan_faults(&config).specs()[0];
         let spec = MissionSpec::new(EnvironmentKind::Sparse, 5).with_time_budget(30.0);
         let runner = MissionRunner::new(spec);
-        let landings = runner.fly_fault_settings(fault, &detectors, true);
+        let landings = runner.fly_fault_settings(fault, &detectors, true, false).settings;
         assert!(landings[1].branched() && !landings[2].branched());
         let protections = [Protection::None, Protection::Gaussian, Protection::Autoencoder];
         for (landing, protection) in landings.into_iter().zip(protections) {
@@ -827,17 +906,52 @@ mod tests {
                 .run_instrumented(Some(fault), protection, Some(&detectors), &mut sink)
                 .unwrap();
             assert_eq!(landing.outcome, expected, "{protection:?}");
-            // The deterministic half of the sink: everything but wall-clock
-            // kernel latencies.
-            let flown = landing.sink.expect("instrumented").into_report(&expected.pipeline);
-            let alone = sink.into_report(&expected.pipeline);
-            assert_eq!(flown.counters, alone.counters, "{protection:?}");
-            assert_eq!(flown.events, alone.events, "{protection:?}");
-            assert_eq!(flown.events_dropped, alone.events_dropped, "{protection:?}");
-            assert_eq!(flown.kernel_invocations, alone.kernel_invocations, "{protection:?}");
-            assert_eq!(flown.fault_stage, alone.fault_stage, "{protection:?}");
-            assert_eq!(flown.detection_latency_ticks, alone.detection_latency_ticks);
-            assert_eq!(flown.recovery_latency_ticks, alone.recovery_latency_ticks);
+            let flown = landing.sink.expect("instrumented");
+            let label = format!("{protection:?}");
+            assert_same_deterministic_telemetry(flown, sink, &expected.pipeline, &label);
+        }
+    }
+
+    /// The deterministic half of a sink's report: everything but
+    /// wall-clock kernel latencies.
+    fn assert_same_deterministic_telemetry(
+        flown: MissionTelemetry,
+        alone: MissionTelemetry,
+        pipeline: &PipelineStats,
+        label: &str,
+    ) {
+        let (flown, alone) = (flown.into_report(pipeline), alone.into_report(pipeline));
+        assert_eq!(flown.counters, alone.counters, "{label}");
+        assert_eq!(flown.events, alone.events, "{label}");
+        assert_eq!(flown.events_dropped, alone.events_dropped, "{label}");
+        assert_eq!(flown.kernel_invocations, alone.kernel_invocations, "{label}");
+        assert_eq!(flown.fault_stage, alone.fault_stage, "{label}");
+        assert_eq!(flown.detection_latency_ticks, alone.detection_latency_ticks, "{label}");
+        assert_eq!(flown.recovery_latency_ticks, alone.recovery_latency_ticks, "{label}");
+    }
+
+    #[test]
+    fn instrumented_trunk_feeds_the_golden_flight_its_own_telemetry() {
+        // Sparse seed 5 under a planning fault at tick 20 fires mid-mission
+        // and forks the golden flight there; with the trigger past the end
+        // of a 10 s mission the fault never fires and the whole trunk is
+        // golden.
+        let detectors = quick_detectors();
+        for (budget, forks) in [(30.0, true), (10.0, false)] {
+            let spec = MissionSpec::new(EnvironmentKind::Sparse, 5).with_time_budget(budget);
+            let trigger = if forks { 20 } else { 1_000 };
+            let fault = FaultSpec::new(InjectionTarget::Stage(Stage::Planning), trigger, 123);
+            let runner = MissionRunner::new(spec);
+            let landings = runner.fly_fault_settings(fault, &detectors, true, true);
+            let golden = landings.golden.expect("the golden flight was asked for");
+            let mut sink = MissionTelemetry::new();
+            let expected = runner.run_golden_instrumented(&mut sink);
+            assert_eq!(golden.outcome, expected, "budget {budget}");
+            assert_eq!(golden.branched(), forks, "budget {budget}");
+            let fired = landings.settings[0].outcome.fault.as_ref().map(|record| record.tick);
+            assert_eq!(fired.map(|tick| tick == golden.shared_ticks), forks.then_some(true));
+            let flown = golden.sink.expect("instrumented");
+            assert_same_deterministic_telemetry(flown, sink, &expected.pipeline, "golden");
         }
     }
 

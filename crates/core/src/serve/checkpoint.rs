@@ -37,7 +37,13 @@ use crate::serve::protocol::CampaignRequest;
 /// Magic bytes opening a campaign checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"MVCP";
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u16 = 1;
+///
+/// Version 2 counts `chunks_done` in chunks of the one-job-per-seed run
+/// list, where job `j` flies golden run `j` and fault `j` together.  A
+/// version 1 file counted chunks of the older golden-runs-then-faults list,
+/// so resuming it would fold some jobs twice and skip others: it is
+/// rejected, never resumed.
+pub const CHECKPOINT_VERSION: u16 = 2;
 
 /// The resumable on-disk state of one campaign job.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,7 +89,9 @@ impl CampaignCheckpoint {
     /// # Errors
     ///
     /// Typed, never a panic: [`TraceError::BadMagic`] for foreign files,
-    /// [`TraceError::UnsupportedVersion`] for newer formats,
+    /// [`TraceError::UnsupportedVersion`] for any version but
+    /// [`CHECKPOINT_VERSION`] (older files included: their chunk numbering
+    /// no longer matches the run list),
     /// [`TraceError::DigestMismatch`] for any flipped byte,
     /// [`TraceError::Truncated`] / [`TraceError::Malformed`] for cut or
     /// inconsistent payloads.
@@ -101,7 +109,10 @@ impl CampaignCheckpoint {
         }
         let version = reader.read_u16_le()?;
         if version != CHECKPOINT_VERSION {
-            return Err(TraceError::UnsupportedVersion { found: version });
+            return Err(TraceError::UnsupportedVersion {
+                found: version,
+                supported: CHECKPOINT_VERSION,
+            });
         }
         // Verify the digest before trusting any decoded lengths.
         let found = fold_digest(DIGEST_SEED, body);
@@ -347,10 +358,11 @@ mod tests {
     }
 
     /// The job id and framed-checkpoint digest of a fixed request and fold
-    /// state, recorded before `chunk_jobs` got its current name.  Any
-    /// change to the canonical encoding — a reordered, added or dropped
-    /// field — moves these constants, and with them every existing job id
-    /// and `.mvcp` checkpoint.
+    /// state.  The job id was recorded before `chunk_jobs` got its current
+    /// name, the digest when the format went to version 2 (the version word
+    /// is inside the digest).  Any change to the canonical encoding — a
+    /// reordered, added or dropped field — moves these constants, and with
+    /// them every existing job id and `.mvcp` checkpoint.
     #[test]
     fn canonical_encoding_is_wire_compatible_with_recorded_checkpoints() {
         let mut request = CampaignRequest::quick(EnvironmentKind::Farm, 2024);
@@ -388,7 +400,26 @@ mod tests {
         let bytes = checkpoint.encode();
         assert_eq!(request_job_id(&checkpoint.request), 0x2a9c_0624_7a2c_d2e4);
         assert_eq!(bytes.len(), 230);
-        assert_eq!(fold_digest(DIGEST_SEED, &bytes), 0xea68_7db0_0866_772e);
+        assert_eq!(fold_digest(DIGEST_SEED, &bytes), 0x0a4c_e2b5_a8cf_78ad);
+    }
+
+    /// `checkpoint` framed as `version` with a valid digest.
+    fn frame_as_version(checkpoint: &CampaignCheckpoint, version: u16) -> Vec<u8> {
+        let mut bytes = checkpoint.encode();
+        bytes.truncate(bytes.len() - 8);
+        bytes[4..6].copy_from_slice(&version.to_le_bytes());
+        let digest = fold_digest(DIGEST_SEED, &bytes);
+        bytes.extend_from_slice(&digest.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn version_one_checkpoints_are_rejected_not_resumed() {
+        let v1 = frame_as_version(&sample_checkpoint(), 1);
+        assert_eq!(
+            CampaignCheckpoint::decode(&v1),
+            Err(TraceError::UnsupportedVersion { found: 1, supported: 2 })
+        );
     }
 
     #[test]

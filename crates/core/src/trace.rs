@@ -834,4 +834,36 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), TraceTopic::ALL.len());
     }
+
+    /// Replay checks an in-memory trace's digests in its one pass over the
+    /// stream: a damaged stream replays to exactly the error that reading
+    /// its metadata and verifying it report, wherever the damage lies —
+    /// also where the replay itself fails first, as at a flipped first
+    /// byte of a `DepthRays` payload (its ray count no longer matches the
+    /// camera's).
+    #[test]
+    fn replaying_a_damaged_stream_reports_what_verification_reports() {
+        use crate::config::{MissionSpec, Protection};
+        use crate::replay::ReplayHarness;
+        use crate::runner::MissionRunner;
+
+        let spec = MissionSpec::new(EnvironmentKind::Sparse, 3).with_time_budget(20.0);
+        let (_, trace) =
+            MissionRunner::new(spec).run_recorded(None, Protection::None, None, None).unwrap();
+        assert!(ReplayHarness::new(&trace).replay().unwrap().is_match());
+        let stream = trace.stream();
+        let mut reader = TraceReader::new(stream).unwrap();
+        let depth_rays = std::iter::from_fn(|| reader.next_record().unwrap())
+            .filter(|record| record.topic == TraceTopic::DepthRays.id())
+            .map(|record| record.payload.as_ptr() as usize - stream.as_ptr() as usize)
+            .step_by(40);
+        let strided = (0..stream.len()).step_by(stream.len() / 61);
+        for index in strided.chain(depth_rays) {
+            let mut damaged = MissionTrace { stream: stream.to_vec() };
+            damaged.stream[index] ^= 0x20;
+            let expected = damaged.meta().and_then(|_| damaged.verify()).unwrap_err();
+            let replayed = ReplayHarness::new(&damaged).replay().unwrap_err();
+            assert_eq!(format!("{replayed:?}"), format!("{expected:?}"), "flip at byte {index}");
+        }
+    }
 }

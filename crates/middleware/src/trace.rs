@@ -89,10 +89,13 @@ pub enum TraceError {
         /// The bytes found where the magic was expected.
         found: [u8; 4],
     },
-    /// The stream's format version is newer than this reader understands.
+    /// The format version is not the one this build reads: a newer format,
+    /// or an older one it no longer accepts.
     UnsupportedVersion {
         /// The version found in the header.
         found: u16,
+        /// The version this build reads.
+        supported: u16,
     },
     /// The stream ended before a complete header, record or footer.
     Truncated,
@@ -121,8 +124,11 @@ impl fmt::Display for TraceError {
             Self::BadMagic { found } => {
                 write!(f, "not a mavfi trace (magic {found:02x?}, expected {STREAM_MAGIC:02x?})")
             }
-            Self::UnsupportedVersion { found } => {
-                write!(f, "unsupported trace version {found} (reader supports {TRACE_VERSION})")
+            Self::UnsupportedVersion { found, supported } => {
+                write!(
+                    f,
+                    "unsupported format version {found} (this build reads version {supported})"
+                )
             }
             Self::Truncated => write!(f, "trace ends mid-structure (truncated file?)"),
             Self::DigestMismatch { expected, found } => write!(
@@ -448,7 +454,8 @@ pub struct TraceRecordRef<'a> {
 ///
 /// Construction parses and validates the header; [`TraceReader::next_record`]
 /// yields records in stream order and, on reaching the footer, verifies the
-/// stream digest against the recomputed one.
+/// stream digest against the recomputed one.  The reader is fused: after an
+/// error, every later call returns that same error.
 #[derive(Debug, Clone)]
 pub struct TraceReader<'a> {
     reader: ByteReader<'a>,
@@ -460,6 +467,7 @@ pub struct TraceReader<'a> {
     stream_digest: u64,
     topic_digests: Vec<(u64, u64)>,
     summary: Option<TraceSummary>,
+    failure: Option<TraceError>,
 }
 
 impl<'a> TraceReader<'a> {
@@ -479,7 +487,10 @@ impl<'a> TraceReader<'a> {
         }
         let version = reader.read_u16_le()?;
         if version != TRACE_VERSION {
-            return Err(TraceError::UnsupportedVersion { found: version });
+            return Err(TraceError::UnsupportedVersion {
+                found: version,
+                supported: TRACE_VERSION,
+            });
         }
         let meta_len = reader.read_varint()? as usize;
         let meta = reader.read_exact(meta_len)?;
@@ -515,6 +526,7 @@ impl<'a> TraceReader<'a> {
             stream_digest: DIGEST_SEED,
             topic_digests,
             summary: None,
+            failure: None,
         })
     }
 
@@ -547,8 +559,22 @@ impl<'a> TraceReader<'a> {
     /// Returns [`TraceError::Truncated`] if the stream ends mid-record or
     /// without a footer, [`TraceError::UnknownTopic`] for an undeclared
     /// topic id and [`TraceError::DigestMismatch`] when the footer digest
-    /// disagrees with the records actually read.
+    /// disagrees with the records actually read.  Once one call has failed,
+    /// every later call returns the same error, so a caller that stops
+    /// interpreting records early can still finish the pass and get the
+    /// error a full verification gives.
     pub fn next_record(&mut self) -> Result<Option<TraceRecordRef<'a>>, TraceError> {
+        if let Some(failure) = &self.failure {
+            return Err(failure.clone());
+        }
+        let next = self.read_record();
+        if let Err(failure) = &next {
+            self.failure = Some(failure.clone());
+        }
+        next
+    }
+
+    fn read_record(&mut self) -> Result<Option<TraceRecordRef<'a>>, TraceError> {
         if self.summary.is_some() {
             return Ok(None);
         }
@@ -872,6 +898,25 @@ mod tests {
         assert_eq!(summary.topic(1).unwrap().records, 2);
         // Subsequent calls stay at end-of-stream.
         assert!(reader.next_record().unwrap().is_none());
+    }
+
+    #[test]
+    fn a_failed_read_repeats_its_error() {
+        let mut stream = sample_stream();
+        let index = stream.len() - 12; // inside a topic digest of the footer
+        stream[index] ^= 0x01;
+        let mut reader = TraceReader::new(&stream).unwrap();
+        let first = loop {
+            match reader.next_record() {
+                Ok(Some(_)) => {}
+                Ok(None) => panic!("a flipped digest byte must not verify"),
+                Err(error) => break error,
+            }
+        };
+        assert!(matches!(first, TraceError::DigestMismatch { .. }), "{first}");
+        assert_eq!(reader.next_record(), Err(first.clone()));
+        assert_eq!(reader.next_record(), Err(first));
+        assert!(reader.summary().is_none());
     }
 
     #[test]

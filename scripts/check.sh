@@ -4,7 +4,9 @@
 # `docs/` markdown pages are included into the `mavfi-suite` crate docs, so
 # the same gate covers them), a release build of the benchmark package
 # (`perfbench/` calls the crates' public API, so an API change that breaks
-# it fails here), a smoke run of the instrumented-telemetry example, a
+# it fails here), a worker-count determinism check on the instrumented
+# campaign path (the `telemetry_report` example's `deterministic:` and
+# `trunks:` rollup lines at 1 and at 3 workers must match), a
 # bit-identical replay of the golden-trace store (`retrace --verify`), a
 # kill/resume smoke run of the campaign server, a worker-count
 # determinism check on the injection-sweep path (the `resilience_sweep`
@@ -31,8 +33,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --quiet
 echo "==> benchmark package builds (cargo build --manifest-path perfbench/Cargo.toml)"
 cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
 
-echo "==> telemetry_report example smoke run"
-cargo run --release --offline -q --example telemetry_report >/dev/null
+echo "==> campaign rollup is identical at 1 and 3 workers (telemetry_report deterministic: and trunks: lines)"
+rollup_lines() {
+  MAVFI_WORKERS="$1" cargo run --release --offline -q --example telemetry_report \
+    | grep -E '^(deterministic|trunks):'
+}
+rollup_serial=$(rollup_lines 1)
+rollup_parallel=$(rollup_lines 3)
+if [ "$(printf '%s\n' "$rollup_serial" | wc -l)" -ne 2 ] || [ "$rollup_serial" != "$rollup_parallel" ]; then
+  diff <(printf '%s\n' "$rollup_serial") <(printf '%s\n' "$rollup_parallel") || true
+  echo "telemetry_report's deterministic rollup depends on the worker count (or is missing)."
+  exit 1
+fi
 
 echo "==> golden traces replay bit-identically (retrace --verify)"
 cargo run --release --offline -q --example retrace -- --verify >/dev/null

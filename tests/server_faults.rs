@@ -13,16 +13,18 @@ use std::sync::Arc;
 
 use mavfi_suite::mavfi::serve::{progress_topic, CampaignCheckpoint};
 use mavfi_suite::mavfi_middleware::prelude::*;
+use mavfi_suite::mavfi_middleware::trace::{fold_digest, DIGEST_SEED};
 use mavfi_suite::prelude::*;
 
-/// A tiny five-job campaign (2 golden + 3 injections) with a pinned chunk
-/// size of 2, i.e. exactly 3 checkpointable chunks.
+/// A tiny three-job campaign (2 golden runs, each paired with one of the 3
+/// injections) with a pinned chunk size of 1, i.e. exactly 3 checkpointable
+/// chunks.
 fn quick_request(seed: u64) -> CampaignRequest {
     let mut request = CampaignRequest::quick(EnvironmentKind::Farm, seed);
     request.config.golden_runs = 2;
     request.config.injections_per_stage = 1;
     request.config.mission_time_budget = 60.0;
-    request.chunk_jobs = 2;
+    request.chunk_jobs = 1;
     request
 }
 
@@ -242,6 +244,43 @@ fn corrupt_checkpoints_surface_as_typed_errors_and_resubmission_recovers() {
     assert!(!ticket.duplicate, "the job restarts from scratch");
     let result = drive_to_completion(&server, &bus, &client, job_id);
     assert_eq!(*result, reference, "recovery reproduces the reference bit-for-bit");
+}
+
+/// A version 1 checkpoint counted chunks of a run list this build no longer
+/// flies: even with a valid digest it is a typed recovery error, never
+/// resumed.
+#[test]
+fn version_one_checkpoints_are_recovery_errors_not_resumed() {
+    let request = quick_request(908);
+    let dir = fresh_dir("v1");
+    let path = {
+        let bus = Bus::new();
+        let server =
+            CampaignServer::new(CampaignExecutor::new(1), dir.clone()).expect("create server");
+        server.attach(&bus);
+        let ticket = CampaignClient::new(&bus).submit(&request).expect("submit");
+        server.checkpoint_path(ticket.job_id)
+    };
+    // Re-frame the admission checkpoint as version 1, digest included.
+    let mut bytes = std::fs::read(&path).expect("read checkpoint");
+    bytes.truncate(bytes.len() - 8);
+    bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let digest = fold_digest(DIGEST_SEED, &bytes);
+    bytes.extend_from_slice(&digest.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("write version 1 checkpoint");
+
+    let server = CampaignServer::new(CampaignExecutor::new(1), dir).expect("restarted server");
+    assert_eq!(server.job_count(), 0, "a version 1 checkpoint must not be resumed");
+    let errors = server.recovery_errors();
+    assert!(
+        matches!(
+            errors.as_slice(),
+            [ServerError::CheckpointCorrupt { detail, .. }] if detail.contains("version 1")
+        ),
+        "one typed error naming the version: {errors:?}"
+    );
+    let counters = server.counters();
+    assert_eq!((counters.checkpoints_corrupt, counters.jobs_resumed), (1, 0));
 }
 
 #[test]
