@@ -13,7 +13,6 @@
 
 use std::ops::Range;
 
-use mavfi_fault::injector::FaultInjector;
 use mavfi_middleware::trace::{fold_digest, TraceError, TraceReader, DIGEST_SEED};
 use mavfi_sim::geometry::Pose;
 use mavfi_sim::sensors::{CaptureScratch, DepthFrame, RayHits};
@@ -147,11 +146,7 @@ impl<'a> ReplayHarness<'a> {
         // runner's own setup; the world itself is never constructed.
         let spec = meta.spec;
         let (_, mut pipeline) = mission_pipeline(&spec);
-        let mut tap = MissionTap {
-            injector: meta.fault.map(FaultInjector::new),
-            detector,
-            shadows: Vec::new(),
-        };
+        let mut tap = MissionTap::new(meta.fault, detector);
         let camera = meta.camera;
         let dt = spec.control_period;
 

@@ -63,6 +63,7 @@ impl MissionOutcome {
 /// then any shadow detectors (seeing the same values, changing nothing).
 /// Shared with the replay harness, which rebuilds the identical tap from a
 /// trace's metadata.
+#[derive(Default)]
 pub(crate) struct MissionTap {
     pub(crate) injector: Option<FaultInjector>,
     pub(crate) detector: Option<DetectorTap>,
@@ -126,6 +127,14 @@ pub(crate) fn detector_tap(
     let detectors = detectors
         .ok_or_else(|| MavfiError::MissingDetectors { scheme: protection.label().to_owned() })?;
     Ok(detectors.tap(protection))
+}
+
+impl MissionTap {
+    /// The tap of a single flight: `fault`'s injector, when given, and
+    /// `detector`, with no shadows.
+    pub(crate) fn new(fault: Option<FaultSpec>, detector: Option<DetectorTap>) -> Self {
+        Self { injector: fault.map(FaultInjector::new), detector, shadows: Vec::new() }
+    }
 }
 
 impl StageTap for MissionTap {
@@ -195,7 +204,7 @@ impl StageTap for MissionTap {
 
 /// One closed-loop flight in progress: the simulated world, the PPC
 /// pipeline, the stage tap (fault injector, detector and shadow detectors)
-/// and, on instrumented flights, a telemetry sink per setting.
+/// and, on instrumented flights, one telemetry sink.
 ///
 /// A clone carries the flight's whole semantic state — the planner's random
 /// stream included — so it flies on exactly as the original would.
@@ -211,15 +220,18 @@ impl StageTap for MissionTap {
 /// as one trunk, and forks the golden flight and each protected flight only
 /// from there (see `docs/ARCHITECTURE.md`).  [`Flight::step`] flies single
 /// ticks; shadows observe them but never fork.
+///
+/// Until a shadow trips, its setting's telemetry is the flight's own: a
+/// shadow counts no alarm and no abandonment before it would act, and a
+/// trunk carries no live detector.  So the one sink serves every setting,
+/// and a branch takes the sink of the checkpoint it forks from.
 #[derive(Debug)]
 pub struct Flight {
     world: World,
     pipeline: PpcPipeline,
     tap: MissionTap,
-    /// The live setting's telemetry sink, when instrumented.
+    /// The flight's telemetry sink, when instrumented.
     sink: Option<MissionTelemetry>,
-    /// One telemetry sink per shadow, in shadow order, when instrumented.
-    shadow_sinks: Vec<MissionTelemetry>,
     tick_index: u64,
     dt: f64,
     camera: DepthCamera,
@@ -239,7 +251,6 @@ impl Clone for Flight {
             pipeline: self.pipeline.clone(),
             tap: self.tap.clone(),
             sink: self.sink.clone(),
-            shadow_sinks: self.shadow_sinks.clone(),
             tick_index: self.tick_index,
             dt: self.dt,
             camera: self.camera,
@@ -256,7 +267,6 @@ impl Clone for Flight {
             pipeline,
             tap,
             sink,
-            shadow_sinks,
             tick_index,
             dt,
             camera,
@@ -268,7 +278,6 @@ impl Clone for Flight {
         self.pipeline.clone_from(pipeline);
         self.tap.clone_from(tap);
         self.sink.clone_from(sink);
-        self.shadow_sinks.clone_from(shadow_sinks);
         self.tick_index = *tick_index;
         self.dt = *dt;
         self.camera = *camera;
@@ -323,22 +332,15 @@ pub(crate) fn mission_pipeline(spec: &MissionSpec) -> (Environment, PpcPipeline)
 }
 
 impl Flight {
-    /// A flight of `spec` at tick 0.  With `sink`, every setting it carries
-    /// is instrumented: the live one feeds `sink`, each shadow a fresh sink
-    /// of its own.
+    /// A flight of `spec` at tick 0, feeding `sink` each tick when given.
     fn new(spec: MissionSpec, tap: MissionTap, sink: Option<MissionTelemetry>) -> Self {
         let (environment, mut pipeline) = mission_pipeline(&spec);
         pipeline.set_timing_enabled(sink.is_some());
-        let shadow_sinks = match sink {
-            Some(_) => tap.shadows.iter().map(|_| MissionTelemetry::new()).collect(),
-            None => Vec::new(),
-        };
         Self {
             world: World::new(environment, spec.vehicle, PowerModel::default(), spec.mission),
             pipeline,
             tap,
             sink,
-            shadow_sinks,
             tick_index: 0,
             dt: spec.control_period,
             camera: DepthCamera::default(),
@@ -361,7 +363,7 @@ impl Flight {
     }
 
     /// [`Flight::step`], recording the tick's topic traffic into `capture`
-    /// when given, and feeding the instrumented settings' sinks.
+    /// when given: the one tick body, feeding the sink when instrumented.
     fn step_recorded(&mut self, mut capture: Option<&mut TraceCapture>) -> PpcTick {
         let sim_time = self.world.elapsed();
         let pose = self.world.vehicle().pose();
@@ -409,29 +411,15 @@ impl Flight {
         }
         self.world.step(&tick.command, self.dt);
 
-        let fault = self.tap.injector.as_ref().and_then(|injector| injector.record());
         if let Some(sink) = &mut self.sink {
-            let detector = self.tap.detector.as_ref().map(|detector| detector.stats());
             sink.observe_tick(
                 self.tick_index,
                 self.world.elapsed(),
                 &tick,
                 &self.pipeline,
-                detector,
-                fault,
+                self.tap.detector.as_ref().map(|detector| detector.stats()),
+                self.tap.injector.as_ref().and_then(|injector| injector.record()),
             );
-        }
-        for (shadow, sink) in self.tap.shadows.iter().zip(&mut self.shadow_sinks) {
-            if !shadow.is_tripped() {
-                sink.observe_tick(
-                    self.tick_index,
-                    self.world.elapsed(),
-                    &tick,
-                    &self.pipeline,
-                    Some(shadow.tap().stats()),
-                    fault,
-                );
-            }
         }
         self.tick_index += 1;
         tick
@@ -453,17 +441,17 @@ impl Flight {
         }
     }
 
-    /// Flies to the end of the mission — the one mission loop, for single
-    /// flights and trunks alike.  Lands the flight's own setting, one
-    /// setting per shadow, in shadow order, and with `fork_golden` the
-    /// fault-free flight of the same mission.
+    /// Flies to the end of the mission under the trunk's fork rule.  Lands
+    /// the flight's own setting, one setting per shadow, in shadow order,
+    /// and with `fork_golden` the fault-free flight of the same mission.
     ///
     /// While a shadow or the golden flight is pending, the flight copies
     /// itself into a reused checkpoint before each tick.  A shadow that
     /// trips in a tick forks a branch: the checkpoint taken before that
-    /// tick, with the shadow made live, flies to the end through this same
-    /// loop.  A shadow that never trips takes the flight's outcome with its
-    /// own detector statistics.
+    /// tick, with the shadow made live and the checkpoint's sink, flies to
+    /// the end under this same rule.  A shadow that never trips takes the
+    /// flight's outcome with its own detector statistics, and a copy of the
+    /// flight's sink.
     ///
     /// The golden flight forks the same way in the tick where the injector
     /// first fires: the checkpoint flies on with no injector, detector or
@@ -471,12 +459,7 @@ impl Flight {
     /// random number and shadows never write, so the flight so far *is* the
     /// golden flight; one whose fault never fires takes the flight's
     /// outcome.  `fork_golden` is for trunks, which carry no live detector.
-    fn fly(
-        mut self,
-        mut capture: Option<&mut TraceCapture>,
-        mut telemetry: Option<&mut TelemetrySet>,
-        fork_golden: bool,
-    ) -> Landings {
+    fn fly(mut self, fork_golden: bool) -> Landings {
         let mut branches: Vec<Option<Landing>> = self.tap.shadows.iter().map(|_| None).collect();
         let mut golden: Option<Landing> = None;
         let mut golden_pending = fork_golden;
@@ -490,10 +473,7 @@ impl Flight {
                     None => checkpoint = Some(self.clone()),
                 }
             }
-            let tick = self.step_recorded(capture.as_deref_mut());
-            if let Some(telemetry) = telemetry.as_deref_mut() {
-                telemetry.record(&tick.monitored);
-            }
+            self.step();
             if pending {
                 let start = checkpoint.as_ref().expect("checkpointed while pending");
                 for (index, shadow) in self.tap.shadows.iter().enumerate() {
@@ -512,7 +492,6 @@ impl Flight {
 
         let trunk_ticks = self.tick_index;
         let shadows = std::mem::take(&mut self.tap.shadows);
-        let mut shadow_sinks = std::mem::take(&mut self.shadow_sinks).into_iter();
         let live = Landing { outcome: self.outcome(), sink: self.sink.take(), shared_ticks: 0 };
         // A fault that never fired leaves the whole flight golden: its
         // outcome already has no fault record and no detector statistics.
@@ -527,13 +506,12 @@ impl Flight {
             .into_iter()
             .zip(branches)
             .map(|(shadow, branch)| {
-                let sink = shadow_sinks.next();
                 branch.unwrap_or_else(|| Landing {
                     outcome: MissionOutcome {
                         detector: Some(shadow.tap().stats().clone()),
                         ..live.outcome.clone()
                     },
-                    sink,
+                    sink: live.sink.clone(),
                     shared_ticks: trunk_ticks,
                 })
             })
@@ -542,13 +520,11 @@ impl Flight {
     }
 
     /// Forks shadow `index` off this checkpoint: a copy with that shadow
-    /// made live (and its sink made the live one) flies to the end.
+    /// made live flies to the end.
     fn branch(&self, index: usize) -> Landing {
         let mut branch = self.clone();
         let shadow = std::mem::take(&mut branch.tap.shadows).swap_remove(index);
         branch.tap.detector = Some(shadow.into_live());
-        let mut sinks = std::mem::take(&mut branch.shadow_sinks);
-        branch.sink = (index < sinks.len()).then(|| sinks.swap_remove(index));
         branch.land_from(self)
     }
 
@@ -557,15 +533,14 @@ impl Flight {
     /// to the end.
     fn golden_branch(&self) -> Landing {
         let mut golden = self.clone();
-        golden.tap = MissionTap { injector: None, detector: None, shadows: Vec::new() };
-        golden.shadow_sinks = Vec::new();
+        golden.tap = MissionTap::default();
         golden.land_from(self)
     }
 
     /// Flies a branch forked off `checkpoint` to the end; the ticks before
     /// the fork count as shared.
     fn land_from(self, checkpoint: &Flight) -> Landing {
-        let live = self.fly(None, None, false).live;
+        let live = self.fly(false).live;
         Landing { shared_ticks: checkpoint.tick_index, ..live }
     }
 }
@@ -599,7 +574,7 @@ impl MissionRunner {
 
     /// Runs an error-free mission with no protection (a "golden run").
     pub fn run_golden(&self) -> MissionOutcome {
-        self.run_internal(None, None, None, None, None)
+        self.fly_setting(MissionTap::default(), None)
     }
 
     /// Runs a golden run while feeding the telemetry sink each tick:
@@ -607,15 +582,18 @@ impl MissionRunner {
     /// is observed.  Results are bit-identical to [`Self::run_golden`] —
     /// the sink only reads.
     pub fn run_golden_instrumented(&self, sink: &mut MissionTelemetry) -> MissionOutcome {
-        self.run_internal(None, None, None, Some(sink), None)
+        self.fly_setting(MissionTap::default(), Some(sink))
     }
 
     /// Runs an error-free mission while recording preprocessed telemetry
     /// into `telemetry` (used to train the detectors).
     pub fn run_collecting_telemetry(&self, telemetry: &mut TelemetrySet) -> MissionOutcome {
-        let outcome = self.run_internal(None, None, Some(telemetry), None, None);
+        let mut flight = Flight::new(self.spec, MissionTap::default(), None);
+        while flight.is_in_progress() {
+            telemetry.record(&flight.step().monitored);
+        }
         telemetry.end_mission();
-        outcome
+        flight.outcome()
     }
 
     /// Runs a mission with an optional fault and protection scheme.
@@ -630,7 +608,8 @@ impl MissionRunner {
         protection: Protection,
         detectors: Option<&TrainedDetectors>,
     ) -> Result<MissionOutcome, MavfiError> {
-        self.run_with_sink(fault, protection, detectors, None)
+        let tap = MissionTap::new(fault, detector_tap(protection, detectors)?);
+        Ok(self.fly_setting(tap, None))
     }
 
     /// Like [`Self::run`], but feeds the telemetry sink each tick.  The
@@ -648,18 +627,26 @@ impl MissionRunner {
         detectors: Option<&TrainedDetectors>,
         sink: &mut MissionTelemetry,
     ) -> Result<MissionOutcome, MavfiError> {
-        self.run_with_sink(fault, protection, detectors, Some(sink))
+        let tap = MissionTap::new(fault, detector_tap(protection, detectors)?);
+        Ok(self.fly_setting(tap, Some(sink)))
     }
 
-    fn run_with_sink(
+    /// Flies one setting on its own, feeding `sink` when given.  The flight
+    /// owns its sink (checkpoints copy it), so the caller's is moved in and
+    /// comes back once the mission lands.
+    fn fly_setting(
         &self,
-        fault: Option<FaultSpec>,
-        protection: Protection,
-        detectors: Option<&TrainedDetectors>,
-        sink: Option<&mut MissionTelemetry>,
-    ) -> Result<MissionOutcome, MavfiError> {
-        let detector = detector_tap(protection, detectors)?;
-        Ok(self.run_internal(fault.map(FaultInjector::new), detector, None, sink, None))
+        tap: MissionTap,
+        mut sink: Option<&mut MissionTelemetry>,
+    ) -> MissionOutcome {
+        let owned = sink
+            .as_deref_mut()
+            .map(|sink| std::mem::replace(sink, MissionTelemetry::with_timeline_capacity(0)));
+        let landing = Flight::new(self.spec, tap, owned).fly(false).live;
+        if let (Some(sink), Some(flown)) = (sink, landing.sink) {
+            *sink = flown;
+        }
+        landing.outcome
     }
 
     /// The trunk of a fault job at tick 0: the unprotected flight of
@@ -671,13 +658,12 @@ impl MissionRunner {
 
     fn trunk_tap(fault: FaultSpec, detectors: &TrainedDetectors) -> MissionTap {
         MissionTap {
-            injector: Some(FaultInjector::new(fault)),
-            detector: None,
             shadows: [Protection::Gaussian, Protection::Autoencoder]
                 .into_iter()
                 .filter_map(|protection| detectors.tap(protection))
                 .map(ShadowDetector::new)
                 .collect(),
+            ..MissionTap::new(Some(fault), None)
         }
     }
 
@@ -698,7 +684,7 @@ impl MissionRunner {
     ) -> FaultJobLandings {
         let sink = instrument.then(MissionTelemetry::new);
         let trunk = Flight::new(self.spec, Self::trunk_tap(fault, detectors), sink);
-        let landings = trunk.fly(None, None, golden);
+        let landings = trunk.fly(golden);
         let mut shadows = landings.shadows.into_iter();
         let mut next = || shadows.next().expect("a trunk carries two shadows");
         FaultJobLandings { golden: landings.golden, settings: [landings.live, next(), next()] }
@@ -707,9 +693,8 @@ impl MissionRunner {
     /// Flies the mission's golden run on its own, with a sink of its own
     /// when `instrument` is set.  The outcome is [`Self::run_golden`]'s.
     pub(crate) fn fly_golden(&self, instrument: bool) -> Landing {
-        let tap = MissionTap { injector: None, detector: None, shadows: Vec::new() };
-        Flight::new(self.spec, tap, instrument.then(MissionTelemetry::new))
-            .fly(None, None, false)
+        Flight::new(self.spec, MissionTap::default(), instrument.then(MissionTelemetry::new))
+            .fly(false)
             .live
     }
 
@@ -735,7 +720,7 @@ impl MissionRunner {
         detectors: Option<&TrainedDetectors>,
         provenance: Option<DetectorProvenance>,
     ) -> Result<(MissionOutcome, MissionTrace), MavfiError> {
-        let detector = detector_tap(protection, detectors)?;
+        let tap = MissionTap::new(fault, detector_tap(protection, detectors)?);
         let meta = TraceMeta {
             spec: self.spec,
             protection,
@@ -744,36 +729,13 @@ impl MissionRunner {
             detectors: provenance,
         };
         let mut capture = TraceCapture::new(&meta)?;
-        let outcome = self.run_internal(
-            fault.map(FaultInjector::new),
-            detector,
-            None,
-            None,
-            Some(&mut capture),
-        );
+        let mut flight = Flight::new(self.spec, tap, None);
+        while flight.is_in_progress() {
+            flight.step_recorded(Some(&mut capture));
+        }
+        let outcome = flight.outcome();
         let trace = capture.finish(&outcome.qof, outcome.pipeline.ticks);
         Ok((outcome, trace))
-    }
-
-    fn run_internal(
-        &self,
-        injector: Option<FaultInjector>,
-        detector: Option<DetectorTap>,
-        telemetry: Option<&mut TelemetrySet>,
-        mut sink: Option<&mut MissionTelemetry>,
-        capture: Option<&mut TraceCapture>,
-    ) -> MissionOutcome {
-        // The flight owns its sink (checkpoints copy it); the caller's comes
-        // back once the mission lands.
-        let flight_sink = sink
-            .as_deref_mut()
-            .map(|sink| std::mem::replace(sink, MissionTelemetry::with_timeline_capacity(0)));
-        let tap = MissionTap { injector, detector, shadows: Vec::new() };
-        let landing = Flight::new(self.spec, tap, flight_sink).fly(capture, telemetry, false).live;
-        if let (Some(sink), Some(flown)) = (sink, landing.sink) {
-            *sink = flown;
-        }
-        landing.outcome
     }
 }
 
@@ -870,8 +832,7 @@ mod tests {
             detector: None,
             shadows: vec![ShadowDetector::new(gaussian.clone()), ShadowDetector::new(gaussian)],
         };
-        let Landings { live: injected, shadows, .. } =
-            Flight::new(spec, tap, None).fly(None, None, false);
+        let Landings { live: injected, shadows, .. } = Flight::new(spec, tap, None).fly(false);
 
         assert_eq!(injected.outcome, runner.run(Some(fault), Protection::None, None).unwrap());
         let protected = runner.run(Some(fault), Protection::Gaussian, Some(&detectors)).unwrap();
@@ -884,31 +845,49 @@ mod tests {
 
     #[test]
     fn instrumented_trunk_feeds_each_setting_its_own_telemetry() {
-        // The first job of the Sparse base seed 4 campaign: the Gaussian
-        // detector acts after the fault fires, the autoencoder never does.
+        // Job 0 of the Sparse base seed 4 campaign: the Gaussian detector
+        // acts after the fault fires, the autoencoder never does.  Job 2 of
+        // the Dense base seed 9 campaign: both detectors act while the fault
+        // never fires in the trunk, so each branch forks from a sink that no
+        // fault has reached.  Each case: the campaign, its job, the tick
+        // each protected setting branches at, the trunk's ticks and the tick
+        // the fault fires at.
         let detectors = quick_detectors();
-        let config = crate::campaign::CampaignConfig {
-            environment: EnvironmentKind::Sparse,
-            golden_runs: 1,
-            injections_per_stage: 1,
-            base_seed: 4,
-            mission_time_budget: 30.0,
-        };
-        let fault = crate::exec::CampaignExecutor::plan_faults(&config).specs()[0];
-        let spec = MissionSpec::new(EnvironmentKind::Sparse, 5).with_time_budget(30.0);
-        let runner = MissionRunner::new(spec);
-        let landings = runner.fly_fault_settings(fault, &detectors, true, false).settings;
-        assert!(landings[1].branched() && !landings[2].branched());
-        let protections = [Protection::None, Protection::Gaussian, Protection::Autoencoder];
-        for (landing, protection) in landings.into_iter().zip(protections) {
-            let mut sink = MissionTelemetry::new();
-            let expected = runner
-                .run_instrumented(Some(fault), protection, Some(&detectors), &mut sink)
-                .unwrap();
-            assert_eq!(landing.outcome, expected, "{protection:?}");
-            let flown = landing.sink.expect("instrumented");
-            let label = format!("{protection:?}");
-            assert_same_deterministic_telemetry(flown, sink, &expected.pipeline, &label);
+        let cases = [
+            (EnvironmentKind::Sparse, 4, 30.0, 0, [Some(134), None], 186, Some(116)),
+            (EnvironmentKind::Dense, 9, 15.0, 2, [Some(66), Some(111)], 151, None),
+        ];
+        for (environment, base_seed, budget, job, branch_ticks, trunk_ticks, fired) in cases {
+            let config = crate::campaign::CampaignConfig {
+                environment,
+                golden_runs: 1,
+                injections_per_stage: 1,
+                base_seed,
+                mission_time_budget: budget,
+            };
+            let fault = crate::exec::CampaignExecutor::plan_faults(&config).specs()[job];
+            // The campaign engine's mission spec of job `job`.
+            let seed = base_seed + job as u64 * 31 + 1;
+            let runner =
+                MissionRunner::new(MissionSpec::new(environment, seed).with_time_budget(budget));
+            let landings = runner.fly_fault_settings(fault, &detectors, true, false).settings;
+            let flown_branch_ticks = [&landings[1], &landings[2]]
+                .map(|landing| landing.branched().then_some(landing.shared_ticks));
+            assert_eq!(flown_branch_ticks, branch_ticks, "{environment:?}");
+            let trunk = &landings[0].outcome;
+            assert_eq!(trunk.pipeline.ticks, trunk_ticks, "{environment:?}");
+            assert_eq!(trunk.fault.as_ref().map(|record| record.tick), fired, "{environment:?}");
+            let protections = [Protection::None, Protection::Gaussian, Protection::Autoencoder];
+            for (landing, protection) in landings.into_iter().zip(protections) {
+                let mut sink = MissionTelemetry::new();
+                let expected = runner
+                    .run_instrumented(Some(fault), protection, Some(&detectors), &mut sink)
+                    .unwrap();
+                let label = format!("{environment:?} {protection:?}");
+                assert_eq!(landing.outcome, expected, "{label}");
+                let flown = landing.sink.expect("instrumented");
+                assert_same_deterministic_telemetry(flown, sink, &expected.pipeline, &label);
+            }
         }
     }
 

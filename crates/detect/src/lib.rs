@@ -44,7 +44,7 @@ pub use calibration::{
 pub use detector_node::{DetectionScheme, DetectorStats, DetectorTap, ShadowDetector};
 pub use gad::{Cgad, CgadConfig, GadBank};
 pub use mahalanobis::{MahalanobisConfig, MahalanobisDetector};
-pub use metrics::{ConfusionMatrix, DetectionLatency, GroundTruth, RocCurve, RocPoint};
+pub use metrics::{ConfusionMatrix, GroundTruth, RocCurve, RocPoint};
 pub use preprocess::{magnitude_code, sign_exponent, Preprocessor};
 pub use training::TelemetrySet;
 pub use welford::Welford;
@@ -60,7 +60,7 @@ pub mod prelude {
     pub use crate::detector_node::{DetectionScheme, DetectorStats, DetectorTap, ShadowDetector};
     pub use crate::gad::{Cgad, CgadConfig, GadBank};
     pub use crate::mahalanobis::{MahalanobisConfig, MahalanobisDetector};
-    pub use crate::metrics::{ConfusionMatrix, DetectionLatency, GroundTruth, RocCurve, RocPoint};
+    pub use crate::metrics::{ConfusionMatrix, GroundTruth, RocCurve, RocPoint};
     pub use crate::preprocess::{magnitude_code, sign_exponent, Preprocessor};
     pub use crate::training::TelemetrySet;
     pub use crate::welford::Welford;

@@ -231,73 +231,6 @@ impl RocCurve {
     }
 }
 
-/// Distribution of how many samples elapsed between a corruption appearing
-/// and the detector raising its alarm.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct DetectionLatency {
-    latencies: Vec<u64>,
-    missed: u64,
-}
-
-impl DetectionLatency {
-    /// Creates an empty latency record.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a detection `samples` observations after the corruption.
-    pub fn record_detected(&mut self, samples: u64) {
-        self.latencies.push(samples);
-    }
-
-    /// Records a corruption the detector never flagged.
-    pub fn record_missed(&mut self) {
-        self.missed += 1;
-    }
-
-    /// Number of detected corruptions.
-    pub fn detected(&self) -> u64 {
-        self.latencies.len() as u64
-    }
-
-    /// Number of corruptions that were never flagged.
-    pub fn missed(&self) -> u64 {
-        self.missed
-    }
-
-    /// Fraction of corruptions that were eventually detected.
-    pub fn coverage(&self) -> f64 {
-        ratio(self.detected(), self.detected() + self.missed, 1.0)
-    }
-
-    /// Mean detection latency in samples, or `None` when nothing was
-    /// detected.
-    pub fn mean_latency(&self) -> Option<f64> {
-        if self.latencies.is_empty() {
-            None
-        } else {
-            Some(self.latencies.iter().sum::<u64>() as f64 / self.latencies.len() as f64)
-        }
-    }
-
-    /// Worst-case detection latency in samples, or `None` when nothing was
-    /// detected.
-    pub fn max_latency(&self) -> Option<u64> {
-        self.latencies.iter().copied().max()
-    }
-
-    /// Fraction of detections that happened on the very sample carrying the
-    /// corruption (latency 0), or `None` when nothing was detected.
-    pub fn immediate_fraction(&self) -> Option<f64> {
-        if self.latencies.is_empty() {
-            None
-        } else {
-            let immediate = self.latencies.iter().filter(|&&l| l == 0).count();
-            Some(immediate as f64 / self.latencies.len() as f64)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,29 +335,5 @@ mod tests {
         let mut b = a.clone();
         b.swap(0, 1);
         assert_eq!(RocCurve::from_scores(&a).auc(), RocCurve::from_scores(&b).auc());
-    }
-
-    #[test]
-    fn latency_statistics() {
-        let mut latency = DetectionLatency::new();
-        latency.record_detected(0);
-        latency.record_detected(0);
-        latency.record_detected(4);
-        latency.record_missed();
-        assert_eq!(latency.detected(), 3);
-        assert_eq!(latency.missed(), 1);
-        assert!((latency.coverage() - 0.75).abs() < 1e-12);
-        assert!((latency.mean_latency().unwrap() - 4.0 / 3.0).abs() < 1e-12);
-        assert_eq!(latency.max_latency(), Some(4));
-        assert!((latency.immediate_fraction().unwrap() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_latency_record() {
-        let latency = DetectionLatency::new();
-        assert_eq!(latency.mean_latency(), None);
-        assert_eq!(latency.max_latency(), None);
-        assert_eq!(latency.immediate_fraction(), None);
-        assert_eq!(latency.coverage(), 1.0);
     }
 }

@@ -82,7 +82,7 @@ impl Dense {
         &self.weights
     }
 
-    /// Mutable access to the weights (used by optimizers).
+    /// Mutable access to the weights (used by the optimizer).
     pub fn weights_mut(&mut self) -> &mut Matrix {
         &mut self.weights
     }
@@ -92,7 +92,7 @@ impl Dense {
         &self.biases
     }
 
-    /// Mutable access to the biases (used by optimizers).
+    /// Mutable access to the biases (used by the optimizer).
     pub fn biases_mut(&mut self) -> &mut [f64] {
         &mut self.biases
     }

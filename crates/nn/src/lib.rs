@@ -29,7 +29,6 @@ pub mod layer;
 pub mod loss;
 pub mod network;
 pub mod optimizer;
-pub mod serialize;
 pub mod tensor;
 pub mod train;
 
@@ -37,8 +36,7 @@ pub use activation::Activation;
 pub use autoencoder::Autoencoder;
 pub use layer::{Dense, LayerCache, LayerGradients};
 pub use network::{Gradients, Mlp, MlpBuilder, MlpScratch};
-pub use optimizer::{Adam, Optimizer, Sgd};
-pub use serialize::{from_json, load_json, save_json, to_json, PersistError};
+pub use optimizer::Adam;
 pub use tensor::Matrix;
 pub use train::{train_autoencoder, TrainConfig, TrainReport};
 
@@ -47,6 +45,6 @@ pub mod prelude {
     pub use crate::activation::Activation;
     pub use crate::autoencoder::Autoencoder;
     pub use crate::network::Mlp;
-    pub use crate::optimizer::{Adam, Optimizer, Sgd};
+    pub use crate::optimizer::Adam;
     pub use crate::train::{train_autoencoder, TrainConfig, TrainReport};
 }

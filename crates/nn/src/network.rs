@@ -123,7 +123,7 @@ impl Mlp {
         &self.layers
     }
 
-    /// Mutable access to the layers (used by optimizers).
+    /// Mutable access to the layers (used by the optimizer).
     pub fn layers_mut(&mut self) -> &mut [Dense] {
         &mut self.layers
     }

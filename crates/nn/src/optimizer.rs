@@ -1,44 +1,9 @@
-//! Gradient-descent optimizers.
+//! The Adam gradient-descent optimizer.
 
 use serde::{Deserialize, Serialize};
 
 use crate::network::{Gradients, Mlp};
 use crate::tensor::Matrix;
-
-/// An optimizer updates network parameters from gradients.
-pub trait Optimizer {
-    /// Applies one update step to `network` using `gradients`.
-    fn step(&mut self, network: &mut Mlp, gradients: &Gradients);
-}
-
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Learning rate.
-    pub learning_rate: f64,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(learning_rate: f64) -> Self {
-        Self { learning_rate }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, network: &mut Mlp, gradients: &Gradients) {
-        for (layer, grads) in network.layers_mut().iter_mut().zip(&gradients.layers) {
-            for (w, g) in
-                layer.weights_mut().as_mut_slice().iter_mut().zip(grads.weights.as_slice())
-            {
-                *w -= self.learning_rate * g;
-            }
-            for (b, g) in layer.biases_mut().iter_mut().zip(&grads.biases) {
-                *b -= self.learning_rate * g;
-            }
-        }
-    }
-}
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct AdamSlot {
@@ -93,10 +58,9 @@ impl Adam {
             })
             .collect();
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, network: &mut Mlp, gradients: &Gradients) {
+    /// Applies one update step to `network` using `gradients`.
+    pub fn step(&mut self, network: &mut Mlp, gradients: &Gradients) {
         self.ensure_slots(network);
         self.timestep += 1;
         let t = self.timestep as f64;
@@ -140,7 +104,7 @@ mod tests {
         Mlp::builder(2).layer(4, Activation::Tanh).layer(2, Activation::Identity).build(seed)
     }
 
-    fn train<O: Optimizer>(mut network: Mlp, optimizer: &mut O, steps: usize) -> f64 {
+    fn train(mut network: Mlp, optimizer: &mut Adam, steps: usize) -> f64 {
         let samples =
             [([0.0, 0.0], [0.0, 0.0]), ([1.0, 0.0], [0.0, 1.0]), ([0.0, 1.0], [1.0, 0.0])];
         let mut last = f64::INFINITY;
@@ -154,25 +118,6 @@ mod tests {
             last = total / samples.len() as f64;
         }
         last
-    }
-
-    #[test]
-    fn sgd_reduces_loss() {
-        let network = tiny_network(1);
-        let initial = {
-            let n = network.clone();
-            let (loss, _) = n.loss_and_gradients(&[1.0, 0.0], &[0.0, 1.0]);
-            loss
-        };
-        let final_loss = train(network, &mut Sgd::new(0.1), 200);
-        assert!(final_loss < initial, "SGD should reduce the loss ({final_loss} >= {initial})");
-    }
-
-    #[test]
-    fn adam_converges_faster_than_sgd_on_this_problem() {
-        let sgd_loss = train(tiny_network(2), &mut Sgd::new(0.01), 100);
-        let adam_loss = train(tiny_network(2), &mut Adam::new(0.01), 100);
-        assert!(adam_loss < sgd_loss, "Adam ({adam_loss}) should beat small-step SGD ({sgd_loss})");
     }
 
     #[test]

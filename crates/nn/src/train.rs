@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::autoencoder::Autoencoder;
-use crate::optimizer::{Adam, Optimizer};
+use crate::optimizer::Adam;
 
 /// Hyper-parameters for autoencoder training.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -1,10 +1,9 @@
-//! Property-based tests of the neural-network substrate: forward passes,
-//! gradients and serialisation.
+//! Property-based tests of the neural-network substrate: forward passes
+//! and gradients.
 
 use mavfi_nn::autoencoder::Autoencoder;
 use mavfi_nn::layer::Dense;
 use mavfi_nn::network::{Mlp, MlpScratch};
-use mavfi_nn::serialize::{from_json, to_json};
 use mavfi_nn::tensor::Matrix;
 use mavfi_nn::Activation;
 use proptest::prelude::*;
@@ -112,24 +111,6 @@ proptest! {
         let reconstruction = autoencoder.reconstruct(&input);
         prop_assert_eq!(reconstruction.len(), 6);
         prop_assert!(reconstruction.iter().all(|v| v.is_finite()));
-    }
-
-    /// JSON serialisation round-trips the model: the restored model produces
-    /// outputs identical up to the JSON float-printing precision.
-    #[test]
-    fn serialization_round_trips(input in finite_inputs(5), seed in any::<u64>()) {
-        let original = Autoencoder::new(5, &[3], seed);
-        let json = to_json(&original).expect("serialise");
-        let restored: Autoencoder = from_json(&json).expect("deserialise");
-        let a = original.reconstruct(&input);
-        let b = restored.reconstruct(&input);
-        prop_assert_eq!(a.len(), b.len());
-        for (left, right) in a.iter().zip(&b) {
-            prop_assert!(
-                (left - right).abs() <= 1e-9 * left.abs().max(1.0),
-                "restored output diverged: {left} vs {right}"
-            );
-        }
     }
 
     /// Parameter counts match the dense-layer dimensions.

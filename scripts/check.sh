@@ -2,8 +2,9 @@
 # The full local lint gate: formatting, clippy (warnings are errors),
 # rustdoc (warnings are errors, including broken intra-doc links — the
 # `docs/` markdown pages are included into the `mavfi-suite` crate docs, so
-# the same gate covers them), a release build of the benchmark package
-# (`perfbench/` calls the crates' public API, so an API change that breaks
+# the same gate covers them), the benchmark package's formatting, clippy
+# (warnings are errors) and release build (`perfbench/` is its own
+# workspace and calls the crates' public API, so an API change that breaks
 # it fails here), a worker-count determinism check on the instrumented
 # campaign path (the `telemetry_report` example's `deterministic:` and
 # `trunks:` rollup lines at 1 and at 3 workers must match), a
@@ -24,11 +25,17 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> benchmark package formatting (cargo fmt --check --manifest-path perfbench/Cargo.toml)"
+cargo fmt --all --check --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> RUSTDOCFLAGS=-Dwarnings cargo doc --no-deps (includes docs/*.md)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --quiet
+
+echo "==> benchmark package clippy (cargo clippy --release --manifest-path perfbench/Cargo.toml -- -D warnings)"
+cargo clippy --release --offline --quiet --manifest-path perfbench/Cargo.toml -- -D warnings
 
 echo "==> benchmark package builds (cargo build --manifest-path perfbench/Cargo.toml)"
 cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
