@@ -53,4 +53,4 @@ pub use protocol::{
     progress_topic, CampaignProgress, CampaignRequest, JobStatus, JobTicket, ServerError,
     STATUS_SERVICE, SUBMIT_SERVICE,
 };
-pub use server::{clear_checkpoints, CampaignServer, CHECKPOINT_EXTENSION};
+pub use server::{clear_checkpoints, CampaignServer, CHECKPOINT_EXTENSION, MAX_CAMPAIGN_JOBS};

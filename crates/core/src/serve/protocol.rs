@@ -153,11 +153,12 @@ pub enum ServerError {
         /// The unknown id.
         job_id: u64,
     },
-    /// A checkpoint failed its digest, magic, version or bounds checks.
+    /// A checkpoint failed its digest, magic, version or bounds checks, or
+    /// its request failed the admission checks.
     CheckpointCorrupt {
         /// Checkpoint file name.
         file: String,
-        /// The underlying trace-layer error, rendered.
+        /// The underlying trace-layer or admission error, rendered.
         detail: String,
     },
     /// Reading or writing checkpoint files failed at the I/O layer.

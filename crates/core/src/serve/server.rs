@@ -6,6 +6,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use mavfi_middleware::topic::Bus;
+use mavfi_ppc::states::Stage;
 use mavfi_telemetry::{ServerCounters, TelemetryReport};
 
 use crate::campaign::{CampaignConfig, EnvironmentCampaign};
@@ -19,6 +20,12 @@ use crate::serve::protocol::{
 
 /// Extension of a job's checkpoint file inside the checkpoint directory.
 pub const CHECKPOINT_EXTENSION: &str = "mvcp";
+
+/// Most campaign jobs, `max(golden_runs, injections_per_stage × 3)`, one
+/// request may ask for.  A paper-scale campaign is 100 golden runs and 300
+/// injections; the cap sits far above that, yet keeps a job's run count
+/// from overflowing and its fold state from exhausting memory.
+pub const MAX_CAMPAIGN_JOBS: usize = 100_000;
 
 /// One admitted campaign job.
 struct Job {
@@ -129,6 +136,18 @@ fn validate_config(config: &CampaignConfig) -> Result<(), ServerError> {
             reason: "campaign has no runs (golden_runs and injections_per_stage are both 0)".into(),
         });
     }
+    let jobs = config
+        .injections_per_stage
+        .checked_mul(Stage::ALL.len())
+        .map(|faults| faults.max(config.golden_runs));
+    if !jobs.is_some_and(|jobs| jobs <= MAX_CAMPAIGN_JOBS) {
+        return Err(ServerError::InvalidRequest {
+            reason: format!(
+                "campaign exceeds {MAX_CAMPAIGN_JOBS} jobs (golden_runs {}, injections_per_stage {})",
+                config.golden_runs, config.injections_per_stage
+            ),
+        });
+    }
     if !config.mission_time_budget.is_finite() || config.mission_time_budget <= 0.0 {
         return Err(ServerError::InvalidRequest {
             reason: format!("mission_time_budget {} is not positive", config.mission_time_budget),
@@ -210,7 +229,25 @@ impl CampaignServer {
             .collect();
         paths.sort();
         for path in paths {
-            match CampaignCheckpoint::load(&path) {
+            let file = path
+                .file_name()
+                .map(|name| name.to_string_lossy().into_owned())
+                .unwrap_or_default();
+            // A checkpoint's request passes the admission checks before it
+            // is resumed: a digest only proves the file is what was written.
+            let loaded = match CampaignCheckpoint::load(&path) {
+                Ok(checkpoint) => match validate_config(&checkpoint.request.config) {
+                    Ok(()) => Ok(checkpoint),
+                    Err(error) => {
+                        Err(ServerError::CheckpointCorrupt { file, detail: error.to_string() })
+                    }
+                },
+                Err(MavfiError::Trace(trace)) => {
+                    Err(ServerError::CheckpointCorrupt { file, detail: trace.to_string() })
+                }
+                Err(other) => Err(ServerError::CheckpointIo { detail: format!("{file}: {other}") }),
+            };
+            match loaded {
                 Ok(checkpoint) => {
                     state.counters.checkpoints_loaded += 1;
                     state.counters.jobs_resumed += 1;
@@ -233,16 +270,7 @@ impl CampaignServer {
                 }
                 Err(error) => {
                     state.counters.checkpoints_corrupt += 1;
-                    let file = path
-                        .file_name()
-                        .map(|name| name.to_string_lossy().into_owned())
-                        .unwrap_or_default();
-                    state.recovery_errors.push(match error {
-                        MavfiError::Trace(trace) => {
-                            ServerError::CheckpointCorrupt { file, detail: trace.to_string() }
-                        }
-                        other => ServerError::CheckpointIo { detail: format!("{file}: {other}") },
-                    });
+                    state.recovery_errors.push(error);
                 }
             }
         }
@@ -425,4 +453,22 @@ pub fn clear_checkpoints(dir: &Path) -> Result<usize, MavfiError> {
         }
     }
     Ok(removed)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn validate_config_caps_the_job_count() {
+        let mut config = CampaignConfig::quick(mavfi_sim::env::EnvironmentKind::Farm, 1);
+        config.golden_runs = MAX_CAMPAIGN_JOBS;
+        config.injections_per_stage = MAX_CAMPAIGN_JOBS / Stage::ALL.len();
+        assert_eq!(validate_config(&config), Ok(()));
+        config.golden_runs = MAX_CAMPAIGN_JOBS + 1;
+        assert!(matches!(validate_config(&config), Err(ServerError::InvalidRequest { .. })));
+        config.golden_runs = 1;
+        config.injections_per_stage = MAX_CAMPAIGN_JOBS / Stage::ALL.len() + 1;
+        assert!(matches!(validate_config(&config), Err(ServerError::InvalidRequest { .. })));
+    }
 }

@@ -62,12 +62,6 @@ impl Cgad {
         self.stats.push(delta);
     }
 
-    /// Anomaly score of `delta`: its absolute z-score against the current
-    /// baseline (0 while the baseline has no spread).
-    pub fn score(&self, delta: f64) -> f64 {
-        self.stats.z_score(delta).abs()
-    }
-
     /// Observes one preprocessed delta.  Returns `true` when the value is an
     /// outlier; outliers are *not* absorbed into the baseline so that a
     /// corrupted sample cannot widen the detector's notion of normal.
@@ -161,15 +155,6 @@ impl GadBank {
             }
         }
         stages
-    }
-
-    /// Maximum per-field anomaly score of a full preprocessed vector, usable
-    /// as a scalar score for ROC analysis.
-    pub fn score(&self, deltas: &[f64; StateField::ALL.len()]) -> f64 {
-        StateField::ALL
-            .into_iter()
-            .map(|field| self.detectors[field.index()].score(deltas[field.index()]))
-            .fold(0.0, f64::max)
     }
 
     /// Seeds every detector's baseline from error-free telemetry.

@@ -27,24 +27,15 @@
 #![warn(rust_2018_idioms)]
 
 pub mod aad;
-pub mod calibration;
 pub mod detector_node;
 pub mod gad;
-pub mod mahalanobis;
-pub mod metrics;
 pub mod preprocess;
 pub mod training;
 pub mod welford;
 
 pub use aad::{AadConfig, AadDetector, AadScratch};
-pub use calibration::{
-    best_by_f1, evaluate_stream, roc_curve, score_stream, sweep_aad_threshold, sweep_gad_nsigma,
-    AnomalyScorer, CorruptionProfile, LabeledStream, OperatingPoint, SyntheticAnomalyConfig,
-};
 pub use detector_node::{DetectionScheme, DetectorStats, DetectorTap, ShadowDetector};
 pub use gad::{Cgad, CgadConfig, GadBank};
-pub use mahalanobis::{MahalanobisConfig, MahalanobisDetector};
-pub use metrics::{ConfusionMatrix, GroundTruth, RocCurve, RocPoint};
 pub use preprocess::{magnitude_code, sign_exponent, Preprocessor};
 pub use training::TelemetrySet;
 pub use welford::Welford;
@@ -52,15 +43,8 @@ pub use welford::Welford;
 /// Commonly used items, suitable for glob import.
 pub mod prelude {
     pub use crate::aad::{AadConfig, AadDetector, AadScratch};
-    pub use crate::calibration::{
-        best_by_f1, evaluate_stream, roc_curve, score_stream, sweep_aad_threshold,
-        sweep_gad_nsigma, AnomalyScorer, CorruptionProfile, LabeledStream, OperatingPoint,
-        SyntheticAnomalyConfig,
-    };
     pub use crate::detector_node::{DetectionScheme, DetectorStats, DetectorTap, ShadowDetector};
     pub use crate::gad::{Cgad, CgadConfig, GadBank};
-    pub use crate::mahalanobis::{MahalanobisConfig, MahalanobisDetector};
-    pub use crate::metrics::{ConfusionMatrix, GroundTruth, RocCurve, RocPoint};
     pub use crate::preprocess::{magnitude_code, sign_exponent, Preprocessor};
     pub use crate::training::TelemetrySet;
     pub use crate::welford::Welford;

@@ -11,7 +11,8 @@
 //! sign-and-log-magnitude 16-bit code that keeps the properties the paper
 //! relies on — insensitivity to mantissa-level noise, large response to
 //! sign/exponent corruption — while remaining continuous through zero.
-//! DESIGN.md records this substitution.
+//! `docs/ARCHITECTURE.md` ("Deviations from the paper") records this
+//! substitution and its reason.
 
 use mavfi_ppc::states::MonitoredStates;
 use serde::{Deserialize, Serialize};

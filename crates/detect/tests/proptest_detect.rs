@@ -1,9 +1,7 @@
 //! Property-based tests of the detection substrate: preprocessing codes,
-//! online statistics, detection-quality metrics and detector invariants.
+//! online statistics and detector invariants.
 
-use mavfi_detect::calibration::{CorruptionProfile, LabeledStream, SyntheticAnomalyConfig};
 use mavfi_detect::gad::{Cgad, CgadConfig};
-use mavfi_detect::metrics::{ConfusionMatrix, GroundTruth, RocCurve};
 use mavfi_detect::preprocess::{magnitude_code, sign_exponent};
 use mavfi_detect::welford::Welford;
 use mavfi_ppc::states::StateField;
@@ -64,45 +62,6 @@ proptest! {
         prop_assert!((online.std_dev() - variance.sqrt()).abs() / scale.max(variance.sqrt()) < 1e-6);
     }
 
-    /// Confusion-matrix rates always live in [0, 1] and counts always add up.
-    #[test]
-    fn confusion_matrix_rates_are_bounded(
-        verdicts in proptest::collection::vec((any::<bool>(), any::<bool>()), 0..300)
-    ) {
-        let mut matrix = ConfusionMatrix::new();
-        for (corrupted, alarmed) in &verdicts {
-            let truth = if *corrupted { GroundTruth::Corrupted } else { GroundTruth::Clean };
-            matrix.record(truth, *alarmed);
-        }
-        prop_assert_eq!(matrix.total() as usize, verdicts.len());
-        prop_assert_eq!(matrix.positives() + matrix.negatives(), matrix.total());
-        for rate in [matrix.precision(), matrix.recall(), matrix.false_positive_rate(), matrix.accuracy(), matrix.f1()] {
-            prop_assert!((0.0..=1.0).contains(&rate), "rate {rate} out of bounds");
-        }
-    }
-
-    /// ROC curves are monotone staircases with AUC in [0, 1].
-    #[test]
-    fn roc_curves_are_monotone_and_bounded(
-        scored in proptest::collection::vec((0.0f64..100.0, any::<bool>()), 2..300)
-    ) {
-        let scored: Vec<(f64, GroundTruth)> = scored
-            .into_iter()
-            .map(|(score, corrupted)| {
-                (score, if corrupted { GroundTruth::Corrupted } else { GroundTruth::Clean })
-            })
-            .collect();
-        let curve = RocCurve::from_scores(&scored);
-        if !curve.is_empty() {
-            prop_assert!((0.0..=1.0 + 1e-12).contains(&curve.auc()));
-            for pair in curve.points().windows(2) {
-                prop_assert!(pair[1].false_positive_rate >= pair[0].false_positive_rate - 1e-12);
-                prop_assert!(pair[1].true_positive_rate >= pair[0].true_positive_rate - 1e-12);
-            }
-            prop_assert!(curve.tpr_at_fpr(1.0) >= curve.tpr_at_fpr(0.0) - 1e-12);
-        }
-    }
-
     /// A Gaussian detector never alarms on a value closer to its baseline
     /// mean than the configured minimum deviation.
     #[test]
@@ -120,34 +79,5 @@ proptest! {
         let mean = baseline.iter().sum::<f64>() / baseline.len() as f64;
         let probe = mean + wiggle.clamp(-40.0, 40.0);
         prop_assert!(!cgad.observe(probe));
-    }
-
-    /// Synthesised evaluation streams preserve sample count and label every
-    /// sample consistently with the requested corruption rate bounds.
-    #[test]
-    fn labeled_streams_preserve_length(
-        count in 1usize..200,
-        rate in 0.0f64..1.0,
-        seed in any::<u64>(),
-    ) {
-        let clean = vec![[0.5f64; 13]; count];
-        let stream = LabeledStream::synthesize(
-            &clean,
-            SyntheticAnomalyConfig {
-                corruption_rate: rate,
-                profile: CorruptionProfile::ExponentFlip { magnitude: 5000.0 },
-                seed,
-            },
-        );
-        prop_assert_eq!(stream.len(), count);
-        prop_assert!(stream.corrupted() <= count);
-        // Every corrupted sample differs from the clean template.
-        for (sample, truth) in stream.samples() {
-            if *truth == GroundTruth::Corrupted {
-                prop_assert!(sample.iter().any(|v| (*v - 0.5).abs() > 1.0));
-            } else {
-                prop_assert!(sample.iter().all(|v| (*v - 0.5).abs() < 1e-12));
-            }
-        }
     }
 }

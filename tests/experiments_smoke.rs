@@ -1,7 +1,9 @@
-//! Smoke tests of the experiment drivers that regenerate the paper's tables
-//! and figures (the model-based ones run at full fidelity; the
-//! simulation-based ones run in reduced "quick" configurations).
+//! Smoke tests of the experiment drivers that regenerate the paper's tables,
+//! figures and the §III-B fault-model finding (the model-based ones run at
+//! full fidelity; the simulation-based ones run in reduced "quick"
+//! configurations).
 
+use mavfi_suite::mavfi::experiments::fault_model::{self, FaultModelConfig};
 use mavfi_suite::mavfi::experiments::{fig3, fig8, fig9, table2};
 use mavfi_suite::prelude::*;
 
@@ -64,4 +66,17 @@ fn table2_overheads_follow_the_paper_ordering() {
     assert!(env.autoencoder_total <= env.gaussian_total);
     assert!(env.gaussian_total < 0.25, "overheads are small fractions of compute time");
     assert!(overheads.to_table().contains("Farm"));
+}
+
+#[test]
+fn fault_model_survey_reproduces_the_bit_field_finding() {
+    let result = fault_model::run(&FaultModelConfig::quick()).expect("fault-model run");
+    assert!(result.values_surveyed > 10);
+    assert!(
+        result.sign_exponent_dominate(),
+        "sign/exponent flips should be more harmful than mantissa flips:\n{}",
+        result.to_table()
+    );
+    // Most random flips land in the mantissa (52 of 64 bits).
+    assert!((result.survey.mantissa_share() - 52.0 / 64.0).abs() < 1e-9);
 }

@@ -395,3 +395,46 @@ fn a_foreign_type_on_the_progress_topic_is_a_typed_error_not_a_panic() {
     let result = client.result(ticket.job_id).expect("status").expect("complete");
     assert_eq!(*result, reference);
 }
+
+/// Run counts come from outside the program: a request or a digest-valid
+/// checkpoint whose job count overflows or exceeds the server's cap is a
+/// typed error, never a panic in the bus handler or at resume.
+#[test]
+fn oversized_campaigns_are_typed_errors_at_admission_and_resume() {
+    let request = quick_request(909);
+    let dir = fresh_dir("oversized");
+    let bus = Bus::new();
+    let server = CampaignServer::new(CampaignExecutor::new(1), dir.clone()).expect("create server");
+    server.attach(&bus);
+    let client = CampaignClient::new(&bus);
+
+    let mut overflowing = request;
+    overflowing.config.injections_per_stage = usize::MAX / 2;
+    assert!(matches!(client.submit(&overflowing), Err(ServerError::InvalidRequest { .. })));
+    let mut huge = request;
+    huge.config.golden_runs = usize::MAX;
+    assert!(matches!(client.submit(&huge), Err(ServerError::InvalidRequest { .. })));
+    assert_eq!(server.job_count(), 0, "rejected requests are not admitted");
+
+    // Re-save a valid admission checkpoint with each oversized request: the
+    // digest is valid, the request is not.
+    let ticket = client.submit(&request).expect("submit");
+    let path = server.checkpoint_path(ticket.job_id);
+    let mut checkpoint = CampaignCheckpoint::load(&path).expect("load checkpoint");
+    std::fs::remove_file(&path).expect("remove valid checkpoint");
+    for (tag, config) in [("aa", overflowing.config), ("bb", huge.config)] {
+        checkpoint.request.config = config;
+        checkpoint.save(&dir.join(format!("00000000000000{tag}.mvcp"))).expect("save checkpoint");
+    }
+
+    let server = CampaignServer::new(CampaignExecutor::new(1), dir).expect("restarted server");
+    assert_eq!(server.job_count(), 0, "oversized checkpoints must not be resumed");
+    let errors = server.recovery_errors();
+    assert_eq!(errors.len(), 2, "one typed error per oversized checkpoint: {errors:?}");
+    assert!(
+        errors.iter().all(|error| matches!(error, ServerError::CheckpointCorrupt { .. })),
+        "oversized requests are corrupt checkpoints: {errors:?}"
+    );
+    let counters = server.counters();
+    assert_eq!((counters.checkpoints_corrupt, counters.jobs_resumed), (2, 0));
+}

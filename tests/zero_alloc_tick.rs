@@ -552,27 +552,6 @@ fn aad_score_iteration_with_scratch_allocates_nothing() {
     assert_eq!(detector.score(&deltas), warm_score, "scratch path must match allocating path");
 }
 
-#[test]
-fn mahalanobis_distance_allocates_nothing() {
-    let samples: Vec<[f64; 13]> = (0..100)
-        .map(|i| {
-            let v = i as f64 * 0.1;
-            std::array::from_fn(|d| v * (0.5 + d as f64 * 0.1) + (v * 0.7).sin())
-        })
-        .collect();
-    let detector = MahalanobisDetector::fit(&samples, MahalanobisConfig::default());
-    let probe = samples[50];
-    let _measuring = start_measuring();
-    let before = allocation_count();
-    let mut sink = 0.0;
-    for _ in 0..1_000 {
-        sink += detector.distance(&probe);
-    }
-    let allocated = allocation_count() - before;
-    std::hint::black_box(sink);
-    assert_eq!(allocated, 0, "computed 1000 distances with {allocated} allocations");
-}
-
 /// The fault-job trunk's checkpoint: a mid-mission Dense trunk — world,
 /// pipeline and planner, the fired fault's injector, both shadow detectors —
 /// copied into a reused checkpoint with `clone_from` performs **zero heap
