@@ -4,12 +4,12 @@
 
 use mavfi_ppc::states::Stage;
 use mavfi_sim::env::EnvironmentKind;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::qof::{QofMetrics, QofSummary};
 
 /// Configuration of one environment's campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignConfig {
     /// Environment under test.
     pub environment: EnvironmentKind,
@@ -25,18 +25,6 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// A campaign sized like the paper's (100 golden + 100 injections per
-    /// stage).
-    pub fn paper_scale(environment: EnvironmentKind, base_seed: u64) -> Self {
-        Self {
-            environment,
-            golden_runs: 100,
-            injections_per_stage: 100,
-            base_seed,
-            mission_time_budget: 400.0,
-        }
-    }
-
     /// A reduced campaign suitable for tests and quick benches.
     pub fn quick(environment: EnvironmentKind, base_seed: u64) -> Self {
         Self {
@@ -50,7 +38,7 @@ impl CampaignConfig {
 }
 
 /// Aggregate result of one experiment setting (golden / injection / D&R).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SettingResult {
     /// Setting label ("Golden Run", "Injection Run", ...).
     pub label: String,
@@ -69,7 +57,7 @@ impl SettingResult {
 
 /// Full campaign result for one environment: the four rows of Table I and
 /// the four distributions of one Fig. 6 subplot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EnvironmentCampaign {
     /// Environment under test.
     pub environment: EnvironmentKind,

@@ -18,9 +18,10 @@ pub enum MavfiError {
         /// Which scheme was requested.
         scheme: String,
     },
-    /// Persisting or loading an artefact (report, trained model) failed.
+    /// Reading or writing a file (mission trace, campaign checkpoint)
+    /// failed.
     Io(std::io::Error),
-    /// Serialising a report failed.
+    /// Writing or parsing a mission trace header's JSON failed.
     Serialization(serde_json::Error),
     /// A mission trace failed to parse, verify or decompress.
     Trace(mavfi_middleware::trace::TraceError),
@@ -34,7 +35,7 @@ impl fmt::Display for MavfiError {
                 write!(f, "protection scheme `{scheme}` requires trained detectors")
             }
             Self::Io(err) => write!(f, "i/o failure: {err}"),
-            Self::Serialization(err) => write!(f, "report serialization failed: {err}"),
+            Self::Serialization(err) => write!(f, "trace header serialization failed: {err}"),
             Self::Trace(err) => write!(f, "mission trace error: {err}"),
         }
     }

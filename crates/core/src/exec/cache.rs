@@ -8,7 +8,6 @@
 //! cache hands out [`Arc`]s to one immutable trained bank per configuration.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use mavfi_detect::training::TrainingFingerprint;
@@ -17,17 +16,6 @@ use mavfi_sim::env::EnvironmentKind;
 use crate::config::TrainingSpec;
 use crate::runner::TrainedDetectors;
 use crate::training::train_detectors_in;
-
-/// Hit/miss counters of a [`TrainedDetectorCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups served from the cache.
-    pub hits: usize,
-    /// Lookups that had to train from scratch.
-    pub misses: usize,
-    /// Distinct training configurations currently cached.
-    pub entries: usize,
-}
 
 /// A cache of trained detectors keyed by `(environment, training config)`.
 ///
@@ -60,8 +48,6 @@ pub struct TrainedDetectorCache {
     // never during training, so different configurations train concurrently
     // while same-configuration callers deduplicate on the cell.
     entries: Mutex<HashMap<u64, Arc<OnceLock<Arc<TrainedDetectors>>>>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
 }
 
 impl TrainedDetectorCache {
@@ -107,17 +93,7 @@ impl TrainedDetectorCache {
         // released: a second caller asking for the same configuration
         // blocks on the cell and then reuses the result, while callers of
         // other configurations proceed (and train) independently.
-        let mut trained_here = false;
-        let bank = Arc::clone(cell.get_or_init(|| {
-            trained_here = true;
-            Arc::new(train_detectors_in(environment, spec).0)
-        }));
-        if trained_here {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        bank
+        Arc::clone(cell.get_or_init(|| Arc::new(train_detectors_in(environment, spec).0)))
     }
 
     /// Stores an externally trained bank under `(environment, spec)`,
@@ -139,27 +115,6 @@ impl TrainedDetectorCache {
     fn cell(&self, key: u64) -> Arc<OnceLock<Arc<TrainedDetectors>>> {
         let mut entries = self.entries.lock().expect("detector cache poisoned");
         Arc::clone(entries.entry(key).or_default())
-    }
-
-    /// Hit/miss/entry counters (for logging and bench banners).  Entries
-    /// count trained banks; a configuration mid-training is not included.
-    pub fn stats(&self) -> CacheStats {
-        let entries = self.entries.lock().expect("detector cache poisoned");
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: entries.values().filter(|cell| cell.get().is_some()).count(),
-        }
-    }
-
-    /// Drops every cached bank and resets the counters.  A training run
-    /// already in flight completes into its detached cell and is dropped
-    /// with it.
-    pub fn clear(&self) {
-        let mut entries = self.entries.lock().expect("detector cache poisoned");
-        entries.clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -214,9 +169,6 @@ mod tests {
         let first = cache.get_or_train(EnvironmentKind::Randomized, &spec);
         let second = cache.get_or_train(EnvironmentKind::Randomized, &spec);
         assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1, entries: 1 });
-        cache.clear();
-        assert_eq!(cache.stats(), CacheStats::default());
     }
 
     #[test]
@@ -227,6 +179,5 @@ mod tests {
         let handle = cache.insert(EnvironmentKind::Randomized, &spec, trained);
         let looked_up = cache.get_or_train(EnvironmentKind::Randomized, &spec);
         assert!(Arc::ptr_eq(&handle, &looked_up));
-        assert_eq!(cache.stats().misses, 0);
     }
 }

@@ -27,6 +27,6 @@ mod cache;
 mod engine;
 mod pool;
 
-pub use cache::{CacheStats, TrainedDetectorCache};
+pub use cache::TrainedDetectorCache;
 pub use engine::{CampaignExecutor, CampaignFoldState, InjectionSweep, SchemeConfig, SweepOutcome};
 pub use pool::{PoolStats, WorkerPool};

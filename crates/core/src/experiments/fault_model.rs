@@ -10,7 +10,6 @@
 use mavfi_fault::bitflip::BitField;
 use mavfi_fault::severity::{FlipSurvey, Severity, SeverityThresholds};
 use mavfi_sim::env::EnvironmentKind;
-use serde::{Deserialize, Serialize};
 
 use crate::config::MissionSpec;
 use crate::error::MavfiError;
@@ -18,7 +17,7 @@ use crate::report::{percent, TextTable};
 use crate::runner::MissionRunner;
 
 /// Configuration of the fault-model characterisation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultModelConfig {
     /// Environment of the golden mission whose states are surveyed.
     pub environment: EnvironmentKind,
@@ -53,7 +52,7 @@ impl FaultModelConfig {
 }
 
 /// Result of the fault-model characterisation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultModelResult {
     /// The flip survey over the sampled state values.
     pub survey: FlipSurvey,

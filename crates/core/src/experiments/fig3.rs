@@ -7,7 +7,6 @@ use mavfi_fault::model::FaultModel;
 use mavfi_fault::target::InjectionTarget;
 use mavfi_ppc::kernel::KernelId;
 use mavfi_sim::env::EnvironmentKind;
-use serde::{Deserialize, Serialize};
 
 use crate::error::MavfiError;
 use crate::exec::{CampaignExecutor, InjectionSweep};
@@ -15,7 +14,7 @@ use crate::qof::QofSummary;
 use crate::report::{percent, seconds, TextTable};
 
 /// Configuration of the Fig. 3 experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig3Config {
     /// Environment (the paper uses Sparse).
     pub environment: EnvironmentKind,
@@ -49,7 +48,7 @@ impl Fig3Config {
 }
 
 /// Per-kernel result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelSensitivity {
     /// The kernel the faults were injected into.
     pub kernel: KernelId,
@@ -58,7 +57,7 @@ pub struct KernelSensitivity {
 }
 
 /// Full Fig. 3 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3Result {
     /// Error-free baseline.
     pub golden: QofSummary,

@@ -6,7 +6,6 @@ use mavfi_fault::model::FaultModel;
 use mavfi_fault::target::InjectionTarget;
 use mavfi_ppc::states::{Stage, StateField};
 use mavfi_sim::env::EnvironmentKind;
-use serde::{Deserialize, Serialize};
 
 use crate::error::MavfiError;
 use crate::exec::{CampaignExecutor, InjectionSweep};
@@ -14,7 +13,7 @@ use crate::qof::QofSummary;
 use crate::report::{percent, seconds, TextTable};
 
 /// Configuration of the Fig. 4 experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig4Config {
     /// Environment (the paper uses Sparse).
     pub environment: EnvironmentKind,
@@ -48,7 +47,7 @@ impl Fig4Config {
 }
 
 /// Per-state result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateSensitivity {
     /// The corrupted inter-kernel state.
     pub field: StateField,
@@ -57,7 +56,7 @@ pub struct StateSensitivity {
 }
 
 /// Full Fig. 4 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig4Result {
     /// Error-free baseline.
     pub golden: QofSummary,

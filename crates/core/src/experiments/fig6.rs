@@ -7,8 +7,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::campaign::EnvironmentCampaign;
 use crate::error::MavfiError;
 use crate::experiments::table1::{self, Table1Config};
@@ -16,7 +14,7 @@ use crate::report;
 use crate::runner::TrainedDetectors;
 
 /// Fig. 6 result: the same campaigns as Table I, viewed through flight time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Result {
     /// Per-environment campaigns.
     pub campaigns: Vec<EnvironmentCampaign>,

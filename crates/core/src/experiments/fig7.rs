@@ -10,7 +10,6 @@ use mavfi_ppc::states::{Stage, StateField};
 use mavfi_sim::env::EnvironmentKind;
 use mavfi_sim::geometry::Vec3;
 use mavfi_sim::world::MissionStatus;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 use crate::config::{MissionSpec, Protection};
@@ -19,7 +18,7 @@ use crate::report::{percent, seconds, TextTable};
 use crate::runner::{MissionRunner, TrainedDetectors};
 
 /// Configuration of the Fig. 7 trajectory study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig7Config {
     /// Environment (the paper uses Dense).
     pub environment: EnvironmentKind,
@@ -47,7 +46,7 @@ impl Default for Fig7Config {
 }
 
 /// One flown trajectory with its outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrajectoryRun {
     /// Setting label ("Golden", "Fault", "Fault + D&R").
     pub label: String,
@@ -72,7 +71,7 @@ impl TrajectoryRun {
 }
 
 /// Full Fig. 7 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Result {
     /// Error-free flight.
     pub golden: TrajectoryRun,

@@ -6,12 +6,11 @@ use mavfi_platform::perf_model::{ScenarioParams, VisualPerformanceModel};
 use mavfi_platform::redundancy::ProtectionScheme;
 use mavfi_platform::spec::ComputePlatform;
 use mavfi_platform::uav::UavSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::report::TextTable;
 
 /// Configuration of the Fig. 8 study.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Fig8Config {
     /// Scenario parameters of the performance model.
     pub scenario: ScenarioParams,
@@ -19,7 +18,7 @@ pub struct Fig8Config {
 
 /// One (airframe, scheme) data point, normalised to the anomaly-detection
 /// baseline as in the paper's bar chart.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig8Point {
     /// Airframe name.
     pub uav: String,
@@ -36,7 +35,7 @@ pub struct Fig8Point {
 }
 
 /// Full Fig. 8 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig8Result {
     /// All data points (two airframes × three schemes).
     pub points: Vec<Fig8Point>,

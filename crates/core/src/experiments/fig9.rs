@@ -6,20 +6,19 @@ use mavfi_platform::perf_model::{ScenarioParams, VisualPerformanceModel};
 use mavfi_platform::redundancy::ProtectionScheme;
 use mavfi_platform::spec::ComputePlatform;
 use mavfi_platform::uav::UavSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::campaign::EnvironmentCampaign;
 use crate::report::{percent, TextTable};
 
 /// Configuration of the Fig. 9 comparison.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Fig9Config {
     /// Scenario parameters of the performance model.
     pub scenario: ScenarioParams,
 }
 
 /// One platform row of the Fig. 9 table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlatformRow {
     /// Platform name.
     pub name: String,
@@ -36,7 +35,7 @@ pub struct PlatformRow {
 }
 
 /// Full Fig. 9 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig9Result {
     /// One row per platform (i9 first, Cortex-A57 second).
     pub platforms: Vec<PlatformRow>,

@@ -4,7 +4,6 @@
 use std::sync::Arc;
 
 use mavfi_sim::env::EnvironmentKind;
-use serde::{Deserialize, Serialize};
 
 use crate::campaign::{CampaignConfig, EnvironmentCampaign};
 use crate::config::TrainingSpec;
@@ -14,7 +13,7 @@ use crate::report;
 use crate::runner::TrainedDetectors;
 
 /// Configuration of the Table I (and Fig. 6) campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table1Config {
     /// Golden runs per environment (the paper uses 100).
     pub golden_runs: usize,
@@ -59,7 +58,7 @@ impl Table1Config {
 }
 
 /// Full Table I result: one campaign per evaluation environment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Result {
     /// Per-environment campaigns in paper order (Factory, Farm, Sparse,
     /// Dense).

@@ -3,7 +3,6 @@
 
 use mavfi_ppc::kernel::KernelId;
 use mavfi_ppc::states::{Stage, StateField};
-use serde::{Deserialize, Serialize};
 
 use crate::campaign::EnvironmentCampaign;
 use crate::report::TextTable;
@@ -32,7 +31,7 @@ pub fn stage_recompute_ms(stage: Stage) -> f64 {
 }
 
 /// One per-stage overhead entry for one environment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageOverhead {
     /// The stage.
     pub stage: Stage,
@@ -44,7 +43,7 @@ pub struct StageOverhead {
 }
 
 /// Overheads of both schemes for one environment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnvironmentOverhead {
     /// Environment label.
     pub environment: String,
@@ -61,7 +60,7 @@ pub struct EnvironmentOverhead {
 }
 
 /// Full Table II result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Result {
     /// One entry per environment, in campaign order.
     pub environments: Vec<EnvironmentOverhead>,

@@ -25,7 +25,7 @@ impl QofMetrics {
 }
 
 /// Aggregate QoF statistics over a set of runs (one experiment setting).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QofSummary {
     /// Number of runs aggregated.
     pub runs: usize,
@@ -105,17 +105,6 @@ impl QofSummary {
         }
         ((injected.max_flight_time_s - self.max_flight_time_s) / degraded).clamp(0.0, 1.0)
     }
-
-    /// Fraction of failure cases (relative to `golden`) recovered compared
-    /// to the unprotected `injected` summary — the paper's "recovers X % of
-    /// failure cases".
-    pub fn failure_recovery_vs(&self, golden: &Self, injected: &Self) -> f64 {
-        let failures_injected = golden.success_rate - injected.success_rate;
-        if failures_injected <= 0.0 {
-            return 1.0;
-        }
-        ((self.success_rate - injected.success_rate) / failures_injected).clamp(0.0, 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -162,24 +151,5 @@ mod tests {
         assert!((recovered.recovery_vs(&golden, &injected) - 0.75).abs() < 1e-12);
         // Fully recovered or better clamps to 1.
         assert_eq!(golden.recovery_vs(&golden, &injected), 1.0);
-    }
-
-    #[test]
-    fn failure_recovery_metric() {
-        let golden = QofSummary {
-            runs: 100,
-            success_rate: 0.95,
-            mean_flight_time_s: 0.0,
-            max_flight_time_s: 0.0,
-            min_flight_time_s: 0.0,
-            mean_energy_j: 0.0,
-            max_energy_j: 0.0,
-        };
-        let mut injected = golden.clone();
-        injected.success_rate = 0.85;
-        let mut dr = golden.clone();
-        dr.success_rate = 0.93;
-        assert!((dr.failure_recovery_vs(&golden, &injected) - 0.8).abs() < 1e-12);
-        assert_eq!(golden.failure_recovery_vs(&golden, &injected), 1.0);
     }
 }

@@ -1,13 +1,9 @@
-//! Report formatting and persistence: turning campaign results into the
-//! paper-shaped tables printed by the benches and examples.
+//! Report formatting: turning campaign results into the paper-shaped tables
+//! printed by the benches and examples.
 
 use std::fmt::Write as _;
-use std::path::Path;
-
-use serde::Serialize;
 
 use crate::campaign::EnvironmentCampaign;
-use crate::error::MavfiError;
 
 /// A simple fixed-width text table builder used by every experiment driver.
 #[derive(Debug, Clone, Default)]
@@ -138,17 +134,6 @@ pub fn fig6_flight_time_summary(campaigns: &[EnvironmentCampaign]) -> String {
     table.render()
 }
 
-/// Serialises any result structure to pretty JSON on disk.
-///
-/// # Errors
-///
-/// Returns [`MavfiError::Io`] or [`MavfiError::Serialization`] on failure.
-pub fn save_json<T: Serialize>(value: &T, path: impl AsRef<Path>) -> Result<(), MavfiError> {
-    let json = serde_json::to_string_pretty(value)?;
-    std::fs::write(path, json)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,16 +158,5 @@ mod tests {
         assert_eq!(percent(0.953), "95.3%");
         assert_eq!(seconds(115.26), "115.3 s");
         assert_eq!(kilojoules(61_700.0), "61.7 kJ");
-    }
-
-    #[test]
-    fn save_json_roundtrip() {
-        let dir = std::env::temp_dir().join("mavfi_report_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("report.json");
-        save_json(&vec![1, 2, 3], &path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains('1'));
-        std::fs::remove_file(path).ok();
     }
 }

@@ -20,7 +20,6 @@ use mavfi_sim::sensors::{CaptureScratch, DepthCamera, DepthFrame, RayHits};
 use mavfi_sim::vehicle::FlightCommand;
 use mavfi_sim::world::{MissionStatus, World};
 use mavfi_telemetry::MissionTelemetry;
-use serde::{Deserialize, Serialize};
 
 use crate::config::{MissionSpec, Protection};
 use crate::error::MavfiError;
@@ -37,7 +36,7 @@ pub struct TrainedDetectors {
 }
 
 /// Everything produced by one mission run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissionOutcome {
     /// Quality-of-flight metrics.
     pub qof: QofMetrics,

@@ -1,9 +1,9 @@
 //! Wire types of the campaign service: requests, tickets, streamed
 //! progress, poll responses and the typed [`ServerError`] taxonomy.
 //!
-//! Everything a client exchanges with the server is plain data with serde
-//! derives (diagnosable, loggable) and travels over the in-process
-//! middleware as bus messages.  Service and topic names live here too, so
+//! Everything a client exchanges with the server is plain data, passed by
+//! value over the in-process middleware as bus messages; nothing on these
+//! channels is serialised.  Service and topic names live here too, so
 //! client and server cannot drift apart.
 
 use std::error::Error;
@@ -11,7 +11,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use mavfi_sim::env::EnvironmentKind;
-use serde::{Deserialize, Serialize};
 
 use crate::campaign::{CampaignConfig, EnvironmentCampaign};
 use crate::config::TrainingSpec;
@@ -33,7 +32,7 @@ pub fn progress_topic(job_id: u64) -> String {
 
 /// One campaign submission: the campaign itself plus everything the server
 /// needs to reproduce its detector bank and chunking deterministically.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignRequest {
     /// The campaign to fly.
     pub config: CampaignConfig,
@@ -69,7 +68,7 @@ impl CampaignRequest {
 }
 
 /// The server's answer to a submission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobTicket {
     /// Content-derived job id: the digest of the admitted request, so
     /// resubmitting the same request (client retry, duplicate delivery)
@@ -89,7 +88,7 @@ pub struct JobTicket {
 
 /// One incremental aggregate streamed on a job's progress topic after every
 /// checkpointed stride (and once more on completion).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignProgress {
     /// The job this update belongs to.
     pub job_id: u64,
@@ -140,7 +139,7 @@ impl JobStatus {
 /// a dead server, malformed submissions, a progress topic taken by another
 /// message type — surfaces as one of these; the server never panics on
 /// damaged input.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ServerError {
     /// The submitted campaign configuration is unusable.

@@ -48,7 +48,7 @@ use crate::qof::QofMetrics;
 /// sim fed the pipeline); the rest are *outputs* whose bit-identity replay
 /// asserts.  `MissionEnd` is informational (sim-side QoF totals) and is
 /// excluded from the replay comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceTopic {
     /// Input: the vehicle state the pipeline ticked on.
     VehicleState,
@@ -119,19 +119,6 @@ impl TraceTopic {
             Self::Fault => "fault",
             Self::MissionEnd => "mission_end",
         }
-    }
-
-    /// `true` for the pipeline-output topics replay compares bit-for-bit.
-    pub fn is_output(self) -> bool {
-        matches!(
-            self,
-            Self::Command
-                | Self::Monitored
-                | Self::TickFlags
-                | Self::PlannedPath
-                | Self::Detector
-                | Self::Fault
-        )
     }
 
     /// The topic table declared in every mission trace header.

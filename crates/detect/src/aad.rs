@@ -4,7 +4,6 @@ use mavfi_nn::autoencoder::Autoencoder;
 use mavfi_nn::network::MlpScratch;
 use mavfi_nn::train::{train_autoencoder, TrainConfig, TrainReport};
 use mavfi_ppc::states::MonitoredStates;
-use serde::{Deserialize, Serialize};
 
 /// Reusable buffers for the per-tick AAD scoring path: the normalised input
 /// vector plus the autoencoder's forward-pass scratch.  After the first
@@ -27,7 +26,7 @@ impl AadScratch {
 }
 
 /// Configuration of the autoencoder detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AadConfig {
     /// Multiplier applied to the worst-case training reconstruction error to
     /// form the alarm threshold (the paper takes the training upper bound;
@@ -60,7 +59,7 @@ impl Default for AadConfig {
 /// switching between "clear" and "obstacle ahead") dominate the training
 /// reconstruction error and mask corruption of the narrow dimensions the
 /// paper cares about (way-point coordinates, command velocities).
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct AadDetector {
     autoencoder: Autoencoder,
     threshold: f64,
@@ -128,36 +127,6 @@ impl AadDetector {
             },
             report,
         )
-    }
-
-    /// Creates a detector from an already trained autoencoder and an explicit
-    /// threshold (used when loading persisted models).  The normalisation is
-    /// the identity; use [`AadDetector::with_normalization`] to restore the
-    /// training statistics.
-    pub fn from_parts(autoencoder: Autoencoder, threshold: f64, config: AadConfig) -> Self {
-        Self {
-            autoencoder,
-            threshold,
-            config,
-            norm_mean: vec![0.0; MonitoredStates::DIM],
-            norm_std: vec![1.0; MonitoredStates::DIM],
-            alarms: 0,
-            observations: 0,
-        }
-    }
-
-    /// Replaces the per-dimension normalisation statistics (builder style),
-    /// typically when reloading a persisted detector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` and `std` are not 13 elements long.
-    pub fn with_normalization(mut self, mean: Vec<f64>, std: Vec<f64>) -> Self {
-        assert_eq!(mean.len(), MonitoredStates::DIM, "mean must have one entry per state");
-        assert_eq!(std.len(), MonitoredStates::DIM, "std must have one entry per state");
-        self.norm_mean = mean;
-        self.norm_std = std.into_iter().map(|s| s.max(1e-9)).collect();
-        self
     }
 
     /// The per-dimension normalisation statistics `(mean, std)` learned from
@@ -442,24 +411,5 @@ mod tests {
         assert_eq!(via_observe.observe_with(&sample, &mut scratch), via_record.record_score(score));
         assert_eq!(via_observe.alarms(), via_record.alarms());
         assert_eq!(via_observe.observations(), via_record.observations());
-    }
-
-    #[test]
-    fn from_parts_round_trips_with_normalization() {
-        let samples = normal_samples(200, 5);
-        let (trained, _) = AadDetector::train(
-            &samples,
-            AadConfig::default(),
-            &TrainConfig { epochs: 2, ..TrainConfig::default() },
-        );
-        let (mean, std) = trained.normalization();
-        let rebuilt = AadDetector::from_parts(
-            trained.autoencoder().clone(),
-            trained.threshold(),
-            trained.config(),
-        )
-        .with_normalization(mean.to_vec(), std.to_vec());
-        let sample = samples[0];
-        assert_eq!(rebuilt.score(&sample), trained.score(&sample));
     }
 }

@@ -8,7 +8,6 @@ use mavfi_ppc::states::{
 };
 use mavfi_ppc::tap::{StageTap, TapAction};
 use mavfi_sim::vehicle::FlightCommand;
-use serde::{Deserialize, Serialize};
 
 use crate::aad::{AadDetector, AadScratch};
 use crate::gad::GadBank;
@@ -59,7 +58,7 @@ impl DetectionScheme {
 ///
 /// Per-stage counters are fixed arrays indexed by [`Stage::index`] — no
 /// hashing on the per-tick path, deterministic iteration order for free.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DetectorStats {
     /// Number of pipeline ticks observed.
     pub ticks: u64,

@@ -1,12 +1,11 @@
 //! Gaussian-based anomaly detection (GAD, paper §IV-C).
 
 use mavfi_ppc::states::{Stage, StateField};
-use serde::{Deserialize, Serialize};
 
 use crate::welford::Welford;
 
 /// Configuration of one customised Gaussian detector (cGAD).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CgadConfig {
     /// Number of standard deviations away from the mean at which the alarm
     /// is raised (the paper's configurable `n`).
@@ -27,7 +26,7 @@ impl Default for CgadConfig {
 }
 
 /// A customised Gaussian detector for a single monitored inter-kernel state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cgad {
     field: StateField,
     config: CgadConfig,
@@ -93,7 +92,7 @@ impl Cgad {
 
 /// The per-stage Gaussian detector bank: one cGAD per monitored state,
 /// grouped by the stage whose recomputation an alarm triggers.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct GadBank {
     detectors: Vec<Cgad>,
 }
@@ -165,11 +164,6 @@ impl GadBank {
             }
         }
     }
-
-    /// Total alarms raised per stage.
-    pub fn alarms_for_stage(&self, stage: Stage) -> u64 {
-        self.detectors.iter().filter(|d| d.field().stage() == stage).map(Cgad::alarms).sum()
-    }
 }
 
 #[cfg(test)]
@@ -232,8 +226,9 @@ mod tests {
         corrupted[StateField::WaypointY.index()] = 8_000.0;
         let stages = bank.observe_all(&corrupted);
         assert_eq!(stages, vec![Stage::Planning]);
-        assert_eq!(bank.alarms_for_stage(Stage::Planning), 1);
-        assert_eq!(bank.alarms_for_stage(Stage::Control), 0);
+        let alarms: Vec<u64> = bank.detectors.iter().map(Cgad::alarms).collect();
+        assert_eq!(alarms.iter().sum::<u64>(), 1);
+        assert_eq!(alarms[StateField::WaypointY.index()], 1);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! substitution and its reason.
 
 use mavfi_ppc::states::MonitoredStates;
-use serde::{Deserialize, Serialize};
 
 /// Extracts the sign and exponent bits of a double as a 16-bit integer (the
 /// paper's literal transformation).
@@ -72,7 +71,7 @@ pub fn magnitude_code(value: f64) -> i16 {
 /// The delta distribution of normal flight is narrow and close to Gaussian,
 /// which is exactly what the Gaussian detector models and what makes
 /// corrupted values stand out.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Preprocessor {
     previous: Option<[i16; MonitoredStates::DIM]>,
 }

@@ -3,7 +3,6 @@
 
 use mavfi_nn::train::{TrainConfig, TrainReport};
 use mavfi_ppc::states::MonitoredStates;
-use serde::{Deserialize, Serialize};
 
 use crate::aad::{AadConfig, AadDetector};
 use crate::gad::{CgadConfig, GadBank};
@@ -11,7 +10,7 @@ use crate::preprocess::Preprocessor;
 
 /// A set of preprocessed error-free telemetry samples collected from golden
 /// runs in randomized training environments.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySet {
     preprocessor: Preprocessor,
     samples: Vec<[f64; MonitoredStates::DIM]>,

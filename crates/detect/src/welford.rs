@@ -1,8 +1,6 @@
 //! Online mean / standard-deviation estimation (Welford's recurrences,
 //! Eq. 1–2 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 /// Online estimator of mean and standard deviation.
 ///
 /// Implements the recurrences the paper cites from Knuth:
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((stats.mean() - 5.0).abs() < 1e-12);
 /// assert!((stats.std_dev() - 2.138089935299395).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Welford {
     count: u64,
     mean: f64,

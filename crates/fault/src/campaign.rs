@@ -1,25 +1,23 @@
 //! Campaign planning: builds the lists of fault-injection experiments the
 //! paper's evaluation runs (100 injections per kernel / state / stage).
 
-use mavfi_ppc::kernel::KernelId;
-use mavfi_ppc::states::{Stage, StateField};
+use mavfi_ppc::states::Stage;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::injector::FaultSpec;
 use crate::model::FaultModel;
 use crate::target::InjectionTarget;
 
 /// A planned set of fault-injection experiments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignPlan {
     specs: Vec<FaultSpec>,
 }
 
 /// Range of pipeline ticks (inclusive-exclusive) in which the one-time
 /// injection may fire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TriggerWindow {
     /// Earliest candidate trigger tick.
     pub start: u64,
@@ -75,34 +73,6 @@ impl CampaignPlan {
         Self { specs }
     }
 
-    /// The Fig. 3 campaign: `runs_per_kernel` injections into each of the
-    /// seven studied kernels.
-    pub fn per_kernel(runs_per_kernel: usize, base_seed: u64) -> Self {
-        let targets: Vec<InjectionTarget> =
-            KernelId::FIG3_KERNELS.into_iter().map(InjectionTarget::Kernel).collect();
-        Self::new(
-            &targets,
-            runs_per_kernel,
-            FaultModel::default(),
-            TriggerWindow::default(),
-            base_seed,
-        )
-    }
-
-    /// The Fig. 4 campaign: `runs_per_state` injections into each monitored
-    /// inter-kernel state.
-    pub fn per_state(runs_per_state: usize, base_seed: u64) -> Self {
-        let targets: Vec<InjectionTarget> =
-            StateField::ALL.into_iter().map(InjectionTarget::State).collect();
-        Self::new(
-            &targets,
-            runs_per_state,
-            FaultModel::default(),
-            TriggerWindow::default(),
-            base_seed,
-        )
-    }
-
     /// The Table I / Fig. 6 campaign: `runs_per_stage` injections into each
     /// PPC stage.
     pub fn per_stage(runs_per_stage: usize, base_seed: u64) -> Self {
@@ -131,11 +101,6 @@ impl CampaignPlan {
     pub fn is_empty(&self) -> bool {
         self.specs.is_empty()
     }
-
-    /// Experiments targeting a given pipeline stage.
-    pub fn specs_for_stage(&self, stage: Stage) -> impl Iterator<Item = &FaultSpec> {
-        self.specs.iter().filter(move |spec| spec.target.stage() == stage)
-    }
 }
 
 impl IntoIterator for CampaignPlan {
@@ -150,28 +115,27 @@ impl IntoIterator for CampaignPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn per_kernel_plan_has_expected_size() {
-        let plan = CampaignPlan::per_kernel(100, 1);
-        assert_eq!(plan.len(), 7 * 100);
-        assert!(!plan.is_empty());
-    }
+    use mavfi_ppc::states::StateField;
 
     #[test]
     fn per_state_and_per_stage_plans() {
-        assert_eq!(CampaignPlan::per_state(10, 2).len(), 13 * 10);
+        let states: Vec<_> = StateField::ALL.into_iter().map(InjectionTarget::State).collect();
+        let state_plan =
+            CampaignPlan::new(&states, 10, FaultModel::default(), TriggerWindow::default(), 2);
+        assert_eq!(state_plan.len(), 13 * 10);
         let stage_plan = CampaignPlan::per_stage(100, 3);
         assert_eq!(stage_plan.len(), 300);
-        assert_eq!(stage_plan.specs_for_stage(Stage::Perception).count(), 100);
-        assert_eq!(stage_plan.specs_for_stage(Stage::Planning).count(), 100);
-        assert_eq!(stage_plan.specs_for_stage(Stage::Control).count(), 100);
+        assert!(!stage_plan.is_empty());
+        for stage in Stage::ALL {
+            let in_stage = stage_plan.specs().iter().filter(|spec| spec.target.stage() == stage);
+            assert_eq!(in_stage.count(), 100, "{stage:?}");
+        }
     }
 
     #[test]
     fn plans_are_deterministic_and_seed_sensitive() {
-        assert_eq!(CampaignPlan::per_kernel(5, 9), CampaignPlan::per_kernel(5, 9));
-        assert_ne!(CampaignPlan::per_kernel(5, 9), CampaignPlan::per_kernel(5, 10));
+        assert_eq!(CampaignPlan::per_stage(5, 9), CampaignPlan::per_stage(5, 9));
+        assert_ne!(CampaignPlan::per_stage(5, 9), CampaignPlan::per_stage(5, 10));
     }
 
     #[test]

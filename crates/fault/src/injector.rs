@@ -3,7 +3,9 @@
 
 use mavfi_ppc::kernel::KernelId;
 use mavfi_ppc::perception::occupancy::OccupancyGrid;
-use mavfi_ppc::states::{CollisionEstimate, PointCloud, Stage, StateField, Trajectory};
+use mavfi_ppc::states::{
+    CollisionEstimate, MonitoredStates, PointCloud, Stage, StateField, Trajectory,
+};
 use mavfi_ppc::tap::{StageTap, TapAction};
 use mavfi_sim::vehicle::FlightCommand;
 use rand::rngs::StdRng;
@@ -37,7 +39,7 @@ impl FaultSpec {
 }
 
 /// Record of the fault that actually fired.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct FaultRecord {
     /// Tick at which the corruption happened.
     pub tick: u64,
@@ -141,19 +143,17 @@ impl FaultInjector {
         self.record.is_none() && self.current_tick >= self.spec.trigger_tick
     }
 
-    fn corrupt_scalar(&mut self, field: StateField, value: &mut f64) {
-        let (corrupted, detail) = self.spec.model.apply(*value, &mut self.rng);
-        *value = corrupted;
+    /// Applies the fault model to `field` of `states` and records it.
+    fn corrupt_field(&mut self, field: StateField, states: &mut MonitoredStates) -> f64 {
+        let (corrupted, detail) = self.spec.model.apply(states.field(field), &mut self.rng);
+        states.set_field(field, corrupted);
         self.record = Some(FaultRecord {
             tick: self.current_tick,
             target: self.spec.target.label(),
             field: Some(field),
             detail,
         });
-    }
-
-    fn stage_fields(stage: Stage) -> Vec<StateField> {
-        StateField::ALL.into_iter().filter(|field| field.stage() == stage).collect()
+        corrupted
     }
 
     /// Chooses which scalar field to corrupt for the current target at the
@@ -162,49 +162,30 @@ impl FaultInjector {
         match self.spec.target {
             InjectionTarget::State(field) if field.stage() == stage => Some(field),
             InjectionTarget::Stage(target_stage) if target_stage == stage => {
-                let fields = Self::stage_fields(stage);
-                fields.choose(&mut self.rng).copied()
+                stage_fields(stage).choose(&mut self.rng).copied()
             }
-            InjectionTarget::Kernel(kernel) if kernel.stage() == stage => {
-                // Kernel-level faults that manifest on this hook's scalar
-                // states: collision check, planners, smoothing, control.
-                match kernel {
-                    KernelId::CollisionCheck => {
-                        let fields = [StateField::TimeToCollision, StateField::FutureCollisionSeq];
-                        fields.choose(&mut self.rng).copied()
-                    }
-                    KernelId::Rrt
-                    | KernelId::RrtConnect
-                    | KernelId::RrtStar
-                    | KernelId::Smoothing
-                    | KernelId::MissionPlanner => {
-                        let fields = [
-                            StateField::WaypointX,
-                            StateField::WaypointY,
-                            StateField::WaypointZ,
-                            StateField::WaypointYaw,
-                            StateField::WaypointVx,
-                            StateField::WaypointVy,
-                            StateField::WaypointVz,
-                        ];
-                        fields.choose(&mut self.rng).copied()
-                    }
-                    KernelId::PathTracking | KernelId::Pid => {
-                        let fields = [
-                            StateField::CommandVx,
-                            StateField::CommandVy,
-                            StateField::CommandVz,
-                            StateField::CommandYawRate,
-                        ];
-                        fields.choose(&mut self.rng).copied()
-                    }
-                    // Point-cloud and OctoMap faults are handled on their own
-                    // hooks, not through scalar states.
-                    _ => None,
-                }
-            }
+            InjectionTarget::Kernel(kernel) if kernel.stage() == stage => match kernel {
+                // Point-cloud and OctoMap faults are handled on their own
+                // hooks, not through scalar states; A* has no scalar target.
+                KernelId::PointCloudGeneration | KernelId::OctoMap | KernelId::AStar => None,
+                // Every other kernel's output manifests on its stage's
+                // scalar states: collision check, planners, smoothing,
+                // mission planning, path tracking and PID.
+                _ => stage_fields(stage).choose(&mut self.rng).copied(),
+            },
             _ => None,
         }
+    }
+}
+
+/// The monitored fields `stage` produces: a contiguous run of
+/// [`StateField::ALL`].
+fn stage_fields(stage: Stage) -> &'static [StateField] {
+    let all: &'static [StateField] = &StateField::ALL;
+    match stage {
+        Stage::Perception => &all[..2],
+        Stage::Planning => &all[2..9],
+        Stage::Control => &all[9..],
     }
 }
 
@@ -279,26 +260,19 @@ impl StageTap for FaultInjector {
     fn after_perception(&mut self, estimate: &mut CollisionEstimate) -> TapAction {
         if self.armed() {
             if let Some(field) = self.field_for_stage(Stage::Perception) {
-                let mut value = match field {
-                    StateField::TimeToCollision => estimate.time_to_collision,
-                    _ => estimate.future_collision_seq,
-                };
+                let mut states = MonitoredStates { collision: *estimate, ..Default::default() };
                 // Collapse non-finite clear-path sentinels to a large finite
                 // value so the bit flip produces a representative corruption.
-                if !value.is_finite() {
-                    value = 1.0e6;
+                if !states.field(field).is_finite() {
+                    states.set_field(field, 1.0e6);
                 }
-                self.corrupt_scalar(field, &mut value);
-                match field {
-                    StateField::TimeToCollision => {
-                        estimate.time_to_collision = value;
-                        estimate.obstacle_ahead = value.is_finite() && value < 1.0e5;
-                    }
-                    _ => {
-                        estimate.future_collision_seq = value;
-                        estimate.obstacle_ahead = estimate.obstacle_ahead || value >= 0.0;
-                    }
-                }
+                let value = self.corrupt_field(field, &mut states);
+                *estimate = states.collision;
+                estimate.obstacle_ahead = if field == StateField::TimeToCollision {
+                    value.is_finite() && value < 1.0e5
+                } else {
+                    estimate.obstacle_ahead || value >= 0.0
+                };
             }
         }
         TapAction::Continue
@@ -309,25 +283,9 @@ impl StageTap for FaultInjector {
             if let Some(field) = self.field_for_stage(Stage::Planning) {
                 let index = active_index.min(trajectory.len() - 1);
                 let waypoint = &mut trajectory.waypoints[index];
-                let mut value = match field {
-                    StateField::WaypointX => waypoint.position.x,
-                    StateField::WaypointY => waypoint.position.y,
-                    StateField::WaypointZ => waypoint.position.z,
-                    StateField::WaypointYaw => waypoint.yaw,
-                    StateField::WaypointVx => waypoint.velocity.x,
-                    StateField::WaypointVy => waypoint.velocity.y,
-                    _ => waypoint.velocity.z,
-                };
-                self.corrupt_scalar(field, &mut value);
-                match field {
-                    StateField::WaypointX => waypoint.position.x = value,
-                    StateField::WaypointY => waypoint.position.y = value,
-                    StateField::WaypointZ => waypoint.position.z = value,
-                    StateField::WaypointYaw => waypoint.yaw = value,
-                    StateField::WaypointVx => waypoint.velocity.x = value,
-                    StateField::WaypointVy => waypoint.velocity.y = value,
-                    _ => waypoint.velocity.z = value,
-                }
+                let mut states = MonitoredStates { waypoint: *waypoint, ..Default::default() };
+                self.corrupt_field(field, &mut states);
+                *waypoint = states.waypoint;
             }
         }
         TapAction::Continue
@@ -336,19 +294,9 @@ impl StageTap for FaultInjector {
     fn after_control(&mut self, command: &mut FlightCommand) -> TapAction {
         if self.armed() {
             if let Some(field) = self.field_for_stage(Stage::Control) {
-                let mut value = match field {
-                    StateField::CommandVx => command.velocity.x,
-                    StateField::CommandVy => command.velocity.y,
-                    StateField::CommandVz => command.velocity.z,
-                    _ => command.yaw_rate,
-                };
-                self.corrupt_scalar(field, &mut value);
-                match field {
-                    StateField::CommandVx => command.velocity.x = value,
-                    StateField::CommandVy => command.velocity.y = value,
-                    StateField::CommandVz => command.velocity.z = value,
-                    _ => command.yaw_rate = value,
-                }
+                let mut states = MonitoredStates { command: *command, ..Default::default() };
+                self.corrupt_field(field, &mut states);
+                *command = states.command;
             }
         }
         TapAction::Continue
@@ -479,5 +427,65 @@ mod tests {
         // (exponent-field flips reach the NaN encodings), and NaN != NaN
         // would fail a direct equality even for identical runs.
         assert_eq!(format!("{:?}", run(spec)), format!("{:?}", run(spec)));
+    }
+
+    /// Fires `target` at tick 0 through its stage's hook on fixed states.
+    fn fire(target: InjectionTarget, seed: u64) -> FaultRecord {
+        let mut injector = FaultInjector::new(FaultSpec::new(target, 0, seed));
+        drive_tick(&mut injector);
+        match target.stage() {
+            Stage::Perception => {
+                let mut estimate = CollisionEstimate {
+                    time_to_collision: 2.5,
+                    future_collision_seq: 3.0,
+                    obstacle_ahead: true,
+                };
+                injector.after_perception(&mut estimate);
+            }
+            Stage::Planning => {
+                let mut trajectory = Trajectory::new(vec![mavfi_ppc::states::Waypoint {
+                    position: Vec3::new(1.0, 2.0, 3.0),
+                    yaw: 0.5,
+                    velocity: Vec3::new(0.5, -0.5, 0.25),
+                }]);
+                injector.after_planning(&mut trajectory, 0);
+            }
+            Stage::Control => {
+                injector.after_control(&mut FlightCommand::new(Vec3::new(1.0, -2.0, 0.5), 0.3));
+            }
+        }
+        injector.record().cloned().expect("fault fired")
+    }
+
+    #[test]
+    fn scalar_kernel_targets_corrupt_what_their_stage_target_corrupts() {
+        for stage in Stage::ALL {
+            let fields: Vec<_> =
+                StateField::ALL.into_iter().filter(|field| field.stage() == stage).collect();
+            assert_eq!(stage_fields(stage), fields.as_slice());
+        }
+        let scalar_kernels = KernelId::FIG3_KERNELS
+            .into_iter()
+            .filter(|kernel| !matches!(kernel, KernelId::PointCloudGeneration | KernelId::OctoMap));
+        for kernel in scalar_kernels {
+            let mut hit = Vec::new();
+            for seed in 0..16 {
+                let by_kernel = fire(InjectionTarget::Kernel(kernel), seed);
+                let by_stage = fire(InjectionTarget::Stage(kernel.stage()), seed);
+                assert_eq!(by_kernel.field, by_stage.field, "{kernel:?} seed {seed}");
+                assert_eq!(by_kernel.detail.bit, by_stage.detail.bit, "{kernel:?} seed {seed}");
+                assert_eq!(
+                    by_kernel.detail.corrupted.to_bits(),
+                    by_stage.detail.corrupted.to_bits(),
+                    "{kernel:?} seed {seed}"
+                );
+                let field = by_kernel.field.expect("kernel targets corrupt a scalar");
+                assert_eq!(field.stage(), kernel.stage());
+                if !hit.contains(&field) {
+                    hit.push(field);
+                }
+            }
+            assert!(hit.len() > 1, "{kernel:?} always hit {hit:?}");
+        }
     }
 }

@@ -8,9 +8,13 @@
 //!
 //! ```
 //! use mavfi_fault::prelude::*;
+//! use mavfi_ppc::kernel::KernelId;
 //!
-//! // Plan the Fig. 3 campaign: 100 single-bit injections per kernel.
-//! let plan = CampaignPlan::per_kernel(100, 42);
+//! // Plan the Fig. 3 campaign: 100 single-bit injections per kernel, each
+//! // firing at a random tick in [10, 300).
+//! let targets: Vec<_> = KernelId::FIG3_KERNELS.into_iter().map(InjectionTarget::Kernel).collect();
+//! let plan =
+//!     CampaignPlan::new(&targets, 100, FaultModel::default(), TriggerWindow::new(10, 300), 42);
 //! assert_eq!(plan.len(), 700);
 //! let first = plan.specs()[0];
 //! let injector = FaultInjector::new(first);

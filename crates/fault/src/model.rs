@@ -22,7 +22,9 @@ pub enum BitSelection {
 ///
 /// MAVFI emulates instruction-level single-bit upsets manifesting as
 /// corrupted kernel outputs / inter-kernel states (memory and caches are
-/// assumed ECC-protected, control logic fault-free; see §II-B).
+/// assumed ECC-protected, control logic fault-free; see §II-B).  It stays
+/// an enum with one variant because its serialised shape is part of every
+/// recorded trace header.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum FaultModel {
@@ -30,33 +32,6 @@ pub enum FaultModel {
     SingleBitFlip {
         /// How the bit index is selected.
         selection: BitSelection,
-    },
-    /// Replace the value with a fixed constant (a stuck-at style corruption,
-    /// useful for targeted what-if studies and tests).
-    StuckAt {
-        /// The value the target is replaced with.
-        value: f64,
-    },
-    /// Scale the value by a factor (models a coarse arithmetic error that is
-    /// not a clean bit flip).
-    Scale {
-        /// Multiplicative factor applied to the target.
-        factor: f64,
-    },
-    /// Flip several independently chosen bits at once (a multi-bit upset,
-    /// outside the paper's single-bit model but included for the extended
-    /// sensitivity study).
-    MultiBitFlip {
-        /// Number of distinct bits to flip (clamped to 1..=64).
-        bits: u8,
-        /// How each bit index is selected.
-        selection: BitSelection,
-    },
-    /// Flip a contiguous run of bits starting at a random position (a burst
-    /// upset, e.g. from a particle strike spanning adjacent flip-flops).
-    BurstFlip {
-        /// Width of the burst in bits (clamped to 1..=64).
-        width: u8,
     },
 }
 
@@ -67,11 +42,6 @@ impl Default for FaultModel {
 }
 
 impl FaultModel {
-    /// The paper's default model: one uniformly random single-bit flip.
-    pub fn single_random_bit() -> Self {
-        Self::default()
-    }
-
     /// A single-bit flip restricted to the given field.
     pub fn single_bit_in(field: BitField) -> Self {
         Self::SingleBitFlip { selection: BitSelection::InField(field) }
@@ -80,87 +50,27 @@ impl FaultModel {
     /// Applies the fault to `value`, returning the corrupted value and a
     /// description of the corruption.
     pub fn apply<R: Rng>(&self, value: f64, rng: &mut R) -> (f64, CorruptionDetail) {
-        match *self {
-            Self::SingleBitFlip { selection } => {
-                let bit = match selection {
-                    BitSelection::UniformRandom => rng.gen_range(0..64),
-                    BitSelection::InField(field) => field.random_bit(rng),
-                    BitSelection::Exact(bit) => bit,
-                };
-                let corrupted = flip_bit(value, bit);
-                (
-                    corrupted,
-                    CorruptionDetail {
-                        original: value,
-                        corrupted,
-                        bit: Some(bit),
-                        field: Some(BitField::of_bit(bit)),
-                    },
-                )
-            }
-            Self::StuckAt { value: stuck } => (
-                stuck,
-                CorruptionDetail { original: value, corrupted: stuck, bit: None, field: None },
-            ),
-            Self::Scale { factor } => {
-                let corrupted = value * factor;
-                (corrupted, CorruptionDetail { original: value, corrupted, bit: None, field: None })
-            }
-            Self::MultiBitFlip { bits, selection } => {
-                let count = bits.clamp(1, 64);
-                let mut corrupted = value;
-                let mut flipped: Vec<u8> = Vec::with_capacity(count as usize);
-                while flipped.len() < count as usize {
-                    let bit = match selection {
-                        BitSelection::UniformRandom => rng.gen_range(0..64),
-                        BitSelection::InField(field) => field.random_bit(rng),
-                        BitSelection::Exact(bit) => bit,
-                    };
-                    if flipped.contains(&bit) {
-                        // With `Exact` there is only one candidate; stop
-                        // rather than spin forever.
-                        if matches!(selection, BitSelection::Exact(_)) {
-                            break;
-                        }
-                        continue;
-                    }
-                    corrupted = flip_bit(corrupted, bit);
-                    flipped.push(bit);
-                }
-                let first = flipped.first().copied();
-                (
-                    corrupted,
-                    CorruptionDetail {
-                        original: value,
-                        corrupted,
-                        bit: first,
-                        field: first.map(BitField::of_bit),
-                    },
-                )
-            }
-            Self::BurstFlip { width } => {
-                let width = width.clamp(1, 64);
-                let start = rng.gen_range(0..=(64 - width));
-                let mut corrupted = value;
-                for bit in start..start + width {
-                    corrupted = flip_bit(corrupted, bit);
-                }
-                (
-                    corrupted,
-                    CorruptionDetail {
-                        original: value,
-                        corrupted,
-                        bit: Some(start),
-                        field: Some(BitField::of_bit(start)),
-                    },
-                )
-            }
-        }
+        let Self::SingleBitFlip { selection } = *self;
+        let bit = match selection {
+            BitSelection::UniformRandom => rng.gen_range(0..64),
+            BitSelection::InField(field) => field.random_bit(rng),
+            BitSelection::Exact(bit) => bit,
+        };
+        let corrupted = flip_bit(value, bit);
+        (
+            corrupted,
+            CorruptionDetail {
+                original: value,
+                corrupted,
+                bit: Some(bit),
+                field: Some(BitField::of_bit(bit)),
+            },
+        )
     }
 }
 
 /// Record of one applied corruption.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorruptionDetail {
     /// Value before corruption.
     pub original: f64,
@@ -170,14 +80,6 @@ pub struct CorruptionDetail {
     pub bit: Option<u8>,
     /// Bit field of the flipped bit, if the model was a bit flip.
     pub field: Option<BitField>,
-}
-
-impl CorruptionDetail {
-    /// Returns `true` when the corruption left the value bit-identical
-    /// (never the case for bit flips, possible for scale-by-one).
-    pub fn is_silent(&self) -> bool {
-        self.original.to_bits() == self.corrupted.to_bits()
-    }
 }
 
 #[cfg(test)]
@@ -194,7 +96,6 @@ mod tests {
         assert_eq!(corrupted, -4.0);
         assert_eq!(detail.bit, Some(63));
         assert_eq!(detail.field, Some(BitField::Sign));
-        assert!(!detail.is_silent());
     }
 
     #[test]
@@ -208,62 +109,10 @@ mod tests {
     }
 
     #[test]
-    fn stuck_at_and_scale_models() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let (v, d) = FaultModel::StuckAt { value: 99.0 }.apply(1.0, &mut rng);
-        assert_eq!(v, 99.0);
-        assert_eq!(d.original, 1.0);
-        let (v, _) = FaultModel::Scale { factor: -2.0 }.apply(3.0, &mut rng);
-        assert_eq!(v, -6.0);
-    }
-
-    #[test]
     fn random_model_is_deterministic_per_seed() {
-        let model = FaultModel::single_random_bit();
+        let model = FaultModel::default();
         let mut a = StdRng::seed_from_u64(7);
         let mut b = StdRng::seed_from_u64(7);
         assert_eq!(model.apply(2.0, &mut a), model.apply(2.0, &mut b));
-    }
-
-    #[test]
-    fn multi_bit_flip_flips_the_requested_number_of_bits() {
-        let model = FaultModel::MultiBitFlip { bits: 3, selection: BitSelection::UniformRandom };
-        let mut rng = StdRng::seed_from_u64(42);
-        for _ in 0..50 {
-            let (corrupted, detail) = model.apply(1.5, &mut rng);
-            let differing = (corrupted.to_bits() ^ 1.5f64.to_bits()).count_ones();
-            assert_eq!(differing, 3);
-            assert!(detail.bit.is_some());
-        }
-    }
-
-    #[test]
-    fn multi_bit_flip_with_exact_selection_degenerates_to_one_flip() {
-        let model = FaultModel::MultiBitFlip { bits: 5, selection: BitSelection::Exact(63) };
-        let mut rng = StdRng::seed_from_u64(1);
-        let (corrupted, detail) = model.apply(2.0, &mut rng);
-        assert_eq!(corrupted, -2.0);
-        assert_eq!(detail.field, Some(BitField::Sign));
-    }
-
-    #[test]
-    fn burst_flip_flips_a_contiguous_run() {
-        let model = FaultModel::BurstFlip { width: 4 };
-        let mut rng = StdRng::seed_from_u64(9);
-        for _ in 0..50 {
-            let (corrupted, detail) = model.apply(-0.75, &mut rng);
-            let mask = corrupted.to_bits() ^ (-0.75f64).to_bits();
-            assert_eq!(mask.count_ones(), 4);
-            let start = detail.bit.expect("burst records its start bit");
-            assert_eq!(mask >> start, 0b1111);
-        }
-    }
-
-    #[test]
-    fn burst_width_is_clamped_to_the_word() {
-        let model = FaultModel::BurstFlip { width: 255 };
-        let mut rng = StdRng::seed_from_u64(2);
-        let (corrupted, _) = model.apply(3.0, &mut rng);
-        assert_eq!((corrupted.to_bits() ^ 3.0f64.to_bits()).count_ones(), 64);
     }
 }

@@ -8,13 +8,11 @@
 //! classifies the outcome of every possible single-bit flip, producing the
 //! masked / benign / severe breakdown per bit field.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bitflip::{flip_bit, BitField};
 use crate::model::CorruptionDetail;
 
 /// How severely a corruption distorted the value it landed on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Severity {
     /// The value is bit-identical (only possible for non-flip models, e.g.
     /// scale-by-one).
@@ -56,7 +54,7 @@ impl Severity {
 }
 
 /// Thresholds used when classifying a corruption.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeverityThresholds {
     /// Relative change below which the corruption counts as masked.
     pub masked_tolerance: f64,
@@ -108,7 +106,7 @@ pub fn classify_detail(detail: &CorruptionDetail) -> Severity {
 
 /// Severity histogram of every possible single-bit flip over a set of
 /// operand values, broken down by bit field.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlipSurvey {
     counts: Vec<(BitField, Severity, u64)>,
     total: u64,

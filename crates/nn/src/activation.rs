@@ -1,9 +1,7 @@
 //! Element-wise activation functions.
 
-use serde::{Deserialize, Serialize};
-
 /// Supported activation functions for dense layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Activation {
     /// Identity (linear) activation.

@@ -1,8 +1,6 @@
 //! The autoencoder model used by MAVFI's autoencoder-based anomaly
 //! detection (AAD).
 
-use serde::{Deserialize, Serialize};
-
 use crate::activation::Activation;
 use crate::loss::mse;
 use crate::network::{Gradients, Mlp, MlpScratch};
@@ -25,7 +23,7 @@ use crate::network::{Gradients, Mlp, MlpScratch};
 /// assert_eq!(model.reconstruct(&input).len(), 13);
 /// assert!(model.reconstruction_error(&input) >= 0.0);
 /// ```
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct Autoencoder {
     network: Mlp,
     latent_dim: usize,

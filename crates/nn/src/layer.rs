@@ -1,12 +1,10 @@
 //! Fully connected (dense) layers.
 
-use serde::{Deserialize, Serialize};
-
 use crate::activation::Activation;
 use crate::tensor::Matrix;
 
 /// A dense layer computing `activation(W * x + b)`.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct Dense {
     weights: Matrix,
     biases: Vec<f64>,
@@ -77,7 +75,7 @@ impl Dense {
         self.activation
     }
 
-    /// Immutable access to the weights (for inspection and serialization).
+    /// Immutable access to the weights (for inspection).
     pub fn weights(&self) -> &Matrix {
         &self.weights
     }

@@ -1,7 +1,5 @@
 //! Sequential multi-layer perceptrons built from dense layers.
 
-use serde::{Deserialize, Serialize};
-
 use crate::activation::Activation;
 use crate::layer::{Dense, LayerCache, LayerGradients};
 use crate::loss::{mse, mse_gradient};
@@ -21,7 +19,7 @@ use crate::loss::{mse, mse_gradient};
 /// let mut scratch = MlpScratch::new();
 /// assert_eq!(mlp.forward_into(&[0.1, 0.2, 0.3, 0.4], &mut scratch).len(), 2);
 /// ```
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct Mlp {
     layers: Vec<Dense>,
 }

@@ -1,11 +1,9 @@
 //! The Adam gradient-descent optimizer.
 
-use serde::{Deserialize, Serialize};
-
 use crate::network::{Gradients, Mlp};
 use crate::tensor::Matrix;
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct AdamSlot {
     m_weights: Matrix,
     v_weights: Matrix,
@@ -15,7 +13,7 @@ struct AdamSlot {
 
 /// The Adam optimizer (Kingma & Ba), used by the paper to train the
 /// autoencoder's reconstruction error.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adam {
     /// Learning rate.
     pub learning_rate: f64,

@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A row-major dense matrix of `f64`.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// m.matvec_into(&[1.0, 1.0], &mut out);
 /// assert_eq!(out, vec![3.0, 7.0]);
 /// ```
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -3,13 +3,12 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::autoencoder::Autoencoder;
 use crate::optimizer::Adam;
 
 /// Hyper-parameters for autoencoder training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Number of passes over the training set.
     pub epochs: usize,
@@ -26,7 +25,7 @@ impl Default for TrainConfig {
 }
 
 /// Result of a training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Mean training loss per epoch.
     pub epoch_losses: Vec<f64>,

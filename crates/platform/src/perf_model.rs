@@ -7,14 +7,12 @@
 //! the sensing horizon and raises hover power — so flight time and mission
 //! energy both inflate.
 
-use serde::{Deserialize, Serialize};
-
 use crate::redundancy::ProtectionScheme;
 use crate::spec::ComputePlatform;
 use crate::uav::UavSpec;
 
 /// Scenario-level parameters of the performance model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioParams {
     /// Mission length (m).
     pub mission_distance_m: f64,
@@ -45,7 +43,7 @@ impl Default for ScenarioParams {
 }
 
 /// Output of the performance model for one configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlightEstimate {
     /// Safe maximum velocity (m/s).
     pub max_velocity: f64,
@@ -60,7 +58,7 @@ pub struct FlightEstimate {
 }
 
 /// The visual performance model.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct VisualPerformanceModel {
     /// Scenario parameters shared by every evaluated configuration.
     pub scenario: ScenarioParams,

@@ -1,10 +1,8 @@
 //! Hardware redundancy schemes (DMR / TMR) compared against MAVFI's
 //! software anomaly detection in the paper's Fig. 8.
 
-use serde::{Deserialize, Serialize};
-
 /// Protection scheme applied to the companion computer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ProtectionScheme {
     /// No protection at all (baseline).

@@ -1,15 +1,13 @@
 //! Compute-platform specifications (the paper's Intel i9 companion computer
 //! and the NVIDIA TX2's ARM Cortex-A57 cluster).
 
-use serde::{Deserialize, Serialize};
-
 /// A companion-computer platform.
 ///
 /// `latency_scale` expresses how much slower the platform executes the PPC
 /// kernels relative to the i9 baseline; it is calibrated so that the
 /// end-to-end flight times reproduce the ratio reported in the paper's
 /// Fig. 9 table (115 s on the i9 versus 322 s on the Cortex-A57).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComputePlatform {
     /// Platform name.
     pub name: String,

@@ -2,10 +2,8 @@
 //! AirSim default quadrotor and the DJI Spark), following the cyber-physical
 //! parameterisation of the visual performance model.
 
-use serde::{Deserialize, Serialize};
-
 /// A UAV airframe description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UavSpec {
     /// Airframe name.
     pub name: String,

@@ -2,12 +2,11 @@
 //! chase.
 
 use mavfi_sim::geometry::Vec3;
-use serde::{Deserialize, Serialize};
 
 use crate::states::{Trajectory, Waypoint};
 
 /// Configuration of the path tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathTrackerConfig {
     /// A way-point counts as reached when the vehicle is within this
     /// distance of it (m).
@@ -25,7 +24,7 @@ impl Default for PathTrackerConfig {
 
 /// Tracks progress along the current trajectory and exposes the active
 /// way-point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathTracker {
     config: PathTrackerConfig,
     active_index: usize,

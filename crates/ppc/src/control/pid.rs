@@ -3,12 +3,11 @@
 
 use mavfi_sim::geometry::{wrap_angle, Vec3};
 use mavfi_sim::vehicle::{FlightCommand, QuadrotorState};
-use serde::{Deserialize, Serialize};
 
 use crate::states::Waypoint;
 
 /// PID gains and limits for the command-issue controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PidConfig {
     /// Proportional gain on position error.
     pub kp: f64,
@@ -47,7 +46,7 @@ impl Default for PidConfig {
 /// let command = pid.run(&target, &state, 0.1);
 /// assert!(command.velocity.x > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PidController {
     config: PidConfig,
     integral: Vec3,

@@ -9,13 +9,12 @@
 //! key is unchanged.  See `docs/PERFORMANCE.md` for the cache invariants.
 
 use mavfi_sim::geometry::Vec3;
-use serde::{Deserialize, Serialize};
 
 use crate::perception::occupancy::{NearProbe, OccupancyGrid};
 use crate::states::{CollisionEstimate, Trajectory};
 
 /// Configuration of the collision checker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollisionCheckerConfig {
     /// Look-ahead horizon along the velocity vector (s).
     pub horizon: f64,
@@ -32,12 +31,11 @@ impl Default for CollisionCheckerConfig {
 }
 
 /// Hit/miss counters of the two memoised halves of
-/// [`CollisionChecker::run_cached`], exposed like
-/// `TrainedDetectorCache::stats()`: the runtime evidence behind the
+/// [`CollisionChecker::run_cached`]: the runtime evidence behind the
 /// "perception recovery becomes a cache hit" claim.  Counters only move on
 /// `run_cached` calls with the cache enabled; [`CollisionChecker::run`] and
 /// cache-disabled calls leave them untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CollisionCacheStats {
     /// Velocity-ray marches served from the cache.
     pub ray_hits: u64,
@@ -58,16 +56,6 @@ impl CollisionCacheStats {
     /// Total hits across both halves.
     pub fn hits(&self) -> u64 {
         self.ray_hits + self.scan_hits
-    }
-
-    /// Fraction of lookups served from the cache (0.0 when none happened).
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.lookups();
-        if lookups == 0 {
-            0.0
-        } else {
-            self.hits() as f64 / lookups as f64
-        }
     }
 }
 
@@ -444,7 +432,7 @@ mod tests {
         let warm = checker.cache_stats();
         assert_eq!((warm.ray_hits, warm.scan_hits), (1, 1));
         assert_eq!(warm.lookups(), 4);
-        assert_eq!(warm.hit_rate(), 0.5);
+        assert_eq!(warm.hits(), 2);
 
         // Bumping the trajectory revision invalidates only the scan half.
         let _ = checker.run_cached(&grid, Vec3::ZERO, Vec3::ZERO, &trajectory, 1, 0);

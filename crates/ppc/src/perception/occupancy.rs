@@ -4,12 +4,11 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use mavfi_sim::geometry::Vec3;
-use serde::{Deserialize, Serialize};
 
 use crate::states::PointCloud;
 
 /// Integer voxel coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VoxelKey {
     /// Voxel index along X.
     pub x: i64,
@@ -151,8 +150,7 @@ pub struct OccupancyGrid {
     /// superset of the true dilation — exactly what the fast reject of
     /// [`NearProbe`] needs (an unmarked cell provably has no occupied voxel
     /// in reach; a stale mark merely falls through to the exact scan).
-    /// Derived state: excluded from equality and the wire format, rebuilt on
-    /// deserialization.
+    /// Derived state: excluded from equality.
     near_mask: BrickMask,
     /// Monotonic mutation counter: bumped every time the occupied voxel set
     /// actually changes (inserting an already-occupied voxel or removing a
@@ -189,41 +187,6 @@ impl Clone for OccupancyGrid {
 impl PartialEq for OccupancyGrid {
     fn eq(&self, other: &Self) -> bool {
         self.resolution == other.resolution && self.voxels == other.voxels
-    }
-}
-
-/// Like `PartialEq`, the wire format carries only the logical state
-/// (resolution + voxels): the revision counter is per-instance memoisation
-/// bookkeeping, meaningless across processes, so a deserialized grid starts
-/// a fresh revision history at 0.  Voxels are written in sorted key order —
-/// the set's iteration order depends on insertion history, which would
-/// otherwise leak edit history into the wire form — so logically equal
-/// grids serialize identically.
-impl Serialize for OccupancyGrid {
-    fn to_value(&self) -> serde::Value {
-        let mut voxels: Vec<VoxelKey> = self.voxels.iter().copied().collect();
-        voxels.sort_unstable();
-        serde::Value::Map(vec![
-            ("resolution".to_owned(), self.resolution.to_value()),
-            ("voxels".to_owned(), voxels.to_value()),
-        ])
-    }
-}
-
-impl<'de> Deserialize<'de> for OccupancyGrid {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let map =
-            value.as_map().ok_or_else(|| serde::Error::msg("expected a map for OccupancyGrid"))?;
-        let mut grid = Self {
-            resolution: serde::from_field(map, "resolution")?,
-            voxels: serde::from_field(map, "voxels")?,
-            near_mask: BrickMask::default(),
-            revision: 0,
-        };
-        for key in grid.voxels.iter().copied().collect::<Vec<_>>() {
-            grid.mark_near(key);
-        }
-        Ok(grid)
     }
 }
 
@@ -604,33 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn serialization_carries_logical_state_only() {
-        let mut a = OccupancyGrid::new(0.5);
-        let mut b = OccupancyGrid::new(0.5);
-        // Same contents reached through different edit histories *and*
-        // insertion orders: the revision differs and the sets may iterate
-        // differently, but the wire form (sorted keys, no revision) must
-        // not see either.
-        let points = [Vec3::ZERO, Vec3::new(3.0, 3.0, 3.0), Vec3::new(-2.0, 1.0, 4.0)];
-        for point in points {
-            a.insert_point(point);
-        }
-        b.insert_point(Vec3::new(9.0, 9.0, 9.0));
-        b.clear();
-        for point in points.iter().rev() {
-            b.insert_point(*point);
-        }
-        assert_ne!(a.revision(), b.revision());
-        assert_eq!(a.to_value(), b.to_value());
-        // A round trip restores the logical state with a fresh revision
-        // history.
-        let restored = OccupancyGrid::from_value(&b.to_value()).expect("round trip");
-        assert_eq!(restored, b);
-        assert_eq!(restored.revision(), 0);
-        assert_eq!(restored.resolution(), 0.5);
-    }
-
-    #[test]
     fn equality_ignores_the_revision_counter() {
         let mut a = OccupancyGrid::new(0.5);
         let mut b = OccupancyGrid::new(0.5);
@@ -768,21 +704,6 @@ mod tests {
                     "probe {probe:?} margin {margin} after removals"
                 );
             }
-        }
-    }
-
-    /// The near mask is derived state: a deserialized grid (which carries
-    /// only resolution + voxels) must answer identically to the original.
-    #[test]
-    fn occupied_near_survives_a_serde_round_trip() {
-        let (grid, probes) = probed_grid();
-        let restored = OccupancyGrid::from_value(&grid.to_value()).expect("round trip");
-        for &probe in &probes {
-            assert_eq!(
-                restored.is_occupied_near(probe, 0.7),
-                grid.is_occupied_near(probe, 0.7),
-                "probe {probe:?}"
-            );
         }
     }
 

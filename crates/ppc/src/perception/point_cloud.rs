@@ -1,7 +1,6 @@
 //! Point-cloud generation kernel (the "P.C. Gen." node).
 
 use mavfi_sim::sensors::DepthFrame;
-use serde::{Deserialize, Serialize};
 
 use crate::states::PointCloud;
 
@@ -23,7 +22,7 @@ use crate::states::PointCloud;
 /// generator.run_into(&frame, &mut cloud);
 /// assert_eq!(cloud.len(), 5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PointCloudGenerator {
     stride: usize,
 }

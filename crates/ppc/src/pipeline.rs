@@ -7,7 +7,6 @@ use std::time::Instant;
 use mavfi_sim::geometry::Vec3;
 use mavfi_sim::sensors::DepthFrame;
 use mavfi_sim::vehicle::{FlightCommand, QuadrotorState};
-use serde::{Deserialize, Serialize};
 
 use crate::control::{PathTracker, PathTrackerConfig, PidConfig, PidController};
 use crate::kernel::KernelId;
@@ -22,7 +21,7 @@ use crate::states::{MonitoredStates, PointCloud, Stage, Trajectory, Waypoint};
 use crate::tap::{StageTap, TapAction};
 
 /// Configuration of a full PPC pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PpcConfig {
     /// Which sampling-based planner to use.
     pub planner: PlannerAlgorithm,
@@ -69,7 +68,7 @@ impl PpcConfig {
 /// array increment, and every iteration over the counters is structurally in
 /// canonical [`KernelId::ALL`] / [`Stage::ALL`] order — the deterministic
 /// summing that `total_compute_ms` previously had to enforce by convention.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PipelineStats {
     kernel_invocations: [u64; KernelId::COUNT],
     /// Number of replans triggered.
@@ -448,7 +447,7 @@ impl PpcPipeline {
     }
 
     /// Creates a pipeline flying an arbitrary mission plan.
-    pub fn with_mission(config: PpcConfig, mission: MissionPlan) -> Self {
+    fn with_mission(config: PpcConfig, mission: MissionPlan) -> Self {
         Self {
             config,
             point_cloud_generator: PointCloudGenerator::default(),
@@ -528,11 +527,6 @@ impl PpcPipeline {
     /// allocation-free (`Instant::now` plus an inline array write).
     pub fn set_timing_enabled(&mut self, enabled: bool) {
         self.timing_enabled = enabled;
-    }
-
-    /// Whether wall-clock kernel timing is on.
-    pub fn timing_enabled(&self) -> bool {
-        self.timing_enabled
     }
 
     /// Wall-clock kernel durations of the most recent tick (empty while

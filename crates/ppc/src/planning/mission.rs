@@ -2,7 +2,6 @@
 //! mission).
 
 use mavfi_sim::geometry::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// A high-level mission expressed as an ordered list of goal positions.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(plan.advance_if_reached(Vec3::new(9.6, 0.0, 2.0), 1.0));
 /// assert!(plan.is_complete());
 /// ```
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct MissionPlan {
     goals: Vec<Vec3>,
     next_index: usize,
@@ -58,11 +57,6 @@ impl MissionPlan {
     pub fn package_delivery(start: Vec3, dropoff: Vec3) -> Self {
         let _ = start;
         Self::new(vec![dropoff])
-    }
-
-    /// Two-leg delivery visiting a pick-up point before the drop-off point.
-    pub fn pickup_and_deliver(pickup: Vec3, dropoff: Vec3) -> Self {
-        Self::new(vec![pickup, dropoff])
     }
 
     /// The goal the vehicle should currently fly to, or `None` when the
@@ -102,7 +96,7 @@ mod tests {
     fn two_leg_mission_advances_in_order() {
         let pickup = Vec3::new(5.0, 0.0, 2.0);
         let dropoff = Vec3::new(10.0, 10.0, 2.0);
-        let mut plan = MissionPlan::pickup_and_deliver(pickup, dropoff);
+        let mut plan = MissionPlan::new(vec![pickup, dropoff]);
         assert_eq!(plan.remaining(), 2);
         assert_eq!(plan.current_goal(), Some(pickup));
         assert!(!plan.advance_if_reached(pickup, 0.5));

@@ -1,7 +1,5 @@
 //! Path smoothening: greedy shortcutting of planner output.
 
-use serde::{Deserialize, Serialize};
-
 use crate::planning::space::{ObstacleModel, PlannedPath};
 
 /// Greedy line-of-sight path smoother.
@@ -28,7 +26,7 @@ use crate::planning::space::{ObstacleModel, PlannedPath};
 /// smoother.run_into(&OccupancyGrid::new(0.5), &zigzag, &mut smooth);
 /// assert_eq!(smooth.len(), 2); // obstacle-free: straight shortcut
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathSmoother {
     margin: f64,
 }

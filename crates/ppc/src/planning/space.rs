@@ -44,7 +44,7 @@ impl ObstacleModel for Environment {
 }
 
 /// Configuration shared by the RRT-family planners.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannerConfig {
     /// Sampling bounds.
     pub bounds: Aabb,
@@ -88,7 +88,7 @@ impl PlannerConfig {
 
 /// A geometric path produced by a motion planner (before smoothing and
 /// trajectory generation).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PlannedPath {
     /// Way-points from start to goal inclusive.
     pub waypoints: Vec<Vec3>,

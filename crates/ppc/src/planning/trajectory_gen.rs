@@ -2,13 +2,12 @@
 //! ("multidoftraj" messages in the paper's ROS graph).
 
 use mavfi_sim::geometry::Vec3;
-use serde::{Deserialize, Serialize};
 
 use crate::planning::space::PlannedPath;
 use crate::states::{Trajectory, Waypoint};
 
 /// Generates velocity- and yaw-annotated way-points from a geometric path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectoryGenerator {
     /// Cruise speed assigned to intermediate way-points (m/s).
     pub cruise_speed: f64,

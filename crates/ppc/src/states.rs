@@ -45,7 +45,7 @@ impl Stage {
 
 /// A point cloud in the world frame, the output of the point-cloud
 /// generation kernel.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PointCloud {
     /// Points in the world frame.
     pub points: Vec<Vec3>,
@@ -71,7 +71,7 @@ impl PointCloud {
 /// Output of the collision-check kernel: the perception-stage inter-kernel
 /// state corrupted in the paper's Fig. 4 (`time_to_collision`,
 /// `future_collision_seq`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollisionEstimate {
     /// Estimated seconds until the vehicle hits the nearest obstacle along
     /// its velocity vector; `f64::INFINITY` when the path ahead is clear.
@@ -93,7 +93,7 @@ impl Default for CollisionEstimate {
 /// One multi-degree-of-freedom trajectory point ("multidoftraj" in the
 /// paper's ROS graph): position, yaw and the velocity the vehicle should
 /// carry through the way-point.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Waypoint {
     /// Target position (m).
     pub position: Vec3,
@@ -104,7 +104,7 @@ pub struct Waypoint {
 }
 
 /// A time-ordered sequence of way-points, the planning-stage output.
-#[derive(Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Default)]
 pub struct Trajectory {
     /// Way-points in flight order.
     pub waypoints: Vec<Waypoint>,
@@ -256,7 +256,7 @@ impl StateField {
 ///
 /// This is the value the anomaly detectors consume (after preprocessing) and
 /// the value whose fields the state-level fault injector corrupts.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MonitoredStates {
     /// Perception-stage collision estimate.
     pub collision: CollisionEstimate,

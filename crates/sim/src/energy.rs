@@ -6,13 +6,11 @@
 //! velocity, inflating both flight time and energy.  This module provides
 //! the flight-side power model; the compute-side is in `mavfi-platform`.
 
-use serde::{Deserialize, Serialize};
-
 /// Simple quadrotor electrical power model.
 ///
 /// Instantaneous power is `hover + k_v * v² + compute`, a standard quadratic
 /// approximation of induced plus parasitic drag power around hover.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Power required to hover (W).
     pub hover_power: f64,
@@ -57,7 +55,7 @@ impl PowerModel {
 }
 
 /// Integrates power over time into mission energy.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyMeter {
     joules: f64,
 }

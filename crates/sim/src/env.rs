@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use crate::geometry::{Aabb, Vec3};
 
 /// A single cuboid obstacle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Obstacle {
     /// The occupied volume.
     pub aabb: Aabb,
@@ -28,7 +28,7 @@ impl Obstacle {
 }
 
 /// A navigation world: bounded free space, obstacles and a start/goal pair.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct Environment {
     name: String,
     bounds: Aabb,
@@ -210,7 +210,7 @@ impl EnvironmentKind {
 /// Procedural cuboid-obstacle environment generator, mirroring the UAV
 /// environment generator of the paper (obstacle density plus obstacle side
 /// length as the configuration pair).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnvironmentGenerator {
     density: f64,
     side_length: f64,

@@ -2,8 +2,6 @@
 
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A 3-D vector with `f64` components, used for positions, velocities and
 /// accelerations.
 ///
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.norm(), 3.0);
 /// assert_eq!(a + Vec3::ZERO, a);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// X component (forward in the world frame).
     pub x: f64,
@@ -190,7 +188,7 @@ impl Neg for Vec3 {
 /// An axis-aligned bounding box, the obstacle primitive used by the
 /// environment generator (the paper's environments are cuboid obstacle
 /// fields).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Aabb {
     /// Minimum corner.
     pub min: Vec3,
@@ -295,7 +293,7 @@ impl Aabb {
 ///
 /// The MAV is modelled as yaw-steerable with level flight, which matches how
 /// MAVBench issues way-point commands.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Pose {
     /// Position in the world frame.
     pub position: Vec3,

@@ -7,7 +7,7 @@ use crate::env::Environment;
 use crate::geometry::{Pose, Vec3};
 
 /// A depth-camera frame expressed as a world-frame point cloud.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DepthFrame {
     /// Hit points in the world frame, one per ray that struck an obstacle.
     pub points: Vec<Vec3>,
@@ -23,7 +23,7 @@ pub struct DepthFrame {
 /// the exact world-frame point cloud (`origin + direction(ray) * t`,
 /// bit-identical) — which is what lets mission traces store ~10 bytes per
 /// hit instead of three `f64` coordinates.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RayHits {
     /// Total number of rays cast for this frame (hits plus misses).
     pub rays_cast: usize,

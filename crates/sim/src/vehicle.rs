@@ -7,7 +7,7 @@ use crate::geometry::{wrap_angle, Pose, Vec3};
 /// A velocity-setpoint flight command, the actuator-facing output of the
 /// control stage (the paper's corrupted `vx, vy, vz` plus yaw fields live
 /// here).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FlightCommand {
     /// Commanded linear velocity in the world frame (m/s).
     pub velocity: Vec3,
@@ -53,7 +53,7 @@ impl Default for QuadrotorParams {
 }
 
 /// Kinematic state of the quadrotor.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QuadrotorState {
     /// Position in the world frame (m).
     pub position: Vec3,
@@ -79,7 +79,7 @@ pub struct QuadrotorState {
 /// }
 /// assert!(quad.state().position.x > 5.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Quadrotor {
     state: QuadrotorState,
     params: QuadrotorParams,

@@ -69,7 +69,7 @@ impl Default for MissionConfig {
 /// assert_eq!(world.status(), MissionStatus::InProgress);
 /// assert!(world.elapsed() > 0.0);
 /// ```
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct World {
     environment: Environment,
     vehicle: Quadrotor,

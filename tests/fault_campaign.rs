@@ -28,10 +28,15 @@ fn faulty_runs_with_same_spec_are_reproducible() {
 
 #[test]
 fn campaign_plans_have_paper_shape() {
+    let plan = |targets: &[InjectionTarget]| {
+        CampaignPlan::new(targets, 100, FaultModel::default(), TriggerWindow::new(10, 300), 0)
+    };
     // Fig. 3: 100 runs per kernel over 7 kernels.
-    assert_eq!(CampaignPlan::per_kernel(100, 0).len(), 700);
+    let kernels: Vec<_> = KernelId::FIG3_KERNELS.into_iter().map(InjectionTarget::Kernel).collect();
+    assert_eq!(plan(&kernels).len(), 700);
     // Fig. 4: 100 runs per monitored inter-kernel state (13 states).
-    assert_eq!(CampaignPlan::per_state(100, 0).len(), 1300);
+    let states: Vec<_> = StateField::ALL.into_iter().map(InjectionTarget::State).collect();
+    assert_eq!(plan(&states).len(), 1300);
     // Table I / Fig. 6: 100 runs per PPC stage -> 300 injection runs.
     assert_eq!(CampaignPlan::per_stage(100, 0).len(), 300);
 }
