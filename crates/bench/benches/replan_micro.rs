@@ -1,14 +1,15 @@
-//! Microbenchmarks of the replan path: per-planner `plan_into` latency on a
-//! mission-observed occupancy grid (for the RRT family also vs the O(n)
+//! Microbenchmarks of the replan path: per-planner `plan_into` latency on
+//! mission-observed occupancy grids (for the RRT family also vs the O(n)
 //! linear nearest/radius scans the pooled spatial index replaced), the share
 //! of an RRT* replan spent answering map queries, and the end-to-end
 //! throughput of a pipeline forced to replan on every tick — the
 //! fault-triggered recovery workload of the paper's §VI-C.
 //!
-//! Prints `ns/replan`, `map queries` and `ticks/s` lines before the
-//! Criterion group.
+//! Prints `ms/replan` (with a digest of the planned paths), `map queries`
+//! and `ticks/s` lines before the Criterion group.
 
 use std::cell::RefCell;
+use std::hash::Hasher;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -23,13 +24,25 @@ use mavfi_ppc::tap::{NoopTap, StageTap, TapAction};
 use mavfi_sim::sensors::{CaptureScratch, DepthCamera, DepthFrame};
 use mavfi_sim::world::World;
 
-/// Flies a prefix of a Dense mission and returns the occupancy grid the
-/// vehicle observed plus its position — a realistic replan problem (the
+/// The replan problems the latency lines time: `(Dense seed, ticks flown)`.
+/// Each seed also seeds its planners.
+const PROBLEMS: [(u64, u32); 4] = [(8, 150), (12, 60), (20, 100), (31, 120)];
+
+/// One mission-observed replan problem.
+struct ReplanProblem {
+    seed: u64,
+    grid: OccupancyGrid,
+    start: Vec3,
+    goal: Vec3,
+}
+
+/// Flies `ticks` ticks of a Dense mission and returns the occupancy grid
+/// the vehicle observed plus its position — a realistic replan problem (the
 /// straight line to the goal is blocked by observed voxels).
-fn observed_replan_problem() -> (OccupancyGrid, Vec3, Vec3) {
-    let env = EnvironmentKind::Dense.build(8);
+fn observed_replan_problem(seed: u64, ticks: u32) -> ReplanProblem {
+    let env = EnvironmentKind::Dense.build(seed);
     let goal = env.goal();
-    let config = PpcConfig::new(PlannerAlgorithm::RrtStar, env.bounds(), 8);
+    let config = PpcConfig::new(PlannerAlgorithm::RrtStar, env.bounds(), seed);
     let mut pipeline = PpcPipeline::new(config, env.start(), goal);
     let camera = DepthCamera::default();
     let mut world = World::new(
@@ -40,64 +53,93 @@ fn observed_replan_problem() -> (OccupancyGrid, Vec3, Vec3) {
     );
     let mut frame = DepthFrame::default();
     let mut scratch = CaptureScratch::new();
-    for _ in 0..150 {
+    for _ in 0..ticks {
         camera.capture_into(world.environment(), &world.vehicle().pose(), &mut scratch, &mut frame);
         let tick = pipeline.tick(&frame, &world.vehicle().state(), 0.1, &mut NoopTap);
         world.step(&tick.command, 0.1);
     }
-    let position = world.vehicle().state().position;
-    (pipeline.occupancy().clone(), position, goal)
+    let start = world.vehicle().state().position;
+    ReplanProblem { seed, grid: pipeline.occupancy().clone(), start, goal }
 }
 
-/// Times `iters` warm replans through `plan_into` on one planner instance.
-fn time_plan_into(
-    planner: &mut Box<dyn MotionPlanner + Send>,
-    grid: &OccupancyGrid,
-    start: Vec3,
-    goal: Vec3,
-    warmups: u32,
-    iters: u32,
-) -> f64 {
+/// The planner configuration of a problem's Dense seed.
+fn planner_config(seed: u64) -> PlannerConfig {
+    PlannerConfig::for_bounds(EnvironmentKind::Dense.build(seed).bounds()).with_seed(seed)
+}
+
+/// Times `rounds` rounds of one warm `plan_into` per problem, each problem on
+/// its own planner instance (warmed by one untimed replan), and returns the
+/// fastest round's mean time per replan (ns) with a digest of every planned
+/// path.  The digest depends only on the paths, so it changes exactly when
+/// a planner's behaviour does.
+fn time_rounds(
+    algorithm: PlannerAlgorithm,
+    problems: &[ReplanProblem],
+    linear: bool,
+    rounds: u32,
+) -> (f64, u64) {
+    let mut planners: Vec<_> = problems
+        .iter()
+        .map(|problem| {
+            let mut planner = algorithm.instantiate(planner_config(problem.seed));
+            planner.set_spatial_index_enabled(!linear);
+            planner
+        })
+        .collect();
     let mut out = PlannedPath::default();
-    for _ in 0..warmups {
-        planner.plan_into(grid, start, goal, &mut out);
+    let mut digest = std::collections::hash_map::DefaultHasher::new();
+    let mut plan = |planner: &mut Box<dyn MotionPlanner + Send>, problem: &ReplanProblem| {
+        let found = planner.plan_into(&problem.grid, problem.start, problem.goal, &mut out);
+        digest.write_u8(u8::from(found));
+        for waypoint in &out.waypoints {
+            for coordinate in [waypoint.x, waypoint.y, waypoint.z] {
+                digest.write_u64(coordinate.to_bits());
+            }
+        }
+    };
+    for (planner, problem) in planners.iter_mut().zip(problems) {
+        plan(planner, problem);
     }
-    let begin = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(planner.plan_into(grid, start, goal, &mut out));
+    let mut fastest = Duration::MAX;
+    for _ in 0..rounds {
+        let begin = Instant::now();
+        for (planner, problem) in planners.iter_mut().zip(problems) {
+            plan(planner, problem);
+        }
+        fastest = fastest.min(begin.elapsed());
     }
-    begin.elapsed().as_nanos() as f64 / f64::from(iters)
+    (fastest.as_nanos() as f64 / problems.len() as f64, digest.finish())
 }
 
-/// Times per-planner replans on the observed grid: `plan_into` with the
-/// spatial index on (the default) and — for the three RRT-family planners —
-/// with it disabled, i.e. the O(n) linear nearest/radius scans it
-/// replaced.
-fn measure_planner_latency(grid: &OccupancyGrid, start: Vec3, goal: Vec3) {
-    const ITERS: u32 = 24;
-    /// Linear RRT* replans cost close to a second each; a few iterations
-    /// are enough for a stable mean without stalling the bench run.
-    const LINEAR_STAR_ITERS: u32 = 4;
-    let bounds = EnvironmentKind::Dense.build(8).bounds();
-    let config = PlannerConfig::for_bounds(bounds).with_seed(8);
+/// Times per-planner replans over the observed problems: `plan_into` with
+/// the spatial index on (the default) and — for the three RRT-family
+/// planners — with it disabled, i.e. the O(n) linear nearest/radius scans
+/// it replaced.  Both sides plan the same paths, so their digests must
+/// match.
+fn measure_planner_latency(problems: &[ReplanProblem]) {
+    /// Rounds per timing.  On a shared 2-core host a mean over one problem
+    /// spread by ±15%; the minimum of many short rounds sheds most of the
+    /// interference.
+    const ROUNDS: u32 = 15;
+    let seeds: Vec<String> = problems.iter().map(|problem| problem.seed.to_string()).collect();
+    let label = format!("observed Dense seeds {} grids", seeds.join("/"));
     for algorithm in PlannerAlgorithm::EXTENDED {
-        let label = format!("{algorithm:?}").to_lowercase();
-
-        let mut pooled = algorithm.instantiate(config);
-        let pooled_ns = time_plan_into(&mut pooled, grid, start, goal, 3, ITERS);
-        println!("observed Dense seed-8 grid: {label}_plan_into {pooled_ns:.0} ns/replan");
-
+        let name = format!("{algorithm:?}").to_lowercase();
+        let (indexed_ns, digest) = time_rounds(algorithm, problems, false, ROUNDS);
+        println!(
+            "{label}: {name}_plan_into {:.3} ms/replan (min of {ROUNDS} rounds), paths {digest:016x}",
+            indexed_ns / 1e6
+        );
         if matches!(
             algorithm,
             PlannerAlgorithm::Rrt | PlannerAlgorithm::RrtConnect | PlannerAlgorithm::RrtStar
         ) {
-            let iters =
-                if algorithm == PlannerAlgorithm::RrtStar { LINEAR_STAR_ITERS } else { ITERS };
-            let mut linear = algorithm.instantiate(config);
-            linear.set_spatial_index_enabled(false);
-            let linear_ns = time_plan_into(&mut linear, grid, start, goal, 1, iters);
+            let (linear_ns, linear_digest) = time_rounds(algorithm, problems, true, ROUNDS);
+            let agreement =
+                if linear_digest == digest { "identical paths" } else { "PATHS DIFFER" };
             println!(
-                "observed Dense seed-8 grid: {label}_plan_into_linear {linear_ns:.0} ns/replan"
+                "{label}: {name}_plan_into_linear {:.3} ms/replan (min of {ROUNDS} rounds), {agreement}",
+                linear_ns / 1e6
             );
         }
     }
@@ -143,12 +185,13 @@ impl ObstacleModel for RecordingModel<'_> {
 }
 
 /// Times the map queries of one RRT* replan against the whole replan: the
-/// first `plan_into` of a fresh seed-8 planner is recorded, then that replan
+/// first `plan_into` of a fresh planner is recorded, then that replan
 /// (on fresh planners, so each makes exactly the recorded queries) and a
 /// replay of its queries against the grid are timed.
-fn measure_map_query_share(grid: &OccupancyGrid, start: Vec3, goal: Vec3) {
+fn measure_map_query_share(problem: &ReplanProblem) {
     const ITERS: u32 = 8;
-    let config = PlannerConfig::for_bounds(EnvironmentKind::Dense.build(8).bounds()).with_seed(8);
+    let ReplanProblem { seed, ref grid, start, goal } = *problem;
+    let config = planner_config(seed);
     let mut out = PlannedPath::default();
     let recorder = RecordingModel { grid, queries: RefCell::new(Vec::new()) };
     PlannerAlgorithm::RrtStar.instantiate(config).plan_into(&recorder, start, goal, &mut out);
@@ -171,7 +214,7 @@ fn measure_map_query_share(grid: &OccupancyGrid, start: Vec3, goal: Vec3) {
     let query_ms = begin.elapsed().as_secs_f64() * 1e3 / f64::from(ITERS);
     let plan_ms = plan.as_secs_f64() * 1e3 / f64::from(ITERS);
     println!(
-        "observed Dense seed-8 grid: map queries: {query_ms:.2} of {plan_ms:.2} ms per \
+        "observed Dense seed-{seed} grid: map queries: {query_ms:.2} of {plan_ms:.2} ms per \
          `plan_into` ({} queries, {:.0}%)",
         queries.len(),
         100.0 * query_ms / plan_ms.max(1e-9)
@@ -225,17 +268,18 @@ fn measure_forced_replan_throughput() {
 }
 
 fn bench(c: &mut Criterion) {
-    let (grid, position, goal) = observed_replan_problem();
-    measure_planner_latency(&grid, position, goal);
-    measure_map_query_share(&grid, position, goal);
+    let problems: Vec<ReplanProblem> =
+        PROBLEMS.iter().map(|&(seed, ticks)| observed_replan_problem(seed, ticks)).collect();
+    measure_planner_latency(&problems);
+    measure_map_query_share(&problems[0]);
     measure_forced_replan_throughput();
     let mut group = c.benchmark_group("replan");
     group.sample_size(10);
     group.bench_function("rrt_star_plan_into_observed_grid", |b| {
-        let config = PlannerConfig::for_bounds(EnvironmentKind::Dense.build(8).bounds());
-        let mut planner = PlannerAlgorithm::RrtStar.instantiate(config.with_seed(8));
+        let problem = &problems[0];
+        let mut planner = PlannerAlgorithm::RrtStar.instantiate(planner_config(problem.seed));
         let mut out = PlannedPath::default();
-        b.iter(|| planner.plan_into(&grid, position, goal, &mut out))
+        b.iter(|| planner.plan_into(&problem.grid, problem.start, problem.goal, &mut out))
     });
     group.finish();
 }

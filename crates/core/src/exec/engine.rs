@@ -16,7 +16,10 @@ use std::sync::Arc;
 
 use mavfi_fault::campaign::CampaignPlan;
 use mavfi_fault::injector::FaultSpec;
+use mavfi_fault::target::InjectionTarget;
+use mavfi_ppc::planning::PlannerAlgorithm;
 use mavfi_ppc::states::Stage;
+use mavfi_ppc::KernelId;
 use mavfi_sim::env::EnvironmentKind;
 use mavfi_telemetry::{MissionReport, TelemetryReport, TrunkCounters};
 use serde::{Deserialize, Serialize};
@@ -99,6 +102,24 @@ pub struct InjectionSweep {
     pub runs_per_target: usize,
     /// The planned injections, grouped by target.
     pub plan: CampaignPlan,
+}
+
+impl InjectionSweep {
+    /// The mission a run flies: a fault aimed at one of the planner kernels
+    /// (Fig. 3's RRT, RRT-Connect and RRT\* rows) flies that planner, so
+    /// it corrupts that planner's output; golden runs and every other
+    /// target fly the default RRT\*.
+    fn mission_spec(&self, seed_offset: u64, fault: Option<FaultSpec>) -> MissionSpec {
+        let spec = MissionSpec::new(self.environment, self.base_seed + seed_offset)
+            .with_time_budget(self.mission_time_budget);
+        let planner = match fault.map(|fault| fault.target) {
+            Some(InjectionTarget::Kernel(KernelId::Rrt)) => PlannerAlgorithm::Rrt,
+            Some(InjectionTarget::Kernel(KernelId::RrtConnect)) => PlannerAlgorithm::RrtConnect,
+            Some(InjectionTarget::Kernel(KernelId::RrtStar)) => PlannerAlgorithm::RrtStar,
+            _ => return spec,
+        };
+        spec.with_planner(planner)
+    }
 }
 
 /// Results of an [`InjectionSweep`]: per-run QoF metrics in run order.
@@ -579,10 +600,9 @@ impl CampaignExecutor {
         };
         self.pool.fold_ordered(
             &runs,
-            |_, (seed_offset, fault)| -> Result<QofMetrics, MavfiError> {
-                let spec = MissionSpec::new(sweep.environment, sweep.base_seed + seed_offset)
-                    .with_time_budget(sweep.mission_time_budget);
-                Ok(MissionRunner::new(spec).run(*fault, Protection::None, None)?.qof)
+            |_, &(seed_offset, fault)| -> Result<QofMetrics, MavfiError> {
+                let spec = sweep.mission_spec(seed_offset, fault);
+                Ok(MissionRunner::new(spec).run(fault, Protection::None, None)?.qof)
             },
             &mut outcome,
             |outcome, index, qof| {
@@ -631,6 +651,38 @@ mod tests {
                 matches!(outcome, Err(MavfiError::InvalidConfig { .. })),
                 "runs_per_target {runs_per_target}: {outcome:?}"
             );
+        }
+    }
+
+    /// Fig. 3's planner rows fly their own planner: a `Kernel(Rrt)` sweep
+    /// run invokes RRT and never RRT\*, while golden runs and other
+    /// targets keep RRT\*.
+    #[test]
+    fn planner_kernel_runs_fly_their_own_planner() {
+        let sweep = InjectionSweep {
+            environment: EnvironmentKind::Farm,
+            base_seed: 3,
+            mission_time_budget: 30.0,
+            golden_runs: 0,
+            runs_per_target: 1,
+            plan: CampaignPlan::per_stage(0, 0),
+        };
+        let fault = |kernel| FaultSpec::new(InjectionTarget::Kernel(kernel), 5, 1);
+        let runs = [
+            (Some(fault(KernelId::Rrt)), KernelId::Rrt),
+            (Some(fault(KernelId::RrtConnect)), KernelId::RrtConnect),
+            (Some(fault(KernelId::RrtStar)), KernelId::RrtStar),
+            (Some(fault(KernelId::CollisionCheck)), KernelId::RrtStar),
+            (None, KernelId::RrtStar),
+        ];
+        for (fault, expected) in runs {
+            let spec = sweep.mission_spec(0, fault);
+            assert_eq!(spec.planner.kernel(), expected, "{fault:?}");
+            if expected == KernelId::Rrt {
+                let outcome = MissionRunner::new(spec).run(fault, Protection::None, None).unwrap();
+                assert!(outcome.pipeline.invocations(KernelId::Rrt) > 0, "RRT planned");
+                assert_eq!(outcome.pipeline.invocations(KernelId::RrtStar), 0, "RRT* never ran");
+            }
         }
     }
 

@@ -207,10 +207,11 @@ pub struct RrtStar {
     // Parent candidates as `(prospective cost, sequence position)`, consumed
     // cheapest-first by `pick_parent`.
     parent_candidates: Vec<(f64, u32)>,
-    // `neighbours[i].position.distance(new_position)`, filled alongside
-    // `parent_candidates` and reused by the rewire pass (positions never
-    // move, so the values stay exact; `Vec3::distance` is symmetric
-    // bit-for-bit — negation is exact, the squares are identical).
+    // `neighbours[i].position.distance(new_position)`, filled by the radius
+    // query alongside `neighbours` and used by both the parent pick and the
+    // rewire pass (positions never move, so the values stay exact;
+    // `Vec3::distance` is symmetric bit-for-bit — negation is exact, the
+    // squares are identical).
     neighbour_distances: Vec<f64>,
 }
 
@@ -318,21 +319,27 @@ impl MotionPlanner for RrtStar {
                 continue;
             }
 
-            // The rewiring neighbourhood, in ascending node-index order
-            // (the linear filter's natural order; the index sorts to match).
+            // The rewiring neighbourhood with each member's distance to the
+            // new node, in ascending node-index order (the linear filter's
+            // natural order, which the index reproduces).
+            let neighbour_distances = &mut self.neighbour_distances;
             if self.use_index {
-                self.index.within_radius(new_position, self.config.rewire_radius, neighbours);
+                self.index.within_radius_with_distances(
+                    new_position,
+                    self.config.rewire_radius,
+                    neighbours,
+                    neighbour_distances,
+                );
             } else {
                 neighbours.clear();
-                neighbours.extend(
-                    nodes
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, node)| {
-                            node.position.distance(new_position) <= self.config.rewire_radius
-                        })
-                        .map(|(index, _)| index),
-                );
+                neighbour_distances.clear();
+                for (index, node) in nodes.iter().enumerate() {
+                    let distance = node.position.distance(new_position);
+                    if distance <= self.config.rewire_radius {
+                        neighbours.push(index);
+                        neighbour_distances.push(distance);
+                    }
+                }
             }
 
             // Choose the best parent within the rewiring radius; the
@@ -340,23 +347,19 @@ impl MotionPlanner for RrtStar {
             // radius (when inside it is already in `neighbours`, and
             // re-marching `segment_free` for it would double the most
             // expensive query of the loop for no behavioural difference).
-            let nearest_unlisted = neighbours.binary_search(&nearest_index).is_err();
             self.parent_candidates.clear();
-            self.neighbour_distances.clear();
-            let neighbour_distances = &mut self.neighbour_distances;
             self.parent_candidates.extend(
-                neighbours
-                    .iter()
-                    .copied()
-                    .chain(nearest_unlisted.then_some(nearest_index))
-                    .enumerate()
-                    .map(|(sequence, candidate)| {
-                        let parent = &nodes[candidate];
-                        let distance = parent.position.distance(new_position);
-                        neighbour_distances.push(distance);
-                        (parent.cost + distance, sequence as u32)
-                    }),
+                neighbours.iter().zip(neighbour_distances.iter()).enumerate().map(
+                    |(sequence, (&candidate, &distance))| {
+                        (nodes[candidate].cost + distance, sequence as u32)
+                    },
+                ),
             );
+            if neighbours.binary_search(&nearest_index).is_err() {
+                let parent = &nodes[nearest_index];
+                let distance = parent.position.distance(new_position);
+                self.parent_candidates.push((parent.cost + distance, neighbours.len() as u32));
+            }
             let candidate_at =
                 |sequence: u32| neighbours.get(sequence as usize).copied().unwrap_or(nearest_index);
             let picked = pick_parent(&mut self.parent_candidates, |sequence| {

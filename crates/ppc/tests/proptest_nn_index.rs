@@ -1,16 +1,25 @@
 //! Property tests for the pooled flat-grid spatial index
 //! ([`NnIndex`]): random insert sequences and queries must agree **exactly**
-//! — on index *and* tie-break — with the O(n) linear scans the RRT-family
-//! planners used before, across bounds scales, cell (step-size) configs and
-//! boxes that leave points outside (the overflow chain); and the three
-//! planners themselves must produce bit-identical paths with the index on
-//! and off.
+//! — on index *and* tie-break, and on every radius hit's distance bit for
+//! bit — with the O(n) linear scans the RRT-family planners used before,
+//! across bounds scales, cell (step-size) configs, boxes that leave points
+//! outside (the overflow chain), points on cell faces and exact ties; and
+//! the three planners themselves must produce bit-identical paths with the
+//! index on and off, on ground-truth worlds and on the occupancy grids
+//! missions actually plan on.
 
+use mavfi_ppc::perception::occupancy::OccupancyGrid;
+use mavfi_ppc::pipeline::{PpcConfig, PpcPipeline};
 use mavfi_ppc::planning::{
     MotionPlanner, NnIndex, ObstacleModel, PlannedPath, PlannerAlgorithm, PlannerConfig,
 };
+use mavfi_ppc::tap::NoopTap;
+use mavfi_sim::energy::PowerModel;
 use mavfi_sim::env::EnvironmentKind;
 use mavfi_sim::geometry::{Aabb, Vec3};
+use mavfi_sim::sensors::{CaptureScratch, DepthCamera, DepthFrame};
+use mavfi_sim::vehicle::QuadrotorParams;
+use mavfi_sim::world::{MissionConfig, World};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,7 +75,7 @@ fn random_point(rng: &mut StdRng, scale: f64, existing: &[Vec3]) -> Vec3 {
 /// Queries `index` at `query` and checks both answers against the linear
 /// references over `points`.
 fn check_queries(
-    index: &NnIndex,
+    index: &mut NnIndex,
     points: &[Vec3],
     query: Vec3,
     radius: f64,
@@ -78,8 +87,139 @@ fn check_queries(
     Ok(())
 }
 
+/// Radius query with distances, checked against the linear filter: the
+/// same nodes, strictly ascending, each with exactly `Vec3::distance`'s
+/// bits.
+fn check_radius_hits(
+    index: &mut NnIndex,
+    points: &[Vec3],
+    query: Vec3,
+    radius: f64,
+    nodes: &mut Vec<usize>,
+    distances: &mut Vec<f64>,
+) -> Result<(), TestCaseError> {
+    index.within_radius_with_distances(query, radius, nodes, distances);
+    prop_assert!(nodes.windows(2).all(|pair| pair[0] < pair[1]), "hits not ascending: {:?}", nodes);
+    prop_assert_eq!(&*nodes, &linear_within(points, query, radius), "radius query diverged");
+    prop_assert_eq!(distances.len(), nodes.len());
+    for (&node, &distance) in nodes.iter().zip(distances.iter()) {
+        prop_assert_eq!(
+            distance.to_bits(),
+            points[node].distance(query).to_bits(),
+            "distance of node {} to {:?}",
+            node,
+            query
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Radius hits come back in ascending index order with bit-exact
+    /// distances, and nothing carries over from one query to the next: a
+    /// sequence of queries on one index alternates wide and narrow radii
+    /// (zero included) and moves the query point, so a member or distance
+    /// left over from a wider query would show up in a narrower one.
+    #[test]
+    fn radius_hits_ascend_with_exact_distances_and_no_carry_over(
+        point_seed in 0u64..10_000,
+        cell_size in 0.4f64..6.0,
+        scale in 4.0f64..40.0,
+        count in 1usize..500,
+    ) {
+        let mut rng = StdRng::seed_from_u64(point_seed);
+        let mut index = NnIndex::new();
+        index.reset(cell_size, Aabb::new(Vec3::splat(-scale), Vec3::splat(scale)));
+        let mut points: Vec<Vec3> = Vec::new();
+        for _ in 0..count {
+            let point = random_point(&mut rng, scale * 1.2, &points);
+            index.insert(point);
+            points.push(point);
+        }
+        let (mut nodes, mut distances) = (Vec::new(), Vec::new());
+        let mut indices_only = Vec::new();
+        for _ in 0..24 {
+            let query = if rng.gen_bool(0.5) {
+                points[rng.gen_range(0..points.len())]
+            } else {
+                random_point(&mut rng, scale * 1.3, &[])
+            };
+            for radius in [scale, 0.0, rng.gen_range(0.0..scale * 0.5), scale * 0.1] {
+                check_radius_hits(&mut index, &points, query, radius, &mut nodes, &mut distances)?;
+                // The indices-only form agrees with the hits just returned.
+                index.within_radius(query, radius, &mut indices_only);
+                prop_assert_eq!(&indices_only, &nodes);
+            }
+        }
+    }
+
+    /// `nearest` and the radius queries on cell faces: points sit on the
+    /// multiples `k * cell_size` or a few ulps off them, where
+    /// `floor(p / cell_size)` can round a point into the neighbouring cell
+    /// (just below a face at large negative `k`, or at `-5e-324`), so the
+    /// cell bounds the queries prune with miss it by an ulp.  Every point
+    /// is duplicated (exact ties, lowest index first), and queries sit
+    /// exactly on points (zero distance), within 1e-9 of them, and on
+    /// unoccupied lattice sites.  Trees pass the index's linear-scan cutoff,
+    /// so the cell walk answers.
+    #[test]
+    fn cell_face_points_duplicates_and_tiny_distances_match_linear_scans(
+        point_seed in 0u64..10_000,
+        cell_index in 0usize..6,
+        count in 150usize..300,
+    ) {
+        let cell_size = [0.1, 0.3, 0.7, 1.1, 2.5, 5.0][cell_index];
+        let mut rng = StdRng::seed_from_u64(point_seed);
+        let lattice = |rng: &mut StdRng| {
+            let mut face = |cells: i32| {
+                let multiple = f64::from(rng.gen_range(-cells..=cells)) * cell_size;
+                // Up to four ulps either way (through zero, into subnormals).
+                match rng.gen_range(-4..=4_i32) {
+                    0 => multiple,
+                    ulps if multiple == 0.0 => f64::from_bits(ulps.unsigned_abs().into())
+                        .copysign(f64::from(ulps)),
+                    ulps => f64::from_bits(multiple.to_bits().wrapping_add_signed(ulps.into())),
+                }
+            };
+            Vec3::new(face(300), face(12), face(12))
+        };
+        let mut index = NnIndex::new();
+        let half = Vec3::new(310.0, 13.0, 13.0) * cell_size;
+        index.reset(cell_size, Aabb::new(-half, half));
+        let mut points = Vec::new();
+        for _ in 0..count {
+            let point = lattice(&mut rng);
+            for _ in 0..2 {
+                index.insert(point);
+                points.push(point);
+            }
+        }
+        let (mut nodes, mut distances) = (Vec::new(), Vec::new());
+        for _ in 0..48 {
+            let on_point = points[rng.gen_range(0..points.len())];
+            let nudge = Vec3::new(
+                rng.gen_range(-1e-9..=1e-9),
+                rng.gen_range(-1e-9..=1e-9),
+                rng.gen_range(-1e-9..=1e-9),
+            );
+            for query in [on_point, on_point + nudge, lattice(&mut rng)] {
+                prop_assert_eq!(
+                    index.nearest(query),
+                    linear_nearest(&points, query),
+                    "nearest diverged at {:?} (cell {})",
+                    query,
+                    cell_size
+                );
+                for radius in [0.0, 1e-9, cell_size] {
+                    check_radius_hits(
+                        &mut index, &points, query, radius, &mut nodes, &mut distances,
+                    )?;
+                }
+            }
+        }
+    }
 
     /// Random insert sequences interleaved with nearest/radius queries: the
     /// index agrees with the linear references after every insert, across
@@ -115,7 +255,7 @@ proptest! {
                 let far = random_point(&mut rng, scale * 1.5, &[]);
                 for query in [near, far] {
                     let radius = rng.gen_range(0.0..scale * 0.4);
-                    check_queries(&index, &points, query, radius, &mut out)?;
+                    check_queries(&mut index, &points, query, radius, &mut out)?;
                 }
             }
         }
@@ -155,7 +295,7 @@ proptest! {
             let edge = if rng.gen_bool(0.5) { -8 } else { 10 };
             let query = lattice(&mut rng, edge - 2..edge + 3);
             let radius = f64::from(rng.gen_range(0..5));
-            check_queries(&index, &points, query, radius, &mut out)?;
+            check_queries(&mut index, &points, query, radius, &mut out)?;
         }
     }
 }
@@ -214,4 +354,72 @@ proptest! {
             }
         }
     }
+}
+
+/// Flies `ticks` ticks of a `kind` mission (seed `seed`) with the RRT*
+/// pipeline and returns the occupancy grid the vehicle observed, its
+/// position and the goal: a replan problem as a mission meets it.
+fn observed_problem(kind: EnvironmentKind, seed: u64, ticks: u32) -> (OccupancyGrid, Vec3, Vec3) {
+    let env = kind.build(seed);
+    let goal = env.goal();
+    let config = PpcConfig::new(PlannerAlgorithm::RrtStar, env.bounds(), seed);
+    let mut pipeline = PpcPipeline::new(config, env.start(), goal);
+    let camera = DepthCamera::default();
+    let mut world = World::new(
+        env,
+        QuadrotorParams::default(),
+        PowerModel::default(),
+        MissionConfig::default(),
+    );
+    let mut frame = DepthFrame::default();
+    let mut scratch = CaptureScratch::new();
+    for _ in 0..ticks {
+        camera.capture_into(world.environment(), &world.vehicle().pose(), &mut scratch, &mut frame);
+        let tick = pipeline.tick(&frame, &world.vehicle().state(), 0.1, &mut NoopTap);
+        world.step(&tick.command, 0.1);
+    }
+    (pipeline.occupancy().clone(), world.vehicle().state().position, goal)
+}
+
+/// The spatial index is inert on the maps flights plan on: on occupancy
+/// grids observed by Dense and Farm mission prefixes (each with the straight
+/// line to the goal blocked, so every planner searches), indexed and linear
+/// RRT, RRT-Connect and RRT* plan bit-identical paths over five consecutive
+/// `plan_into` calls on one warm instance each.
+#[test]
+fn indexed_and_linear_planners_agree_on_observed_grids() {
+    let mut solved = 0;
+    for (kind, seed, ticks) in [
+        (EnvironmentKind::Dense, 8_u64, 150),
+        (EnvironmentKind::Dense, 12, 60),
+        (EnvironmentKind::Farm, 2, 80),
+    ] {
+        let (grid, start, goal) = observed_problem(kind, seed, ticks);
+        let config = PlannerConfig::for_bounds(kind.build(seed).bounds()).with_seed(seed);
+        assert!(
+            !ObstacleModel::segment_free(&grid, start, goal, config.margin),
+            "{kind:?} seed {seed}: the observed straight line must be blocked"
+        );
+        for algorithm in PlannerAlgorithm::ALL {
+            let mut indexed = algorithm.instantiate(config);
+            let mut linear = algorithm.instantiate(config);
+            linear.set_spatial_index_enabled(false);
+            let (mut indexed_path, mut linear_path) =
+                (PlannedPath::default(), PlannedPath::default());
+            for call in 0..5 {
+                let found = indexed.plan_into(&grid, start, goal, &mut indexed_path);
+                assert_eq!(found, linear.plan_into(&grid, start, goal, &mut linear_path));
+                let bits = |path: &PlannedPath| -> Vec<[u64; 3]> {
+                    path.waypoints.iter().map(|p| [p.x, p.y, p.z].map(f64::to_bits)).collect()
+                };
+                assert_eq!(
+                    bits(&indexed_path),
+                    bits(&linear_path),
+                    "{algorithm:?} diverged on {kind:?} seed {seed}, call {call}"
+                );
+                solved += usize::from(found);
+            }
+        }
+    }
+    assert!(solved >= 30, "most plans must succeed, not fail alike ({solved}/45)");
 }

@@ -5,7 +5,10 @@
 # the same gate covers them), the benchmark package's formatting, clippy
 # (warnings are errors) and release build (`perfbench/` is its own
 # workspace and calls the crates' public API, so an API change that breaks
-# it fails here), a worker-count determinism check on the instrumented
+# it fails here), the planner crate's tests in the release profile (the
+# test suite runs in the dev profile, campaigns run in release, and the
+# spatial index's equivalence with the linear scans must hold in the build
+# that flies), a worker-count determinism check on the instrumented
 # campaign path (the `telemetry_report` example's `deterministic:` and
 # `trunks:` rollup lines at 1 and at 3 workers must match), a
 # bit-identical replay of the golden-trace store (`retrace --verify`), a
@@ -16,9 +19,10 @@
 #
 # Usage: ./scripts/check.sh
 #
-# This is the cheap half of CI (.github/workflows/ci.yml); it does not run
-# the test suite (`cargo test -q`, about 2 minutes on a 2-core machine once
-# built), which holds the determinism and work-count gates.
+# This is the cheap half of CI (.github/workflows/ci.yml); apart from the
+# planner crate's release-profile tests it does not run the test suite
+# (`cargo test -q`, about 2 minutes on a 2-core machine once built), which
+# holds the determinism and work-count gates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,6 +43,9 @@ cargo clippy --release --offline --quiet --manifest-path perfbench/Cargo.toml --
 
 echo "==> benchmark package builds (cargo build --manifest-path perfbench/Cargo.toml)"
 cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml
+
+echo "==> planner crate tests in the release profile campaigns run in (cargo test --release -p mavfi-ppc)"
+cargo test --release --offline -q -p mavfi-ppc
 
 echo "==> campaign rollup is identical at 1 and 3 workers (telemetry_report deterministic: and trunks: lines)"
 rollup_lines() {
