@@ -1,6 +1,6 @@
 //! Microbenchmarks of the replan path: per-planner `plan_into` latency on
-//! mission-observed occupancy grids (for the RRT family also vs the O(n)
-//! linear nearest/radius scans the pooled spatial index replaced), the share
+//! mission-observed occupancy grids (also vs the O(n) linear nearest/radius
+//! scans the pooled spatial index replaced), the share
 //! of an RRT* replan spent answering map queries, and the end-to-end
 //! throughput of a pipeline forced to replan on every tick — the
 //! fault-triggered recovery workload of the paper's §VI-C.
@@ -17,7 +17,7 @@ use mavfi::prelude::*;
 use mavfi_ppc::perception::occupancy::OccupancyGrid;
 use mavfi_ppc::pipeline::{PpcConfig, PpcPipeline};
 use mavfi_ppc::planning::{
-    MotionPlanner, ObstacleModel, PlannedPath, PlannerAlgorithm, PlannerConfig,
+    MotionPlanner, ObstacleModel, PlannedPath, Planner, PlannerAlgorithm, PlannerConfig,
 };
 use mavfi_ppc::states::Trajectory;
 use mavfi_ppc::tap::{NoopTap, StageTap, TapAction};
@@ -88,7 +88,7 @@ fn time_rounds(
         .collect();
     let mut out = PlannedPath::default();
     let mut digest = std::collections::hash_map::DefaultHasher::new();
-    let mut plan = |planner: &mut Box<dyn MotionPlanner + Send>, problem: &ReplanProblem| {
+    let mut plan = |planner: &mut Planner, problem: &ReplanProblem| {
         let found = planner.plan_into(&problem.grid, problem.start, problem.goal, &mut out);
         digest.write_u8(u8::from(found));
         for waypoint in &out.waypoints {
@@ -112,9 +112,8 @@ fn time_rounds(
 }
 
 /// Times per-planner replans over the observed problems: `plan_into` with
-/// the spatial index on (the default) and — for the three RRT-family
-/// planners — with it disabled, i.e. the O(n) linear nearest/radius scans
-/// it replaced.  Both sides plan the same paths, so their digests must
+/// the spatial index on (the default) and with it disabled, i.e. the O(n)
+/// linear nearest/radius scans it replaced.  Both sides plan the same paths, so their digests must
 /// match.
 fn measure_planner_latency(problems: &[ReplanProblem]) {
     /// Rounds per timing.  On a shared 2-core host a mean over one problem
@@ -123,25 +122,19 @@ fn measure_planner_latency(problems: &[ReplanProblem]) {
     const ROUNDS: u32 = 15;
     let seeds: Vec<String> = problems.iter().map(|problem| problem.seed.to_string()).collect();
     let label = format!("observed Dense seeds {} grids", seeds.join("/"));
-    for algorithm in PlannerAlgorithm::EXTENDED {
+    for algorithm in PlannerAlgorithm::ALL {
         let name = format!("{algorithm:?}").to_lowercase();
         let (indexed_ns, digest) = time_rounds(algorithm, problems, false, ROUNDS);
         println!(
             "{label}: {name}_plan_into {:.3} ms/replan (min of {ROUNDS} rounds), paths {digest:016x}",
             indexed_ns / 1e6
         );
-        if matches!(
-            algorithm,
-            PlannerAlgorithm::Rrt | PlannerAlgorithm::RrtConnect | PlannerAlgorithm::RrtStar
-        ) {
-            let (linear_ns, linear_digest) = time_rounds(algorithm, problems, true, ROUNDS);
-            let agreement =
-                if linear_digest == digest { "identical paths" } else { "PATHS DIFFER" };
-            println!(
-                "{label}: {name}_plan_into_linear {:.3} ms/replan (min of {ROUNDS} rounds), {agreement}",
-                linear_ns / 1e6
-            );
-        }
+        let (linear_ns, linear_digest) = time_rounds(algorithm, problems, true, ROUNDS);
+        let agreement = if linear_digest == digest { "identical paths" } else { "PATHS DIFFER" };
+        println!(
+            "{label}: {name}_plan_into_linear {:.3} ms/replan (min of {ROUNDS} rounds), {agreement}",
+            linear_ns / 1e6
+        );
     }
 }
 
@@ -231,8 +224,8 @@ impl StageTap for ReplanEveryTick {
     }
 }
 
-/// Times the end-to-end recovery workload: a stationary pipeline replanning
-/// (A*, deterministic search) on every tick, capture included.
+/// Times the end-to-end recovery workload: a stationary RRT\* pipeline
+/// replanning on every tick, capture included.
 fn measure_forced_replan_throughput() {
     let env = Environment::new(
         "replan-bench",
@@ -241,7 +234,7 @@ fn measure_forced_replan_throughput() {
         Vec3::new(0.0, 0.0, 2.0),
         Vec3::new(30.0, 0.0, 2.0),
     );
-    let config = PpcConfig::new(PlannerAlgorithm::AStar, env.bounds(), 3);
+    let config = PpcConfig::new(PlannerAlgorithm::RrtStar, env.bounds(), 3);
     let mut pipeline = PpcPipeline::new(config, env.start(), env.goal());
     let camera = DepthCamera::default();
     let pose = Pose::new(env.start(), 0.0);
@@ -250,7 +243,7 @@ fn measure_forced_replan_throughput() {
     let mut scratch = CaptureScratch::new();
     let mut tap = ReplanEveryTick;
 
-    const TICKS: u32 = 2_000;
+    const TICKS: u32 = 200;
     for _ in 0..50 {
         camera.capture_into(&env, &pose, &mut scratch, &mut frame);
         std::hint::black_box(pipeline.tick(&frame, &vehicle, 0.1, &mut tap));
@@ -262,7 +255,7 @@ fn measure_forced_replan_throughput() {
     }
     let elapsed = begin.elapsed().as_secs_f64();
     println!(
-        "A* replan every tick, stationary walled world: {:.0} ticks/s",
+        "RRT* replan every tick, stationary walled world: {:.0} ticks/s",
         f64::from(TICKS) / elapsed.max(1e-9)
     );
 }

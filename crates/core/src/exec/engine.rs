@@ -19,7 +19,6 @@ use mavfi_fault::injector::FaultSpec;
 use mavfi_fault::target::InjectionTarget;
 use mavfi_ppc::planning::PlannerAlgorithm;
 use mavfi_ppc::states::Stage;
-use mavfi_ppc::KernelId;
 use mavfi_sim::env::EnvironmentKind;
 use mavfi_telemetry::{MissionReport, TelemetryReport, TrunkCounters};
 use serde::{Deserialize, Serialize};
@@ -112,13 +111,11 @@ impl InjectionSweep {
     fn mission_spec(&self, seed_offset: u64, fault: Option<FaultSpec>) -> MissionSpec {
         let spec = MissionSpec::new(self.environment, self.base_seed + seed_offset)
             .with_time_budget(self.mission_time_budget);
-        let planner = match fault.map(|fault| fault.target) {
-            Some(InjectionTarget::Kernel(KernelId::Rrt)) => PlannerAlgorithm::Rrt,
-            Some(InjectionTarget::Kernel(KernelId::RrtConnect)) => PlannerAlgorithm::RrtConnect,
-            Some(InjectionTarget::Kernel(KernelId::RrtStar)) => PlannerAlgorithm::RrtStar,
-            _ => return spec,
-        };
-        spec.with_planner(planner)
+        let target = fault.map(|fault| fault.target);
+        let planner = PlannerAlgorithm::ALL
+            .into_iter()
+            .find(|planner| target == Some(InjectionTarget::Kernel(planner.kernel())));
+        planner.map_or(spec, |planner| spec.with_planner(planner))
     }
 }
 
@@ -621,6 +618,7 @@ impl CampaignExecutor {
 mod tests {
     use super::*;
     use crate::training::train_detectors;
+    use mavfi_ppc::KernelId;
 
     fn quick_detectors() -> TrainedDetectors {
         let spec =

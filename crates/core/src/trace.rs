@@ -822,6 +822,32 @@ mod tests {
         assert_eq!(ids.len(), TraceTopic::ALL.len());
     }
 
+    /// `MissionSpec.planner` is the one planner name a trace header brings
+    /// in from outside: a header naming a planner the crate does not have
+    /// (the lattice `AStar` of earlier builds) is a typed serialization
+    /// error, not a panic.
+    #[test]
+    fn a_header_naming_an_unknown_planner_is_a_serialization_error() {
+        let meta = TraceMeta {
+            spec: MissionSpec::new(EnvironmentKind::Sparse, 3),
+            protection: Protection::None,
+            fault: None,
+            camera: DepthCamera::default(),
+            detectors: None,
+        };
+        let with_header = |json: &str| {
+            let stream = TraceWriter::new(json.as_bytes(), &TraceTopic::declarations()).finish();
+            MissionTrace::from_bytes(&MissionTrace { stream }.to_bytes()).unwrap()
+        };
+        let json = serde_json::to_string(&meta).unwrap();
+        assert_eq!(with_header(&json).meta().unwrap(), meta);
+
+        let renamed = json.replace("\"RrtStar\"", "\"AStar\"");
+        assert_ne!(renamed, json, "the header names its planner");
+        let err = with_header(&renamed).meta().unwrap_err();
+        assert!(matches!(err, MavfiError::Serialization(_)), "{err:?}");
+    }
+
     /// Replay checks an in-memory trace's digests in its one pass over the
     /// stream: a damaged stream replays to exactly the error that reading
     /// its metadata and verifying it report, wherever the damage lies —

@@ -166,8 +166,8 @@ impl FaultInjector {
             }
             InjectionTarget::Kernel(kernel) if kernel.stage() == stage => match kernel {
                 // Point-cloud and OctoMap faults are handled on their own
-                // hooks, not through scalar states; A* has no scalar target.
-                KernelId::PointCloudGeneration | KernelId::OctoMap | KernelId::AStar => None,
+                // hooks, not through scalar states.
+                KernelId::PointCloudGeneration | KernelId::OctoMap => None,
                 // Every other kernel's output manifests on its stage's
                 // scalar states: collision check, planners, smoothing,
                 // mission planning, path tracking and PID.

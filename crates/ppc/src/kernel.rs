@@ -26,9 +26,6 @@ pub enum KernelId {
     RrtConnect,
     /// RRT* motion planner.
     RrtStar,
-    /// Grid-based A* motion planner (an extension beyond the paper's three
-    /// sampling-based planners, used as a deterministic baseline).
-    AStar,
     /// Path smoothening.
     Smoothing,
     /// Mission (package-delivery) planner.
@@ -41,7 +38,7 @@ pub enum KernelId {
 
 impl KernelId {
     /// Number of kernels (the length of [`KernelId::ALL`]).
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 10;
 
     /// Every kernel, in pipeline order.
     pub const ALL: [Self; Self::COUNT] = [
@@ -51,7 +48,6 @@ impl KernelId {
         Self::Rrt,
         Self::RrtConnect,
         Self::RrtStar,
-        Self::AStar,
         Self::Smoothing,
         Self::MissionPlanner,
         Self::PathTracking,
@@ -82,11 +78,10 @@ impl KernelId {
             Self::Rrt => 3,
             Self::RrtConnect => 4,
             Self::RrtStar => 5,
-            Self::AStar => 6,
-            Self::Smoothing => 7,
-            Self::MissionPlanner => 8,
-            Self::PathTracking => 9,
-            Self::Pid => 10,
+            Self::Smoothing => 6,
+            Self::MissionPlanner => 7,
+            Self::PathTracking => 8,
+            Self::Pid => 9,
         }
     }
 
@@ -97,7 +92,6 @@ impl KernelId {
             Self::Rrt
             | Self::RrtConnect
             | Self::RrtStar
-            | Self::AStar
             | Self::Smoothing
             | Self::MissionPlanner => Stage::Planning,
             Self::PathTracking | Self::Pid => Stage::Control,
@@ -116,7 +110,6 @@ impl KernelId {
             Self::Rrt => 62.0,
             Self::RrtConnect => 48.0,
             Self::RrtStar => 83.0,
-            Self::AStar => 35.0,
             Self::Smoothing => 12.0,
             Self::MissionPlanner => 1.5,
             Self::PathTracking => 0.26,
@@ -133,7 +126,6 @@ impl KernelId {
             Self::Rrt => "RRT",
             Self::RrtConnect => "RRTConnect",
             Self::RrtStar => "RRT*",
-            Self::AStar => "A*",
             Self::Smoothing => "Smoothen",
             Self::MissionPlanner => "Mission",
             Self::PathTracking => "Tracking",
@@ -155,7 +147,7 @@ mod tests {
         let control: Vec<_> =
             KernelId::ALL.iter().filter(|k| k.stage() == Stage::Control).collect();
         assert_eq!(perception.len(), 3);
-        assert_eq!(planning.len(), 6);
+        assert_eq!(planning.len(), 5);
         assert_eq!(control.len(), 2);
     }
 

@@ -52,7 +52,7 @@ pub mod prelude {
         PipelineStats, PpcConfig, PpcPipeline, PpcTick, StageList, TickTimings,
     };
     pub use crate::planning::{
-        AStarPlanner, MissionPlan, MotionPlanner, PathSmoother, PlannedPath, PlannerAlgorithm,
+        MissionPlan, MotionPlanner, PathSmoother, PlannedPath, Planner, PlannerAlgorithm,
         PlannerConfig, Rrt, RrtConnect, RrtStar, TrajectoryGenerator,
     };
     pub use crate::states::{

@@ -14,8 +14,8 @@ use crate::perception::{
     CollisionChecker, CollisionCheckerConfig, OccupancyGrid, PointCloudGenerator,
 };
 use crate::planning::{
-    AStarPlanner, MissionPlan, MotionPlanner, ObstacleModel, PathSmoother, PlannedPath,
-    PlannerAlgorithm, PlannerConfig, Rrt, RrtConnect, RrtStar, TrajectoryGenerator,
+    MissionPlan, MotionPlanner, PathSmoother, PlannedPath, Planner, PlannerAlgorithm,
+    PlannerConfig, TrajectoryGenerator,
 };
 use crate::states::{MonitoredStates, PointCloud, Stage, Trajectory, Waypoint};
 use crate::tap::{StageTap, TapAction};
@@ -260,63 +260,6 @@ pub struct PpcTick {
     pub mission_complete: bool,
 }
 
-/// The pipeline's motion planner: one of the in-crate planners, held by
-/// value so the pipeline — and a mid-mission checkpoint of it — is `Clone`.
-#[derive(Debug)]
-enum Planner {
-    Rrt(Rrt),
-    RrtConnect(RrtConnect),
-    RrtStar(RrtStar),
-    AStar(AStarPlanner),
-}
-
-impl Planner {
-    fn new(algorithm: PlannerAlgorithm, config: PlannerConfig) -> Self {
-        match algorithm {
-            PlannerAlgorithm::Rrt => Self::Rrt(Rrt::new(config)),
-            PlannerAlgorithm::RrtConnect => Self::RrtConnect(RrtConnect::new(config)),
-            PlannerAlgorithm::RrtStar => Self::RrtStar(RrtStar::new(config)),
-            PlannerAlgorithm::AStar => Self::AStar(AStarPlanner::new(config)),
-        }
-    }
-
-    fn plan_into(
-        &mut self,
-        model: &dyn ObstacleModel,
-        start: Vec3,
-        goal: Vec3,
-        out: &mut PlannedPath,
-    ) -> bool {
-        match self {
-            Self::Rrt(planner) => planner.plan_into(model, start, goal, out),
-            Self::RrtConnect(planner) => planner.plan_into(model, start, goal, out),
-            Self::RrtStar(planner) => planner.plan_into(model, start, goal, out),
-            Self::AStar(planner) => planner.plan_into(model, start, goal, out),
-        }
-    }
-}
-
-impl Clone for Planner {
-    fn clone(&self) -> Self {
-        match self {
-            Self::Rrt(planner) => Self::Rrt(planner.clone()),
-            Self::RrtConnect(planner) => Self::RrtConnect(planner.clone()),
-            Self::RrtStar(planner) => Self::RrtStar(planner.clone()),
-            Self::AStar(planner) => Self::AStar(planner.clone()),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        match (self, source) {
-            (Self::Rrt(to), Self::Rrt(from)) => to.clone_from(from),
-            (Self::RrtConnect(to), Self::RrtConnect(from)) => to.clone_from(from),
-            (Self::RrtStar(to), Self::RrtStar(from)) => to.clone_from(from),
-            (Self::AStar(to), Self::AStar(from)) => to.clone_from(from),
-            (to, from) => *to = from.clone(),
-        }
-    }
-}
-
 /// The end-to-end PPC pipeline.
 ///
 /// # Examples
@@ -453,7 +396,7 @@ impl PpcPipeline {
             point_cloud_generator: PointCloudGenerator::default(),
             occupancy: OccupancyGrid::new(config.occupancy_resolution),
             collision_checker: CollisionChecker::new(config.collision_checker),
-            planner: Planner::new(config.planner, config.planner_config),
+            planner: config.planner.instantiate(config.planner_config),
             smoother: PathSmoother::new(config.planner_config.margin),
             trajectory_generator: TrajectoryGenerator::new(
                 config.cruise_speed,
@@ -796,7 +739,7 @@ mod tests {
 
     #[test]
     fn a_mid_mission_copy_flies_exactly_as_the_original() {
-        for algorithm in PlannerAlgorithm::EXTENDED {
+        for algorithm in PlannerAlgorithm::ALL {
             let env = EnvironmentKind::Dense.build(8);
             let config = PpcConfig::new(algorithm, env.bounds(), 8);
             let mut pipeline = PpcPipeline::new(config, env.start(), env.goal());
@@ -809,9 +752,10 @@ mod tests {
             fly(&mut pipeline, &mut world, 25);
 
             let mut cloned = pipeline.clone();
-            // `clone_from` into a pipeline with another planner and another
-            // history replaces it whole.
-            let other = PpcConfig::new(PlannerAlgorithm::AStar, env.bounds(), 1);
+            // `clone_from` into a pipeline with another history replaces it
+            // whole: with another planner (RRT-Connect) for RRT and RRT*,
+            // with the same planner on another seed for RRT-Connect.
+            let other = PpcConfig::new(PlannerAlgorithm::RrtConnect, env.bounds(), 1);
             let mut refreshed = PpcPipeline::new(other, env.goal(), env.start());
             fly(&mut refreshed, &mut world.clone(), 3);
             refreshed.clone_from(&pipeline);

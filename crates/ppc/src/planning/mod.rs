@@ -1,7 +1,6 @@
 //! Planning stage: sampling-based motion planners, path smoothing,
 //! trajectory generation and the mission planner.
 
-pub mod astar;
 pub mod mission;
 pub mod nn_index;
 pub mod rrt;
@@ -11,12 +10,13 @@ pub mod smoothing;
 pub mod space;
 pub mod trajectory_gen;
 
-pub use astar::AStarPlanner;
 pub use mission::MissionPlan;
 pub use nn_index::NnIndex;
 pub use rrt::Rrt;
 pub use rrt_connect::RrtConnect;
 pub use rrt_star::RrtStar;
 pub use smoothing::PathSmoother;
-pub use space::{MotionPlanner, ObstacleModel, PlannedPath, PlannerAlgorithm, PlannerConfig};
+pub use space::{
+    MotionPlanner, ObstacleModel, PlannedPath, Planner, PlannerAlgorithm, PlannerConfig,
+};
 pub use trajectory_gen::TrajectoryGenerator;

@@ -8,6 +8,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::kernel::KernelId;
 use crate::perception::occupancy::OccupancyGrid;
+use crate::planning::{Rrt, RrtConnect, RrtStar};
 
 /// Anything the planners can ask "is this point / segment free?".
 ///
@@ -154,8 +155,73 @@ pub trait MotionPlanner {
     /// path — only how fast it is found.  Disabling it is the verification
     /// knob used by the equivalence tests and the `replan_micro` bench's
     /// indexed-vs-linear timings.  Takes effect at the next `plan_into`
-    /// call.  Planners without such an index (A*) ignore it.
-    fn set_spatial_index_enabled(&mut self, _enabled: bool) {}
+    /// call.
+    fn set_spatial_index_enabled(&mut self, enabled: bool);
+}
+
+/// One of the paper's three planners, held by value: the crate's one
+/// planner dispatch, a static `match` per call.  Being `Clone`, it lets the
+/// pipeline that holds it — and a mid-mission checkpoint of that pipeline —
+/// clone by value.
+#[derive(Debug)]
+pub enum Planner {
+    /// Baseline RRT.
+    Rrt(Rrt),
+    /// Bidirectional RRT-Connect.
+    RrtConnect(RrtConnect),
+    /// Asymptotically optimal RRT*.
+    RrtStar(RrtStar),
+}
+
+impl MotionPlanner for Planner {
+    fn kernel(&self) -> KernelId {
+        match self {
+            Self::Rrt(planner) => planner.kernel(),
+            Self::RrtConnect(planner) => planner.kernel(),
+            Self::RrtStar(planner) => planner.kernel(),
+        }
+    }
+
+    fn plan_into(
+        &mut self,
+        model: &dyn ObstacleModel,
+        start: Vec3,
+        goal: Vec3,
+        out: &mut PlannedPath,
+    ) -> bool {
+        match self {
+            Self::Rrt(planner) => planner.plan_into(model, start, goal, out),
+            Self::RrtConnect(planner) => planner.plan_into(model, start, goal, out),
+            Self::RrtStar(planner) => planner.plan_into(model, start, goal, out),
+        }
+    }
+
+    fn set_spatial_index_enabled(&mut self, enabled: bool) {
+        match self {
+            Self::Rrt(planner) => planner.set_spatial_index_enabled(enabled),
+            Self::RrtConnect(planner) => planner.set_spatial_index_enabled(enabled),
+            Self::RrtStar(planner) => planner.set_spatial_index_enabled(enabled),
+        }
+    }
+}
+
+impl Clone for Planner {
+    fn clone(&self) -> Self {
+        match self {
+            Self::Rrt(planner) => Self::Rrt(planner.clone()),
+            Self::RrtConnect(planner) => Self::RrtConnect(planner.clone()),
+            Self::RrtStar(planner) => Self::RrtStar(planner.clone()),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Self::Rrt(to), Self::Rrt(from)) => to.clone_from(from),
+            (Self::RrtConnect(to), Self::RrtConnect(from)) => to.clone_from(from),
+            (Self::RrtStar(to), Self::RrtStar(from)) => to.clone_from(from),
+            (to, from) => *to = from.clone(),
+        }
+    }
 }
 
 /// [`MotionPlanner::plan_into`] a fresh path: `None` when no path was
@@ -171,8 +237,7 @@ pub(crate) fn plan(
     planner.plan_into(model, start, goal, &mut out).then_some(out)
 }
 
-/// The planner algorithms evaluated by the paper, plus the deterministic A*
-/// baseline added by this reproduction.
+/// The planner algorithms evaluated by the paper (Fig. 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum PlannerAlgorithm {
@@ -182,17 +247,11 @@ pub enum PlannerAlgorithm {
     RrtConnect,
     /// Asymptotically optimal RRT*.
     RrtStar,
-    /// Grid-based A* (deterministic baseline, not part of the paper's
-    /// evaluation set).
-    AStar,
 }
 
 impl PlannerAlgorithm {
     /// The three planner algorithms the paper evaluates (Fig. 3).
     pub const ALL: [Self; 3] = [Self::Rrt, Self::RrtConnect, Self::RrtStar];
-
-    /// Every planner available in this crate, including the A* extension.
-    pub const EXTENDED: [Self; 4] = [Self::Rrt, Self::RrtConnect, Self::RrtStar, Self::AStar];
 
     /// The corresponding kernel identity.
     pub fn kernel(self) -> KernelId {
@@ -200,17 +259,15 @@ impl PlannerAlgorithm {
             Self::Rrt => KernelId::Rrt,
             Self::RrtConnect => KernelId::RrtConnect,
             Self::RrtStar => KernelId::RrtStar,
-            Self::AStar => KernelId::AStar,
         }
     }
 
     /// Instantiates the planner.
-    pub fn instantiate(self, config: PlannerConfig) -> Box<dyn MotionPlanner + Send> {
+    pub fn instantiate(self, config: PlannerConfig) -> Planner {
         match self {
-            Self::Rrt => Box::new(crate::planning::rrt::Rrt::new(config)),
-            Self::RrtConnect => Box::new(crate::planning::rrt_connect::RrtConnect::new(config)),
-            Self::RrtStar => Box::new(crate::planning::rrt_star::RrtStar::new(config)),
-            Self::AStar => Box::new(crate::planning::astar::AStarPlanner::new(config)),
+            Self::Rrt => Planner::Rrt(Rrt::new(config)),
+            Self::RrtConnect => Planner::RrtConnect(RrtConnect::new(config)),
+            Self::RrtStar => Planner::RrtStar(RrtStar::new(config)),
         }
     }
 }

@@ -342,8 +342,8 @@ proptest! {
                 linear.set_spatial_index_enabled(false);
                 for (start, goal) in [(start, goal), (goal, start)] {
                     prop_assert_eq!(
-                        plan(&mut *indexed, &env, start, goal),
-                        plan(&mut *linear, &env, start, goal),
+                        plan(&mut indexed, &env, start, goal),
+                        plan(&mut linear, &env, start, goal),
                         "{:?} diverged on {}/{} (bounds {:?})",
                         algorithm,
                         env.name(),

@@ -1,9 +1,8 @@
 //! Property-based tests of the PPC substrate: monitored states, occupancy
-//! mapping, trajectories and the deterministic A* planner.
+//! mapping, trajectories and the planners' path contract.
 
 use mavfi_ppc::perception::occupancy::OccupancyGrid;
-use mavfi_ppc::planning::astar::AStarPlanner;
-use mavfi_ppc::planning::space::{MotionPlanner, PlannedPath, PlannerConfig};
+use mavfi_ppc::planning::{MotionPlanner, PlannedPath, PlannerAlgorithm, PlannerConfig};
 use mavfi_ppc::states::{MonitoredStates, StateField, Trajectory, Waypoint};
 use mavfi_sim::geometry::{Aabb, Vec3};
 use proptest::prelude::*;
@@ -71,21 +70,25 @@ proptest! {
         prop_assert!(trajectory.waypoints[closest].position.distance(points[0]) < 1e-9);
     }
 
-    /// In an empty world the A* planner always returns the straight segment
-    /// between start and goal.
+    /// In an empty world every planner returns the straight segment between
+    /// start and goal.
     #[test]
-    fn astar_in_free_space_is_a_straight_line(
+    fn planners_in_free_space_return_a_straight_line(
         start in finite_vec3(),
         goal in finite_vec3(),
     ) {
         let bounds = Aabb::new(Vec3::new(-600.0, -600.0, -60.0), Vec3::new(600.0, 600.0, 60.0));
-        let mut planner = AStarPlanner::new(PlannerConfig::for_bounds(bounds));
         let grid = OccupancyGrid::new(0.5);
-        let mut path = PlannedPath::default();
-        prop_assert!(planner.plan_into(&grid, start, goal, &mut path), "free space is plannable");
-        prop_assert_eq!(path.waypoints.first().copied(), Some(start));
-        prop_assert_eq!(path.waypoints.last().copied(), Some(goal));
-        prop_assert!((path.length() - start.distance(goal)).abs() < 1e-9);
+        for algorithm in PlannerAlgorithm::ALL {
+            let mut planner = algorithm.instantiate(PlannerConfig::for_bounds(bounds));
+            let mut path = PlannedPath::default();
+            prop_assert!(
+                planner.plan_into(&grid, start, goal, &mut path),
+                "{:?}: free space is plannable",
+                algorithm
+            );
+            prop_assert_eq!(&path.waypoints, &vec![start, goal], "{:?}", algorithm);
+        }
     }
 
 }
@@ -95,10 +98,10 @@ proptest! {
     // the suite fast on small machines.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A* paths around a single obstacle wall remain collision-free and keep
-    /// their endpoints.
+    /// Every planner finds a path around a single obstacle wall, and that
+    /// path is collision-free and keeps its endpoints.
     #[test]
-    fn astar_paths_avoid_obstacles(offset in -6.0f64..6.0, seed_z in 1.5f64..4.0) {
+    fn planners_find_paths_that_avoid_obstacles(offset in -6.0f64..6.0, seed_z in 1.5f64..4.0) {
         let bounds = Aabb::new(Vec3::new(-20.0, -20.0, 0.0), Vec3::new(40.0, 40.0, 12.0));
         let mut grid = OccupancyGrid::new(0.5);
         for y in -24..=24 {
@@ -109,12 +112,13 @@ proptest! {
         let start = Vec3::new(0.0, offset, seed_z);
         let goal = Vec3::new(24.0, offset, seed_z);
         let config = PlannerConfig::for_bounds(bounds);
-        let mut planner = AStarPlanner::new(config);
-        let mut path = PlannedPath::default();
-        if planner.plan_into(&grid, start, goal, &mut path) {
-            prop_assert!(path.is_collision_free(&grid, config.margin * 0.8));
-            prop_assert_eq!(path.waypoints.first().copied(), Some(start));
-            prop_assert_eq!(path.waypoints.last().copied(), Some(goal));
+        for algorithm in PlannerAlgorithm::ALL {
+            let mut planner = algorithm.instantiate(config);
+            let mut path = PlannedPath::default();
+            prop_assert!(planner.plan_into(&grid, start, goal, &mut path), "{:?}", algorithm);
+            prop_assert!(path.is_collision_free(&grid, config.margin * 0.8), "{:?}", algorithm);
+            prop_assert_eq!(path.waypoints.first().copied(), Some(start), "{:?}", algorithm);
+            prop_assert_eq!(path.waypoints.last().copied(), Some(goal), "{:?}", algorithm);
         }
     }
 }

@@ -1,15 +1,13 @@
 //! Property tests for the allocation-free replanning path
 //! ([`MotionPlanner::plan_into`](mavfi_ppc::planning::MotionPlanner::plan_into)):
 //! planning into a reused, dirty path is bit-identical to planning into a
-//! fresh one across all four planners on randomized environments and
-//! seeds, and
-//! equivalence of the revision-keyed collision-check cache with the uncached
+//! fresh one across all three planners on randomized environments and
+//! seeds, and equivalence of the revision-keyed collision-check cache with the uncached
 //! kernel under arbitrary grid / trajectory mutation sequences.
 
 use mavfi_ppc::perception::collision_check::CollisionChecker;
 use mavfi_ppc::perception::occupancy::OccupancyGrid;
-use mavfi_ppc::planning::space::{PlannedPath, PlannerConfig};
-use mavfi_ppc::planning::PlannerAlgorithm;
+use mavfi_ppc::planning::{MotionPlanner, PlannedPath, PlannerAlgorithm, PlannerConfig};
 use mavfi_ppc::states::{Trajectory, Waypoint};
 use mavfi_sim::env::EnvironmentKind;
 use mavfi_sim::geometry::Vec3;
@@ -23,14 +21,14 @@ const KINDS: [EnvironmentKind; 3] =
     [EnvironmentKind::Sparse, EnvironmentKind::Farm, EnvironmentKind::Factory];
 
 proptest! {
-    // Each case plans 4 planners × 2 problems twice; keep the suite fast on
+    // Each case plans 3 planners × 2 problems twice; keep the suite fast on
     // one-core machines.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// For every planner, `plan_into` a reused, dirty path is bit-identical
     /// to `plan_into` a fresh path from a second instance — including on the
     /// *second* plan from the same instance, which exercises the pooled
-    /// tree/open-list buffers and the clear-then-fill contract of the
+    /// tree buffers and the clear-then-fill contract of the
     /// reused output path.
     #[test]
     fn plan_into_a_reused_path_matches_a_fresh_path(
@@ -40,7 +38,7 @@ proptest! {
     ) {
         let env = KINDS[kind_index].build(env_seed);
         let config = PlannerConfig::for_bounds(env.bounds()).with_seed(planner_seed);
-        for algorithm in PlannerAlgorithm::EXTENDED {
+        for algorithm in PlannerAlgorithm::ALL {
             let mut fresh = algorithm.instantiate(config);
             let mut pooled = algorithm.instantiate(config);
             // A dirty output buffer: stale content must never leak through.

@@ -22,7 +22,7 @@ pub mod docs {
     #[doc = include_str!("../docs/ARCHITECTURE.md")]
     pub mod architecture {}
 
-    /// `docs/PLANNERS.md`: the four motion planners and the
+    /// `docs/PLANNERS.md`: the three motion planners and the
     /// `plan_into` contract.
     #[doc = include_str!("../docs/PLANNERS.md")]
     pub mod planners {}

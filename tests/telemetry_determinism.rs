@@ -117,9 +117,8 @@ fn campaign_rollup_is_deterministic_and_inert_across_worker_counts() {
         }
     );
     // Indexed by `KernelId::index`: point cloud, OctoMap, collision check,
-    // RRT, RRT-Connect, RRT*, A*, smoothing, mission planner, path tracking,
-    // PID.
-    assert_eq!(view.kernel_invocations, [1807, 1810, 1810, 0, 0, 38, 0, 38, 1807, 1807, 1807]);
+    // RRT, RRT-Connect, RRT*, smoothing, mission planner, path tracking, PID.
+    assert_eq!(view.kernel_invocations, [1807, 1810, 1810, 0, 0, 38, 38, 1807, 1807, 1807]);
     assert_eq!(
         view.trunks,
         TrunkCounters {
